@@ -13,7 +13,6 @@ from typing import Iterable
 from .errors import CenterMismatch
 from .quaternion import ONE, Quaternion, ZERO, _coerce
 
-_TRIM_TOL = 0.0  # only exact zeros are trimmed
 _CENTER_TOL = 1e-12
 
 
@@ -37,7 +36,7 @@ class SlicePolynomial:
 
     def __post_init__(self):
         cs = [_as_quaternion(c) for c in self.coeffs]
-        while len(cs) > 1 and cs[-1].norm() <= _TRIM_TOL:
+        while len(cs) > 1 and cs[-1].norm() == 0.0:
             cs.pop()
         if not cs:
             cs = [ZERO]
@@ -57,13 +56,26 @@ class SlicePolynomial:
         return max(c.norm() for c in self.coeffs)
 
     def evaluate(self, q: Quaternion) -> Quaternion:
-        """Horner evaluation, right-coefficient variant."""
+        """Horner evaluation, right-coefficient variant: acc <- w*acc + c.
+
+        Runs in float locals with the expression order of
+        ``Quaternion.__mul__`` (w on the left) followed by ``+ c``, so it
+        equals the loop over Quaternion operators bit for bit.
+        """
         q = _as_quaternion(q)
+        cs = self.coeffs
         w = q - self.center
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = w * acc + c
-        return acc
+        w0, w1, w2, w3 = w.x0, w.x1, w.x2, w.x3
+        last = cs[-1]
+        a0, a1, a2, a3 = last.x0, last.x1, last.x2, last.x3
+        for c in cs[-2::-1]:
+            a0, a1, a2, a3 = (
+                w0 * a0 - w1 * a1 - w2 * a2 - w3 * a3 + c.x0,
+                w0 * a1 + w1 * a0 + w2 * a3 - w3 * a2 + c.x1,
+                w0 * a2 - w1 * a3 + w2 * a0 + w3 * a1 + c.x2,
+                w0 * a3 + w1 * a2 - w2 * a1 + w3 * a0 + c.x3,
+            )
+        return Quaternion(a0, a1, a2, a3)
 
     def derivative(self) -> "SlicePolynomial":
         """Slice derivative: exact coefficient shift."""

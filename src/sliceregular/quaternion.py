@@ -217,11 +217,6 @@ def slice_coords(q: Quaternion) -> SlicePoint:
     return SlicePoint(q.x0, y, ImaginaryUnit(q))
 
 
-def slice_conjugate(q: Quaternion) -> Quaternion:
-    """The point x - y*I on the same slice (equals the quaternion conjugate)."""
-    return q.conjugate()
-
-
 _FALLBACK_UNITS = (UNIT_I, UNIT_J, UNIT_K)
 
 # Two units are "parallel enough" to skip when |<e, I>| exceeds this.

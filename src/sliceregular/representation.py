@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Iterable
 
 from .errors import DegenerateUnits
 from .quaternion import ImaginaryUnit, Quaternion, SlicePoint, quat_inv, slice_coords
@@ -139,13 +138,6 @@ class SliceRegion:
             stride = len(pts) / count
             pts = [pts[int(m * stride)] for m in range(count)]
         return pts
-
-
-EVERYWHERE = None  # stand-in for "no declared domain restriction"
-
-
-def region_from_discs_and_boxes(discs: Iterable[Disc] = (), boxes: Iterable[Rect] = ()) -> SliceRegion:
-    return SliceRegion(tuple(discs) + tuple(boxes))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -17,7 +17,8 @@ from .zeros import SphereZero, ZeroKind
 
 
 class DecodeError(ValueError):
-    """Malformed JSON payload (wrong shape, missing key, non-finite number)."""
+    """Malformed JSON payload (wrong shape, missing key, non-finite number,
+    or a domain size that is not positive)."""
 
 
 def _finite(value, what: str) -> float:
@@ -55,7 +56,9 @@ def poly_from_json(data) -> SlicePolynomial:
 
 def domain_from_json(data) -> AxialDomain:
     region = region_from_json(data)
-    grid_step = _finite(data.get("grid_step", 1e-2), "grid step") if isinstance(data, dict) else 1e-2
+    grid_step = _finite(data.get("grid_step", 1e-2), "grid step")
+    if grid_step <= 0.0:
+        raise DecodeError(f"grid step must be positive, got {grid_step!r}")
     return symmetric_completion(region, grid_step=grid_step)
 
 
@@ -70,17 +73,20 @@ def region_from_json(data) -> SliceRegion:
         x1 = _finite(box["x1"], "box x1") if "x1" in box else _missing("x1")
         y1 = _finite(box["y1"], "box y1") if "y1" in box else _missing("y1")
         y0 = _finite(box.get("y0", 0.0), "box y0")
+        if not (x0 < x1 and y0 < y1):
+            raise DecodeError(f"domain box needs x0 < x1 and y0 < y1, got {box!r}")
         shapes.append(Rect(x0, x1, y0, y1))
     for disc in data.get("discs", []):
         if not isinstance(disc, dict):
             raise DecodeError(f"domain disc must be an object, got {disc!r}")
         if "r" not in disc:
             _missing("r")
-        shapes.append(Disc(
-            _finite(disc.get("cx", 0.0), "disc cx"),
-            _finite(disc.get("cy", 0.0), "disc cy"),
-            _finite(disc["r"], "disc r"),
-        ))
+        cx = _finite(disc.get("cx", 0.0), "disc cx")
+        cy = _finite(disc.get("cy", 0.0), "disc cy")
+        r = _finite(disc["r"], "disc r")
+        if r <= 0.0:
+            raise DecodeError(f"disc radius must be positive, got {r!r}")
+        shapes.append(Disc(cx, cy, r))
     if not shapes:
         raise DecodeError("domain needs at least one box or disc")
     return SliceRegion(tuple(shapes))

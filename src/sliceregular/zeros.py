@@ -97,6 +97,10 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
     Deterministic initialization on a circle of radius 1 + max|a_k/a_n| with
     a fixed angular offset.  Raises NonConvergence (with partial results)
     after ``max_iter`` sweeps.
+
+    A root that meets the backward-error stop (or hits p == 0) is left out
+    of every later sweep: it is not moved, so its p and its stop test come
+    out the same each time.  It still enters the other roots' corrections.
     """
     n = len(coeffs) - 1
     while n > 0 and abs(coeffs[n]) == 0.0:
@@ -106,37 +110,47 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
         return []
     lead = coeffs[-1]
     coeffs = [c / lead for c in coeffs]
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
+    abs_coeffs = [abs(c) for c in coeffs]
+    radius = 1.0 + max(abs_coeffs[:-1])
     z = [radius * cmath.exp(1j * (2.0 * math.pi * m / n + 0.4)) for m in range(n)]
+    active = list(range(n))
     for _ in range(max_iter):
         done = True
         new = list(z)
-        for m in range(n):
-            p, dp = _poly_val_der(coeffs, z[m])
+        moving = []
+        for m in active:
+            zm = z[m]
+            p, dp = _poly_val_der(coeffs, zm)
             if p == 0:
                 continue
             # Backward-error stop: at multiple roots the Newton correction
             # stalls at eps^(1/multiplicity), so a step-size test alone never
             # fires.  |p| at rounding level of its own evaluation is as
             # converged as the coefficients allow; the polish pass sharpens.
-            r, pw = abs(z[m]), 1.0
+            r, pw = abs(zm), 1.0
             backward = 0.0
-            for c in coeffs:
-                backward += abs(c) * pw
+            for a in abs_coeffs:
+                backward += a * pw
                 pw *= r
             if abs(p) <= 1e-14 * backward:
                 continue
+            moving.append(m)
             if dp == 0:
-                new[m] = z[m] * (1.0 + 1e-6) + 1e-6
+                new[m] = zm * (1.0 + 1e-6) + 1e-6
                 done = False
                 continue
             newton = p / dp
-            s = sum(1.0 / (z[m] - z[l]) for l in range(n) if l != m)
+            s = 0j
+            for zl in z[:m]:
+                s += 1.0 / (zm - zl)
+            for zl in z[m + 1:]:
+                s += 1.0 / (zm - zl)
             denom = 1.0 - newton * s
             w = newton if denom == 0 else newton / denom
-            new[m] = z[m] - w
-            if abs(w) > tol * max(1.0, abs(z[m])):
+            new[m] = zm - w
+            if abs(w) > tol * max(1.0, abs(zm)):
                 done = False
+        active = moving
         z = new
         if done:
             return z

@@ -132,6 +132,34 @@ def test_extend_empty_payload_exits_2(run):
     assert code == 2 and err.startswith("error:")
 
 
+def _assert_decode_error(result):
+    code, out, err = result
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_extend_rejects_zero_grid_step(run):
+    _assert_decode_error(run(["extend"], {"domain": {"discs": [{"r": 1.0}], "grid_step": 0}}))
+
+
+def test_extend_rejects_zero_grid_step_flag(run):
+    _assert_decode_error(run(["extend", "--grid-step", "0"], {"domain": {"discs": [{"r": 1.0}]}}))
+
+
+def test_extend_rejects_negative_grid_step(run):
+    payload = {"domain": {"discs": [{"r": 1.0}], "grid_step": -0.5}}
+    _assert_decode_error(run(["extend"], payload))
+
+
+def test_extend_rejects_negative_disc_radius(run):
+    _assert_decode_error(run(["extend"], {"domain": {"discs": [{"r": -1.0}]}}))
+
+
+def test_extend_rejects_inverted_box(run):
+    _assert_decode_error(run(["extend"], {"domain": {"boxes": [{"x0": 1, "x1": -1, "y1": 1}]}}))
+    _assert_decode_error(run(["extend"], {"domain": {"boxes": [{"x0": -1, "x1": 1, "y0": 1,
+                                                                "y1": 1}]}}))
+
+
 def test_check_all_suites_pass(run):
     code, out, _ = run(["check", "--suite", "all", "--seed", "1", "--samples", "50"])
     assert code == 0

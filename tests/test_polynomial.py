@@ -97,3 +97,27 @@ def test_sum_neg_and_right_scale():
     assert (p + q).coeffs == (ONE, Quaternion(3.0))
     assert (p - q).coeffs == (ONE, Quaternion(-1.0))
     assert p.right_scaled(UNIT_J.u).coeffs == (UNIT_J.u, UNIT_J.u)
+
+
+def _operator_horner(p, q):
+    """Right-coefficient Horner through the Quaternion operators."""
+    w = q - p.center
+    acc = p.coeffs[-1]
+    for c in reversed(p.coeffs[:-1]):
+        acc = w * acc + c
+    return acc
+
+
+def test_evaluate_equals_operator_horner_exactly():
+    rng = SplitMix64(11)
+    polys = [SlicePolynomial(rng.uniform(-2.0, 2.0),
+                             tuple(rng.quaternion(3.0) for _ in range(degree + 1)))
+             for degree in (0, 1, 2, 7, 30)]
+    polys.append(polynomial([UNIT_I.u, UNIT_J.u, UNIT_K.u], center=-0.75))
+    polys.append(polynomial([2.5]))
+    points = [rng.point() for _ in range(10)] + [rng.quaternion(5.0) for _ in range(10)]
+    points += [Quaternion(1.5), Quaternion(0.0, -0.0, 0.0, -0.0)]
+    for p in polys:
+        for q in points:
+            # repr tells every distinct double apart, signed zeros included.
+            assert repr(p.evaluate(q)) == repr(_operator_horner(p, q))

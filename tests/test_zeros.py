@@ -1,10 +1,12 @@
 """Zero sets, polynomial roots and the Cauchy kernel."""
 
+import cmath
 import math
 
 import pytest
 
 from sliceregular import (
+    NonConvergence,
     ONE,
     Poly,
     Quaternion,
@@ -26,7 +28,13 @@ from sliceregular import (
     star_zero_check,
 )
 from sliceregular.verify import SplitMix64
-from sliceregular.zeros import kernel_vs_recip_residual
+from sliceregular.zeros import (
+    ABERTH_MAX_ITER,
+    ABERTH_TOL,
+    _poly_val_der,
+    _symm_complex_coeffs,
+    kernel_vs_recip_residual,
+)
 
 from conftest import assert_close
 
@@ -43,6 +51,91 @@ def test_aberth_handles_multiple_roots():
     roots = aberth_roots([1, -4, 6, -4, 1])
     assert len(roots) == 4
     assert all(abs(z - 1.0) <= 1e-3 for z in roots)
+
+
+def _reference_aberth(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
+    """Aberth sweep that re-examines every root on every sweep.
+
+    This is the plain form of ``aberth_roots``; the library version leaves
+    settled roots out of later sweeps and must agree with it bit for bit.
+    The correction is summed in index order.
+    """
+    n = len(coeffs) - 1
+    while n > 0 and abs(coeffs[n]) == 0.0:
+        n -= 1
+    coeffs = list(coeffs[: n + 1])
+    if n < 1:
+        return []
+    lead = coeffs[-1]
+    coeffs = [c / lead for c in coeffs]
+    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
+    z = [radius * cmath.exp(1j * (2.0 * math.pi * m / n + 0.4)) for m in range(n)]
+    for _ in range(max_iter):
+        done = True
+        new = list(z)
+        for m in range(n):
+            p, dp = _poly_val_der(coeffs, z[m])
+            if p == 0:
+                continue
+            r, pw = abs(z[m]), 1.0
+            backward = 0.0
+            for c in coeffs:
+                backward += abs(c) * pw
+                pw *= r
+            if abs(p) <= 1e-14 * backward:
+                continue
+            if dp == 0:
+                new[m] = z[m] * (1.0 + 1e-6) + 1e-6
+                done = False
+                continue
+            newton = p / dp
+            s = 0j
+            for l in range(n):
+                if l != m:
+                    s += 1.0 / (z[m] - z[l])
+            denom = 1.0 - newton * s
+            w = newton if denom == 0 else newton / denom
+            new[m] = z[m] - w
+            if abs(w) > tol * max(1.0, abs(z[m])):
+                done = False
+        z = new
+        if done:
+            return z
+    raise NonConvergence("Aberth iteration did not converge", partial=z)
+
+
+def _outcome(solver, coeffs):
+    """repr of the roots, or of the partial roots on NonConvergence.
+
+    repr tells every distinct double apart, signed zeros included.
+    """
+    try:
+        return repr(solver(coeffs))
+    except NonConvergence as exc:
+        return "NonConvergence " + repr(list(exc.partial))
+
+
+@pytest.mark.parametrize("degree", [5, 20, 40])
+def test_aberth_matches_all_roots_sweep_exactly(degree):
+    rng = SplitMix64(degree)
+    complex_coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                      for _ in range(degree + 1)]
+    symm_coeffs = _symm_complex_coeffs(polynomial([rng.quaternion() for _ in range(degree + 1)]))
+    for coeffs in (complex_coeffs, symm_coeffs):
+        assert _outcome(aberth_roots, coeffs) == _outcome(_reference_aberth, coeffs)
+
+
+def test_aberth_matches_all_roots_sweep_on_spherical_factor():
+    # f = (q^2 - 2xq + x^2 + y^2) * g vanishes on the whole sphere x + yS, so
+    # f^s has double roots at x +- iy, which settle at different sweeps.
+    rng = SplitMix64(77)
+    for x, y in ((0.0, 1.0), (-0.5, 0.75), (1.25, 2.0)):
+        sphere = polynomial([x * x + y * y, -2.0 * x, 1.0])
+        g = polynomial([rng.quaternion() for _ in range(4)])
+        coeffs = _symm_complex_coeffs(star_poly(sphere, g))
+        assert _outcome(aberth_roots, coeffs) == _outcome(_reference_aberth, coeffs)
+        # A double root stalls near sqrt(eps) until the polish pass.
+        assert min(abs(z - complex(x, y)) for z in aberth_roots(coeffs)) <= 1e-4
 
 
 def test_classify_spherical_zero():
