@@ -54,12 +54,8 @@ def _dump(obj, pretty: bool) -> str:
     return json.dumps(obj, indent=2 if pretty else None)
 
 
-def _cmd_eval(args) -> int:
-    payload = _read_stdin_json()
-    if not isinstance(payload, dict) or "expr" not in payload or "points" not in payload:
-        raise DecodeError("eval expects an object {\"expr\": ..., \"points\": [...]}")
-    expr = expr_from_json(payload["expr"])
-    points = payload["points"]
+def _values(expr, points) -> list:
+    """JSON values of expr at a JSON array of points; domain errors go inline."""
     if not isinstance(points, list):
         raise DecodeError("'points' must be an array of quaternions")
     values = []
@@ -69,7 +65,15 @@ def _cmd_eval(args) -> int:
             values.append(quaternion_to_json(evaluate(expr, q)))
         except SliceRegularError as exc:
             values.append({"error": str(exc)})
-    print(_dump({"values": values}, args.pretty))
+    return values
+
+
+def _cmd_eval(args) -> int:
+    payload = _read_stdin_json()
+    if not isinstance(payload, dict) or "expr" not in payload or "points" not in payload:
+        raise DecodeError("eval expects an object {\"expr\": ..., \"points\": [...]}")
+    expr = expr_from_json(payload["expr"])
+    print(_dump({"values": _values(expr, payload["points"])}, args.pretty))
     return 0
 
 
@@ -102,9 +106,10 @@ def _cmd_extend(args) -> int:
         raise DecodeError("extend expects a JSON object")
     out = {}
     if "domain" in payload:
-        domain_json = dict(payload["domain"])
-        domain_json.setdefault("grid_step", args.grid_step)
-        domain = domain_from_json(domain_json)
+        domain_json = payload["domain"]
+        if not isinstance(domain_json, dict):
+            raise DecodeError(f"domain must be an object, got {domain_json!r}")
+        domain = domain_from_json({"grid_step": args.grid_step, **domain_json})
         out["domain"] = {
             "contains_real": domain.contains_real,
             "axially_symmetric": domain.axially_symmetric,
@@ -116,15 +121,7 @@ def _cmd_extend(args) -> int:
             "stem": payload["stem"],
             "slice": payload.get("slice", [0.0, 1.0, 0.0, 0.0]),
         }
-        expr = expr_from_json(expr_json)
-        values = []
-        for pt in payload.get("points", []):
-            q = quaternion_from_json(pt)
-            try:
-                values.append(quaternion_to_json(evaluate(expr, q)))
-            except SliceRegularError as exc:
-                values.append({"error": str(exc)})
-        out["values"] = values
+        out["values"] = _values(expr_from_json(expr_json), payload.get("points", []))
     if not out:
         raise DecodeError("extend expects 'stem' (with 'slice'/'points') and/or 'domain'")
     print(_dump(out, args.pretty))

@@ -1,12 +1,12 @@
 """Expression trees of regular functions and their pointwise evaluators.
 
-Every node evaluates through the Splitting Lemma: at a non-real point
-q = x + y*I the value of a function restricted to L_I is decomposed into two
-complex components F, G against the orthonormal basis {1, I, J, I*J} with
-J orthogonal to I, the product/conjugate/symmetrization formulas are applied
-in complex arithmetic, and the result is recombined.  At real points the
-splitting plane is ambiguous and all product formulas reduce to pointwise
-quaternion products, implemented as an explicit special case.
+Every node evaluates through the Representation Formula: on the sphere of
+q = x + y*I a slice function is f(x + y*I') = b + I'*c, with the pair
+(b, c) taken from the values at q and at its conjugate.  The product,
+conjugate, symmetrization and reciprocal are closed formulas in (b, c), the
+stem calculus of Ghiloni-Perotti (Adv. Math. 226, 2011).  At real points
+c = 0 and every formula reduces to its pointwise form, so no special case is
+needed.
 
 Trees are immutable and structurally shared; evaluation is a pure function.
 """
@@ -24,10 +24,10 @@ from .quaternion import (
     Quaternion,
     dot,
     from_slice,
-    orthogonal_unit,
     quat_inv,
     slice_coords,
 )
+from .representation import affine_coeffs, general_representation
 
 SPLIT_ORTHOGONALITY_TOL = 1e-9
 RECIP_SINGULAR_TOL = 1e-10
@@ -36,7 +36,7 @@ FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
-# Splitting
+# Splitting Lemma components (public API; not on the evaluation path)
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
@@ -88,9 +88,6 @@ class StemFunction:
         if self.region is not None and not self.region.contains(x, y):
             raise DomainError(f"stem evaluated outside its declared domain at ({x}, {y})")
         return self.func(x, y)
-
-    def point(self, x: float, y: float) -> Quaternion:
-        return from_slice(x, y, self.unit)
 
 
 class SliceExpr:
@@ -158,10 +155,6 @@ class RawMap(SliceExpr):
     func: Callable[[Quaternion], Quaternion]
 
 
-def poly_expr(p: SlicePolynomial) -> Poly:
-    return Poly(p)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -185,82 +178,60 @@ def evaluate(f: SliceExpr, q: Quaternion) -> Quaternion:
     if isinstance(f, Recip):
         return recip_eval(f.f, q)
     if isinstance(f, Ext):
-        return _ext_eval(f, q)
+        p = slice_coords(q)
+        if f.domain is not None and not f.domain.contains_xy(p.x, p.y):
+            raise DomainError(f"point {q!r} outside the extension's domain")
+        return general_representation(f.r(p.x, p.y), f.s(p.x, p.y), f.j, f.k, p)
     raise TypeError(f"not a SliceExpr node: {f!r}")
 
 
-def _ext_eval(node: Ext, q: Quaternion) -> Quaternion:
-    # General Extension Formula:
-    #   f(x+yI) = (J-K)^{-1}[J r(x+yJ) - K s(x+yK)]
-    #           + I (J-K)^{-1}[r(x+yJ) - s(x+yK)]
-    p = slice_coords(q)
-    if node.domain is not None and not node.domain.contains_xy(p.x, p.y):
-        raise DomainError(f"point {q!r} outside the extension's domain")
-    v_j = node.r(p.x, p.y)
-    v_k = node.s(p.x, p.y)
-    d = node.j.u - node.k.u
-    dinv = quat_inv(d)
-    b = dinv * (node.j.u * v_j - node.k.u * v_k)
-    c = dinv * (v_j - v_k)
-    return b + p.unit.u * c
+def _pair(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, Quaternion, Quaternion]:
+    """(I, b, c) with f = b + I*c at q = x + y*I, from f(q) and f(conj(q))."""
+    i = slice_coords(q).unit
+    b, c = affine_coeffs(evaluate(f, q), evaluate(f, q.conjugate()), i)
+    return i.u, b, c
 
 
-def _split_frame(q: Quaternion):
-    p = slice_coords(q)
-    i = p.unit
-    j = orthogonal_unit(i)
-    return p, i, j
+def _conj(i: Quaternion, b: Quaternion, c: Quaternion) -> Quaternion:
+    return b.conjugate() + i * c.conjugate()
+
+
+def _symm(i: Quaternion, b: Quaternion, c: Quaternion) -> Quaternion:
+    return Quaternion(b.norm_sq() - c.norm_sq()) + i * (2.0 * dot(b, c))
 
 
 def star_eval(f: SliceExpr, g: SliceExpr, q: Quaternion) -> Quaternion:
-    """Regular product f*g at q via the splitting formula.
+    """Regular product f*g at q.
 
-    With f_I = F + G*J and g_I = H + K*J on the slice of q:
-      (f*g)_I(z) = [F(z)H(z) - G(z) conj(K(zbar))]
-                 + [F(z)K(z) + G(z) conj(H(zbar))] J
-    At real points this reduces to the pointwise product.
+    From f*g(q) = f(q) g(f(q)^{-1} q f(q)) (Gentili-Stoppato) and
+    g(x + y*I') = b_g + I'*c_g:  f*g(q) = f(q) b_g + I f(q) c_g.
     """
-    if q.is_real():
-        return evaluate(f, q) * evaluate(g, q)
-    p, i, j = _split_frame(q)
-    qbar = q.conjugate()
-    sf = split(evaluate(f, q), i, j)
-    sg = split(evaluate(g, q), i, j)
-    sgb = split(evaluate(g, qbar), i, j)
-    a = sf.f * sg.f - sf.g * sgb.g.conjugate()
-    b = sf.f * sg.g + sf.g * sgb.f.conjugate()
-    return from_split(a, b, i, j)
+    fq = evaluate(f, q)
+    i, b, c = _pair(g, q)
+    return fq * b + i * (fq * c)
 
 
 def conj_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
-    """Regular conjugate f^c at q: (f^c)_I(z) = conj(F(zbar)) - G(z)*J."""
-    if q.is_real():
-        return evaluate(f, q).conjugate()
-    p, i, j = _split_frame(q)
-    sb = split(evaluate(f, q.conjugate()), i, j)
-    s = split(evaluate(f, q), i, j)
-    return from_split(sb.f.conjugate(), -s.g, i, j)
+    """Regular conjugate f^c at q: conj(b) + I conj(c)."""
+    return _conj(*_pair(f, q))
 
 
 def symm_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
-    """Symmetrization f^s at q: F(z) conj(F(zbar)) + G(z) conj(G(zbar)).
+    """Symmetrization f^s at q: (|b|^2 - |c|^2) + I 2<b, c>.
 
     The value lies in L_{I_q} by construction.
     """
-    if q.is_real():
-        v = evaluate(f, q)
-        return Quaternion(v.norm_sq())
-    p, i, j = _split_frame(q)
-    s = split(evaluate(f, q), i, j)
-    sb = split(evaluate(f, q.conjugate()), i, j)
-    a = s.f * sb.f.conjugate() + s.g * sb.g.conjugate()
-    return from_split(a, 0j, i, j)
+    return _symm(*_pair(f, q))
 
 
 def recip_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
-    """Regular reciprocal f^{-*}(q) = f^s(q)^{-1} f^c(q), off Z_{f^s}."""
-    s = symm_eval(f, q)
-    c = conj_eval(f, q)
+    """Regular reciprocal f^{-*}(q) = f^s(q)^{-1} f^c(q), off Z_{f^s}.
+
+    Both factors come from one (b, c) pair of f.
+    """
+    pair = _pair(f, q)
+    s = _symm(*pair)
+    c = _conj(*pair)
     if s.norm() <= RECIP_SINGULAR_TOL * max(1.0, c.norm()):
         p = slice_coords(q)
         raise SingularPoint(

@@ -10,7 +10,7 @@ from .errors import (
 )
 from .expr import Ext, SliceExpr, StemFunction, evaluate
 from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, from_slice
-from .representation import DEGENERATE_UNIT_TOL, symmetric_completion
+from .representation import DEGENERATE_UNIT_TOL, affine_coeffs, symmetric_completion
 
 REAL_TRACE_TOL = 1e-9
 REAL_TRACE_SAMPLES = 32
@@ -24,11 +24,8 @@ def sphere_affine_coeffs(f: SliceExpr, x: float, y: float) -> tuple[Quaternion, 
     Computed with the canonical unit i; independence of that choice is a
     tested property of regular functions, not an input degree of freedom.
     """
-    v_plus = evaluate(f, from_slice(x, y, UNIT_I))
-    v_minus = evaluate(f, from_slice(x, -y, UNIT_I))
-    b = (v_plus + v_minus) * 0.5
-    c = (UNIT_I.u * (v_minus - v_plus)) * 0.5
-    return b, c
+    return affine_coeffs(evaluate(f, from_slice(x, y, UNIT_I)),
+                         evaluate(f, from_slice(x, -y, UNIT_I)), UNIT_I)
 
 
 def _real_trace_points(r: StemFunction, s: StemFunction | None = None) -> list[float]:

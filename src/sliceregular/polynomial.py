@@ -2,7 +2,7 @@
 
 These are the concrete regular functions of the package: exact coefficient
 algebra for the regular product, conjugate and symmetrization lives here and
-doubles as the oracle for the pointwise splitting formulas.
+doubles as the oracle for the pointwise (b, c) formulas of the evaluators.
 """
 
 from __future__ import annotations

@@ -151,25 +151,8 @@ class ImaginaryUnit:
             raise NotASlicePoint("cannot build an imaginary unit from a (near-)real quaternion")
         object.__setattr__(self, "u", Quaternion(0.0, q.x1 / n, q.x2 / n, q.x3 / n))
 
-    def as_quaternion(self) -> Quaternion:
-        return self.u
-
     def __neg__(self):
         return ImaginaryUnit(-self.u)
-
-    def __mul__(self, other):
-        if isinstance(other, ImaginaryUnit):
-            return self.u * other.u
-        if isinstance(other, (int, float, Quaternion)):
-            return self.u * other
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.u * other
-        if isinstance(other, Quaternion):
-            return other * self.u
-        return NotImplemented
 
 
 UNIT_I = ImaginaryUnit(Quaternion(0.0, 1.0, 0.0, 0.0))
@@ -227,7 +210,7 @@ def orthogonal_unit(unit: ImaginaryUnit) -> ImaginaryUnit:
     """A deterministic J in S orthogonal to the given unit.
 
     Gram-Schmidt of the first element of the fixed list (i, j, k) that is not
-    (nearly) parallel to the input, so splitting-based evaluations are
+    (nearly) parallel to the input, so Splitting Lemma components are
     reproducible.
     """
     u = unit.u

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
+from typing import ClassVar
 
 from .errors import DegenerateUnits
 from .quaternion import ImaginaryUnit, Quaternion, SlicePoint, quat_inv, slice_coords
@@ -18,14 +19,20 @@ DEGENERATE_UNIT_TOL = 1e-9
 DEFAULT_GRID_STEP = 1e-2
 
 
+def affine_coeffs(v_plus: Quaternion, v_minus: Quaternion,
+                  j: ImaginaryUnit) -> tuple[Quaternion, Quaternion]:
+    """(b, c) with f(x + y*I) = b + I*c on the sphere x + y*S, from the values
+    v_plus = f(x + y*J) and v_minus = f(x - y*J) of a slice function.
+
+    b = 1/2 [f(x+yJ) + f(x-yJ)],  c = 1/2 J [f(x-yJ) - f(x+yJ)]
+    """
+    return (v_plus + v_minus) * 0.5, (j.u * (v_minus - v_plus)) * 0.5
+
+
 def representation(f_plus: Quaternion, f_minus: Quaternion, j: ImaginaryUnit,
                    target: SlicePoint) -> Quaternion:
-    """Value at x + y*I from the values f(x + y*J) and f(x - y*J).
-
-    f(x+yI) = 1/2 [f(x+yJ) + f(x-yJ)] + I * 1/2 [J (f(x-yJ) - f(x+yJ))]
-    """
-    b = (f_plus + f_minus) * 0.5
-    c = (j.u * (f_minus - f_plus)) * 0.5
+    """Value at x + y*I from the values f(x + y*J) and f(x - y*J)."""
+    b, c = affine_coeffs(f_plus, f_minus, j)
     return b + target.unit.u * c
 
 
@@ -148,11 +155,13 @@ class AxialDomain:
     iff the generating region contains (x, y) or (x, -y) for y = |Im(q)|.
     """
 
+    # A union of whole spheres x + y*S is axially symmetric by construction.
+    axially_symmetric: ClassVar[bool] = True
+
     region: SliceRegion
     contains_real: bool
     is_s_domain: bool
     grid_step: float = DEFAULT_GRID_STEP
-    axially_symmetric: bool = True
 
     def contains(self, q: Quaternion) -> bool:
         p = slice_coords(q)

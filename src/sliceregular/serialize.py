@@ -65,18 +65,21 @@ def domain_from_json(data) -> AxialDomain:
 def region_from_json(data) -> SliceRegion:
     if not isinstance(data, dict):
         raise DecodeError(f"domain must be an object, got {data!r}")
+    boxes, discs = data.get("boxes", []), data.get("discs", [])
+    if not (isinstance(boxes, list) and isinstance(discs, list)):
+        raise DecodeError(f"domain 'boxes' and 'discs' must be arrays, got {data!r}")
     shapes = []
-    for box in data.get("boxes", []):
+    for box in boxes:
         if not isinstance(box, dict):
             raise DecodeError(f"domain box must be an object, got {box!r}")
-        x0 = _finite(box["x0"], "box x0") if "x0" in box else _missing("x0")
-        x1 = _finite(box["x1"], "box x1") if "x1" in box else _missing("x1")
-        y1 = _finite(box["y1"], "box y1") if "y1" in box else _missing("y1")
+        x0 = _finite(_field(box, "x0"), "box x0")
+        x1 = _finite(_field(box, "x1"), "box x1")
+        y1 = _finite(_field(box, "y1"), "box y1")
         y0 = _finite(box.get("y0", 0.0), "box y0")
         if not (x0 < x1 and y0 < y1):
             raise DecodeError(f"domain box needs x0 < x1 and y0 < y1, got {box!r}")
         shapes.append(Rect(x0, x1, y0, y1))
-    for disc in data.get("discs", []):
+    for disc in discs:
         if not isinstance(disc, dict):
             raise DecodeError(f"domain disc must be an object, got {disc!r}")
         if "r" not in disc:
@@ -94,6 +97,10 @@ def region_from_json(data) -> SliceRegion:
 
 def _missing(key: str):
     raise DecodeError(f"missing required key {key!r}")
+
+
+def _field(data: dict, key: str):
+    return data[key] if key in data else _missing(key)
 
 
 def expr_to_json(f: SliceExpr) -> dict:
@@ -123,17 +130,18 @@ def expr_from_json(data) -> SliceExpr:
     if op == "poly":
         return Poly(poly_from_json(data))
     if op == "star":
-        return Star(expr_from_json(data["f"]), expr_from_json(data["g"]))
+        return Star(expr_from_json(_field(data, "f")), expr_from_json(_field(data, "g")))
     if op == "conj":
-        return Conj(expr_from_json(data["f"]))
+        return Conj(expr_from_json(_field(data, "f")))
     if op == "symm":
-        return Symm(expr_from_json(data["f"]))
+        return Symm(expr_from_json(_field(data, "f")))
     if op == "recip":
-        return Recip(expr_from_json(data["f"]))
+        return Recip(expr_from_json(_field(data, "f")))
     if op == "sum":
-        return Sum(expr_from_json(data["f"]), expr_from_json(data["g"]))
+        return Sum(expr_from_json(_field(data, "f")), expr_from_json(_field(data, "g")))
     if op == "rscale":
-        return RightScalar(expr_from_json(data["f"]), quaternion_from_json(data["a"]))
+        return RightScalar(expr_from_json(_field(data, "f")),
+                           quaternion_from_json(_field(data, "a")))
     if op == "ext":
         # Stems are callables; over the wire an extension is specified by a
         # polynomial stem restricted to one slice (plus an optional domain).

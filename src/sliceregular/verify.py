@@ -17,7 +17,6 @@ from .expr import (
     Star,
     conj_eval,
     evaluate,
-    orthogonal_unit,
     split,
     star_eval,
     star_via_composition,
@@ -25,7 +24,9 @@ from .expr import (
 )
 from .extension import ext_from_holomorphic, restriction_stem
 from .polynomial import SlicePolynomial
-from .quaternion import ImaginaryUnit, Quaternion, SlicePoint, from_slice, slice_coords
+from .quaternion import (
+    ImaginaryUnit, Quaternion, SlicePoint, from_slice, orthogonal_unit, slice_coords,
+)
 from .representation import general_representation
 
 _MASK = (1 << 64) - 1

@@ -160,6 +160,32 @@ def test_extend_rejects_inverted_box(run):
                                                                 "y1": 1}]}}))
 
 
+_STEM = {"stem": {"coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]]}, "slice": [0, 0, 1, 0]}
+_LINEAR = {"op": "poly", "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]]}
+
+
+def test_extend_rejects_non_array_points(run):
+    _assert_decode_error(run(["extend"], {**_STEM, "points": 5}))
+
+
+def test_extend_rejects_non_object_domain(run):
+    _assert_decode_error(run(["extend"], {"domain": [1, 2]}))
+
+
+def test_extend_rejects_non_array_boxes(run):
+    _assert_decode_error(run(["extend"], {"domain": {"boxes": 3}}))
+
+
+def test_eval_rejects_star_without_g(run):
+    payload = {"expr": {"op": "star", "f": _LINEAR}, "points": [[0, 1, 0, 0]]}
+    _assert_decode_error(run(["eval"], payload))
+
+
+def test_eval_rejects_rscale_without_a(run):
+    payload = {"expr": {"op": "rscale", "f": _LINEAR}, "points": [[0, 1, 0, 0]]}
+    _assert_decode_error(run(["eval"], payload))
+
+
 def test_check_all_suites_pass(run):
     code, out, _ = run(["check", "--suite", "all", "--seed", "1", "--samples", "50"])
     assert code == 0

@@ -14,6 +14,7 @@ from sliceregular import (
     Star,
     Sum,
     RightScalar,
+    SlicePolynomial,
     Symm,
     UNIT_I,
     UNIT_J,
@@ -163,6 +164,26 @@ def test_recip_singular_on_zero_sphere():
         recip_eval(f, UNIT_K.u)
     assert exc.value.x == pytest.approx(0.0)
     assert exc.value.y == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("node, calls", [
+    (lambda f: Recip(Recip(f)), 4),
+    (lambda f: Star(f, f), 3),
+    (Symm, 2),
+    (Conj, 2),
+], ids=["recip-recip", "star", "symm", "conj"])
+def test_evaluation_counts_polynomial_calls(monkeypatch, node, calls):
+    # each node reads its children at q and conj(q) only: one (b, c) pair
+    count = [0]
+    original = SlicePolynomial.evaluate
+
+    def counted(self, q):
+        count[0] += 1
+        return original(self, q)
+
+    monkeypatch.setattr(SlicePolynomial, "evaluate", counted)
+    evaluate(node(Poly(polynomial([UNIT_J.u, ONE, UNIT_I.u]))), Quaternion(0.3, 0.4, -0.5, 0.6))
+    assert count[0] == calls
 
 
 def test_composition_form_agrees():
