@@ -27,8 +27,9 @@ def _as_quaternion(c) -> Quaternion:
 class SlicePolynomial:
     """f(q) = sum_n (q - center)^n a_n with right coefficients a_n.
 
-    Trailing zero coefficients are trimmed; the zero polynomial keeps a
-    single zero coefficient.
+    Trailing coefficients with every component zero are trimmed (a test on
+    the norm would trim tiny nonzero ones, whose norm underflows); the zero
+    polynomial keeps a single zero coefficient.
     """
 
     center: float = 0.0
@@ -36,7 +37,7 @@ class SlicePolynomial:
 
     def __post_init__(self):
         cs = [_as_quaternion(c) for c in self.coeffs]
-        while len(cs) > 1 and cs[-1].norm() == 0.0:
+        while len(cs) > 1 and cs[-1] == ZERO:
             cs.pop()
         if not cs:
             cs = [ZERO]
@@ -45,12 +46,10 @@ class SlicePolynomial:
 
     @property
     def degree(self) -> int:
-        if len(self.coeffs) == 1 and self.coeffs[0].norm() == 0.0:
-            return 0
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
-        return all(c.norm() == 0.0 for c in self.coeffs)
+        return all(c == ZERO for c in self.coeffs)
 
     def coeff_norm(self) -> float:
         return max(c.norm() for c in self.coeffs)

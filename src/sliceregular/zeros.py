@@ -1,10 +1,11 @@
 """Zero sets: per-sphere classification, polynomial roots, Cauchy kernel.
 
 Polynomial zero finding goes through the symmetrization: f^s has real
-coefficients, its restriction to L_i is a complex polynomial whose roots are
-found by Aberth simultaneous iteration, conjugate pairs are folded to
-candidate spheres (x, |y|), and each sphere is classified through the affine
-structure f(x + y*I) = b + I*c.
+coefficients and equals |f|^2 on the real axis, so the roots of its
+restriction to L_i come in conjugate pairs (real ones with even
+multiplicity).  Aberth simultaneous iteration follows one root of each pair,
+each is folded to a candidate sphere (x, |y|), and each sphere is classified
+through the affine structure f(x + y*I) = b + I*c.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _poly_val_der(coeffs: list[complex], z: complex) -> tuple[complex, complex]:
 
 
 def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
-                 tol: float = ABERTH_TOL) -> list[complex]:
+                 tol: float = ABERTH_TOL, *, conjugate_pairs: bool = False) -> list[complex]:
     """All roots of a complex polynomial (a_0 + a_1 z + ... + a_n z^n).
 
     Deterministic initialization on a circle of radius 1 + max|a_k/a_n| with
@@ -101,23 +102,42 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
     A root that meets the backward-error stop (or hits p == 0) is left out
     of every later sweep: it is not moved, so its p and its stop test come
     out the same each time.  It still enters the other roots' corrections.
+
+    ``conjugate_pairs=True`` states that the roots come in conjugate pairs:
+    the coefficients must be real and n even (else ValueError), and a real
+    root must have even multiplicity, as for a polynomial that is
+    nonnegative on the real axis.  Then only n/2 roots are iterated, started
+    on the upper half of the circle at angles pi*(m + 1/2)/(n/2), and each
+    one's correction also sums 1/(z_m - conj(z_l)) over every iterate l, its
+    own conjugate included, so the set {z, conj(z)} moves as the full root
+    set would.  The iterated half comes first in the result, then its
+    conjugates in the same order; ``NonConvergence.partial`` has the same
+    layout.
     """
     n = len(coeffs) - 1
     while n > 0 and abs(coeffs[n]) == 0.0:
         n -= 1
     coeffs = list(coeffs[: n + 1])
+    if conjugate_pairs and (n % 2 or any(complex(c).imag != 0.0 for c in coeffs)):
+        raise ValueError("conjugate_pairs requires real coefficients and even degree")
     if n < 1:
         return []
     lead = coeffs[-1]
     coeffs = [c / lead for c in coeffs]
     abs_coeffs = [abs(c) for c in coeffs]
     radius = 1.0 + max(abs_coeffs[:-1])
-    z = [radius * cmath.exp(1j * (2.0 * math.pi * m / n + 0.4)) for m in range(n)]
-    active = list(range(n))
+    if conjugate_pairs:
+        half = n // 2
+        z = [radius * cmath.exp(1j * (math.pi * (m + 0.5) / half)) for m in range(half)]
+    else:
+        z = [radius * cmath.exp(1j * (2.0 * math.pi * m / n + 0.4)) for m in range(n)]
+    active = list(range(len(z)))
+    done = False
     for _ in range(max_iter):
         done = True
         new = list(z)
         moving = []
+        mirror = [zl.conjugate() for zl in z] if conjugate_pairs else ()
         for m in active:
             zm = z[m]
             p, dp = _poly_val_der(coeffs, zm)
@@ -145,6 +165,8 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
                 s += 1.0 / (zm - zl)
             for zl in z[m + 1:]:
                 s += 1.0 / (zm - zl)
+            for zl in mirror:
+                s += 1.0 / (zm - zl)
             denom = 1.0 - newton * s
             w = newton if denom == 0 else newton / denom
             new[m] = zm - w
@@ -153,8 +175,12 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
         active = moving
         z = new
         if done:
-            return z
-    raise NonConvergence("Aberth iteration did not converge", partial=z)
+            break
+    if conjugate_pairs:
+        z += [zl.conjugate() for zl in z]
+    if not done:
+        raise NonConvergence("Aberth iteration did not converge", partial=z)
+    return z
 
 
 def _polish_root(coeffs: list[complex], z: complex, steps: int = 8) -> complex:
@@ -230,29 +256,43 @@ def _refine_spherical_candidate(f: SliceExpr, x: float, y: float, tol: float,
     return None
 
 def _symm_complex_coeffs(f: SlicePolynomial) -> list[complex]:
-    """Coefficients of f^s restricted to L_i (a real-coefficient polynomial)."""
-    fs = symm_poly(f)
-    return [complex(c.x0, c.x1) for c in fs.coeffs]
+    """Coefficients of f^s restricted to L_i.
+
+    f^s has real coefficients; the imaginary parts of the computed ones are
+    rounding residue (a few eps relative), so only the real parts are kept.
+    """
+    return [complex(c.x0) for c in symm_poly(f).coeffs]
 
 
 def poly_roots(f: SlicePolynomial, tol: float = CLASSIFY_TOL) -> list[SphereZero]:
     """Candidate zero spheres of a quaternionic polynomial, classified.
 
-    Pipeline: form f^s by coefficient convolution, restrict to L_i, solve the
-    complex polynomial by Aberth iteration, polish, fold conjugate pairs to
-    spheres (x, |y|), deduplicate and classify each sphere.  The reported
-    classification tolerance scales with max(1, coefficient norm).
+    Pipeline: form f^s by coefficient convolution and restrict it to L_i.
+    f^s has real coefficients and equals |f|^2 on the real axis, so its roots
+    come in conjugate pairs and Aberth iteration runs on one root of each
+    pair.  Each iterated root is polished and folded to a sphere (x, |y|);
+    the spheres are deduplicated and classified, and a spherical zero that
+    refinement brings within SPHERE_DEDUP_TOL of one already reported is
+    reported once.  The classification tolerance scales with
+    max(1, coefficient norm).
+
+    Raises NonConvergence with an empty ``partial`` when f^s is out of
+    floating-point range: a coefficient is not finite, or the leading one
+    underflowed to 0 so that deg f^s < 2 deg f.
     """
-    if f.degree < 1 or f.coeffs[-1].norm() == 0.0:
-        raise ValueError("root finding requires degree >= 1 with nonzero leading coefficient")
+    if f.degree < 1:
+        raise ValueError("root finding requires degree >= 1")
     coeffs = _symm_complex_coeffs(f)
+    if len(coeffs) <= 2 * f.degree or not all(cmath.isfinite(c) for c in coeffs):
+        raise NonConvergence("symmetrization out of floating-point range "
+                             "(a coefficient overflowed or the leading one underflowed)")
     converged = True
     try:
-        roots = aberth_roots(coeffs)
+        roots = aberth_roots(coeffs, conjugate_pairs=True)
     except NonConvergence as exc:
         roots = list(exc.partial)
         converged = False
-    roots = [_polish_root(coeffs, z) for z in roots]
+    roots = [_polish_root(coeffs, z) for z in roots[: f.degree]]
     scale = max(1.0, f.coeff_norm())
     ctol = tol * scale
     spheres: list[tuple[float, float]] = []
@@ -274,6 +314,10 @@ def poly_roots(f: SlicePolynomial, tol: float = CLASSIFY_TOL) -> list[SphereZero
             if refined is not None:
                 x, y = refined
         zero = sphere_zero_classify(expr, x, y, tol=ctol)
+        if zero.kind is ZeroKind.SPHERICAL and any(
+                o.kind is ZeroKind.SPHERICAL and abs(x - o.x) <= SPHERE_DEDUP_TOL
+                and abs(y - o.y) <= SPHERE_DEDUP_TOL for o in out):
+            continue
         if not converged:
             zero = dataclasses.replace(zero, converged=False)
         out.append(zero)

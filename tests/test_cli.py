@@ -95,6 +95,15 @@ def test_roots_degree_zero_exits_2(run):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("coeffs", [
+    [[1e160, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]],  # f^s coefficients overflow
+    [[1, 0, 0, 0], [0, 0, 0, 0], [1e-170, 0, 0, 0]],  # f^s leading coefficient underflows
+])
+def test_roots_out_of_range_symmetrization_exits_3(run, coeffs):
+    code, out, err = run(["roots"], {"coeffs": coeffs})
+    assert code == 3 and out == "" and err.startswith("error:")
+
+
 def test_kernel_value_and_singularity(run):
     code, out, _ = run(["kernel"], {"s": [0, 0, 1, 0], "q": [0, 0, 2, 0]})
     assert code == 0

@@ -29,6 +29,12 @@ def test_trailing_zeros_trimmed():
     assert z.degree == 0 and z.is_zero()
 
 
+def test_tiny_coefficients_are_not_trimmed():
+    # Their norm underflows to 0, but they are not zero.
+    assert polynomial([1.0, 0.0, 1e-170]).degree == 2
+    assert not polynomial([1e-170]).is_zero()
+
+
 def test_horner_evaluation_right_coefficients():
     # f(q) = i + q*j + q^2*k at q = j: i + j*j + j^2*k = i - 1 - k
     p = polynomial([UNIT_I.u, UNIT_J.u, UNIT_K.u])

@@ -138,6 +138,67 @@ def test_aberth_matches_all_roots_sweep_on_spherical_factor():
         assert min(abs(z - complex(x, y)) for z in aberth_roots(coeffs)) <= 1e-4
 
 
+def _bit_identity_symm_coeffs(degree):
+    """f^s coefficients of the polynomial that
+    test_aberth_matches_all_roots_sweep_exactly draws for this degree."""
+    rng = SplitMix64(degree)
+    for _ in range(2 * (degree + 1)):
+        rng.uniform(-1, 1)
+    return _symm_complex_coeffs(polynomial([rng.quaternion() for _ in range(degree + 1)]))
+
+
+@pytest.mark.parametrize("degree", [5, 20, 40])
+def test_aberth_conjugate_pairs(degree):
+    coeffs = _bit_identity_symm_coeffs(degree)
+    roots = aberth_roots(coeffs, conjugate_pairs=True)
+    n = 2 * degree
+    assert len(roots) == n
+    assert roots[n // 2:] == [z.conjugate() for z in roots[: n // 2]]
+    for z in roots:
+        p, _ = _poly_val_der(coeffs, z)
+        assert abs(p) <= 1e-13 * sum(abs(a) * abs(z) ** k for k, a in enumerate(coeffs))
+
+
+def test_aberth_conjugate_pairs_rejects_other_input():
+    with pytest.raises(ValueError):
+        aberth_roots([1.0, 0.5j, 1.0], conjugate_pairs=True)
+    with pytest.raises(ValueError):
+        aberth_roots([-6, 11, -6, 1], conjugate_pairs=True)
+
+
+def _weight(zeros):
+    return sum({ZeroKind.ISOLATED: 1, ZeroKind.SPHERICAL: 2}.get(z.kind, 0) for z in zeros)
+
+
+def test_poly_roots_reports_each_spherical_zero_once():
+    # The spherical-factor polynomials of the bit-identity test: refinement
+    # moves several candidates onto each sphere.
+    rng = SplitMix64(77)
+    for x, y in ((0.0, 1.0), (-0.5, 0.75), (1.25, 2.0)):
+        sphere = polynomial([x * x + y * y, -2.0 * x, 1.0])
+        f = star_poly(sphere, polynomial([rng.quaternion() for _ in range(4)]))
+        zeros = poly_roots(f)
+        near = [z for z in zeros if z.kind is ZeroKind.SPHERICAL
+                and abs(z.x - x) <= 1e-6 and abs(z.y - y) <= 1e-6]
+        assert len(near) == 1
+        assert _weight(zeros) == f.degree
+
+
+def test_poly_roots_double_isolated_zero():
+    # (q - p) * (q - p) * g: f^s has double roots at x +- iy; the pair
+    # iteration follows two roots there, so at most two isolated zeros may
+    # be reported near p.
+    rng = SplitMix64(78)
+    for x, y in ((0.0, 1.0), (-0.5, 0.75), (1.25, 0.3)):
+        factor = monomial_minus(from_slice(x, y, rng.unit()))
+        f = star_poly(star_poly(factor, factor), polynomial([rng.quaternion() for _ in range(4)]))
+        zeros = poly_roots(f)
+        near = [z for z in zeros if z.kind is ZeroKind.ISOLATED
+                and abs(z.x - x) <= 1e-6 and abs(z.y - y) <= 1e-6]
+        assert 1 <= len(near) <= 2
+        assert _weight(zeros) == f.degree
+
+
 def test_classify_spherical_zero():
     p = Poly(polynomial([1.0, 0.0, 1.0]))  # q^2 + 1
     z = sphere_zero_classify(p, 0.0, 1.0)
