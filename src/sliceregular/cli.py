@@ -84,7 +84,7 @@ def _cmd_roots(args) -> int:
     poly = poly_from_json(payload)
     if poly.degree < 1:
         raise DecodeError("root finding requires degree >= 1")
-    zeros = poly_roots(poly, tol=args.tol)
+    zeros = poly_roots(poly)
     print(_dump({"zeros": [sphere_zero_to_json(z) for z in zeros]}, args.pretty))
     return 0
 
@@ -184,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_eval)
 
     p_roots = sub.add_parser("roots", help="zero spheres of a quaternionic polynomial")
-    p_roots.add_argument("--tol", type=float, default=1e-8)
     p_roots.set_defaults(func=_cmd_roots)
 
     p_check = sub.add_parser("check", help="run theorem-shaped verification suites")

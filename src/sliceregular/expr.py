@@ -227,21 +227,22 @@ def symm_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
 def recip_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
     """Regular reciprocal f^{-*}(q) = f^s(q)^{-1} f^c(q), off Z_{f^s}.
 
-    Both factors come from one (b, c) pair of f.
+    Both factors come from one (b, c) pair of f.  q is on Z_{f^s} when
+    |f^s(q)| <= RECIP_SINGULAR_TOL * (|b|^2 + |c|^2), a scale-free test.
     """
-    pair = _pair(f, q)
-    s = _symm(*pair)
-    c = _conj(*pair)
-    if s.norm() <= RECIP_SINGULAR_TOL * max(1.0, c.norm()):
+    i, b, c = _pair(f, q)
+    s = _symm(i, b, c)
+    if s.norm() <= RECIP_SINGULAR_TOL * (b.norm_sq() + c.norm_sq()):
         p = slice_coords(q)
         raise SingularPoint(
             f"symmetrization vanishes on the sphere x={p.x}, y={p.y}", x=p.x, y=p.y
         )
-    return quat_inv(s) * c
+    return quat_inv(s) * _conj(i, b, c)
 
 
 def star_via_composition(f: SliceExpr, g: SliceExpr, q: Quaternion) -> Quaternion:
-    """Cross-check form f*g(q) = f(q) g(f(q)^{-1} q f(q)); needs f(q) != 0."""
+    """Cross-check form f*g(q) = f(q) g(f(q)^{-1} q f(q)); needs f(q) != 0,
+    tested absolutely: a generic f has no coefficient majorant."""
     fq = evaluate(f, q)
     if fq.norm() <= COMPOSITION_ZERO_TOL:
         raise ZeroBase("composition form undefined where f(q) = 0")

@@ -8,7 +8,7 @@ doubles as the oracle for the pointwise (b, c) formulas of the evaluators.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import CenterMismatch
 from .quaternion import ONE, Quaternion, ZERO, _coerce
@@ -112,6 +112,15 @@ def _require_same_center(f: SlicePolynomial, g: SlicePolynomial):
         raise CenterMismatch(
             f"polynomial centers differ: {f.center} vs {g.center} (re-centering is not supported)"
         )
+
+
+def backward_bound(abs_coeffs: Sequence[float], r: float) -> float:
+    """sum_n |a_n| r^n, the majorant of a polynomial at |q| = r: its Horner
+    rounding error is a fixed fraction of it (Higham, SIAM 2002, 5.1)."""
+    total = 0.0
+    for a in reversed(abs_coeffs):
+        total = total * r + a
+    return total
 
 
 def polynomial(coeffs: Iterable, center: float = 0.0) -> SlicePolynomial:

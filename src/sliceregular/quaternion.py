@@ -86,16 +86,13 @@ class Quaternion:
         return self.x0 * self.x0 + self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        return math.hypot(self.x0, self.x1, self.x2, self.x3)
 
     def im_norm(self) -> float:
         return math.sqrt(self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3)
 
     def inverse(self) -> "Quaternion":
         return quat_inv(self)
-
-    def is_real(self, tol: float = REAL_AXIS_TOL) -> bool:
-        return self.im_norm() <= tol
 
     def components(self) -> tuple[float, float, float, float]:
         return (self.x0, self.x1, self.x2, self.x3)
@@ -122,11 +119,17 @@ def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
 
 
 def quat_inv(q: Quaternion) -> Quaternion:
-    """Multiplicative inverse conj(q)/|q|^2. Raises on the zero quaternion."""
+    """Multiplicative inverse conj(q)/|q|^2, scaled by a power of two when
+    |q|^2 or 1/|q|^2 is not a normal double. Raises if q = 0 or 1/|q| overflows."""
     n2 = q.norm_sq()
-    if n2 == 0.0:
+    if 2.0 ** -1021 <= n2 <= 2.0 ** 1021:
+        return q.conjugate() * (1.0 / n2)
+    if q == ZERO:
         raise ZeroDivisionError("the zero quaternion has no inverse")
-    return q.conjugate() * (1.0 / n2)
+    e = math.frexp(max(map(abs, q.components())))[1]
+    p = Quaternion(*(math.ldexp(x, -e) for x in q.conjugate().components()))
+    s = 1.0 / p.norm_sq()
+    return Quaternion(*(math.ldexp(x * s, -e) for x in p.components()))
 
 
 def dot(a: Quaternion, b: Quaternion) -> float:

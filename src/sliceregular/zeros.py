@@ -18,7 +18,7 @@ import math
 from .errors import NonConvergence, SingularPoint
 from .expr import Poly, SliceExpr, evaluate, recip_eval, star_eval
 from .extension import sphere_affine_coeffs
-from .polynomial import SlicePolynomial, symm_poly
+from .polynomial import SlicePolynomial, backward_bound, symm_poly
 from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, from_slice, quat_inv, slice_coords
 
 CLASSIFY_TOL = 1e-8
@@ -51,10 +51,10 @@ def sphere_zero_classify(f: SliceExpr, x: float, y: float,
                          tol: float = CLASSIFY_TOL) -> SphereZero:
     """Classify the zero set of f on the sphere x + y*S.
 
-    Spherical iff both affine coefficients vanish; otherwise the affine
-    equation b + I*c = 0 is solved for I and accepted only when the solution
-    lies on S and the residual |f| is below tolerance.  For y = 0 the sphere
-    is a single real point, classified by |f(x)| alone.
+    Spherical iff |b| and |c| are below ``tol``, which carries the scale of
+    f; otherwise b + I*c = 0 is solved for I and accepted only when I lies
+    on S to CLASSIFY_TOL and the residual |f| is below ``tol``.  For y = 0
+    the sphere is a single real point, classified by |f(x)| alone.
     """
     if y < 0:
         raise ValueError("sphere radius y must be nonnegative")
@@ -70,7 +70,7 @@ def sphere_zero_classify(f: SliceExpr, x: float, y: float,
         return SphereZero(x, y, ZeroKind.SPHERICAL, residual=max(nb, nc))
     if nc >= tol:
         cand = -(b * quat_inv(c))
-        if abs(cand.re()) < tol and abs(cand.norm() - 1.0) < tol:
+        if abs(cand.re()) < CLASSIFY_TOL and abs(cand.norm() - 1.0) < CLASSIFY_TOL:
             unit = ImaginaryUnit(cand)
             r = evaluate(f, from_slice(x, y, unit)).norm()
             if r < tol:
@@ -187,8 +187,9 @@ def _polish_root(coeffs: list[complex], z: complex, steps: int = 8) -> complex:
     """Newton on p/p', which has simple zeros at every distinct root.
 
     Restores full accuracy at multiple roots, where plain Aberth stalls at
-    ~sqrt(eps) distance.
+    ~sqrt(eps) distance.  Runs on the monic polynomial, so p'^2 stays in range.
     """
+    coeffs = [c / coeffs[-1] for c in coeffs]
     d1 = [coeffs[n] * n for n in range(1, len(coeffs))]
     d2 = [d1[n] * n for n in range(1, len(d1))]
     for _ in range(steps):
@@ -220,14 +221,14 @@ def _refine_spherical_candidate(f: SliceExpr, x: float, y: float, tol: float,
     symmetrization; a spherical zero is a nonsingular root of (b, c) = 0 and
     refines to machine precision.  Returns the refined sphere only when both
     coefficients drop below tolerance, so spheres of isolated zeros (where
-    (b, c) never vanishes) are left alone.
+    (b, c) never vanishes) are left alone.  Residuals are in units of tol.
     """
     h = 1e-7 * (1.0 + abs(x) + y)
     cx, cy = x, y
 
     def residual_vec(px, py):
         b, c = sphere_affine_coeffs(f, px, py)
-        return [*b.components(), *c.components()]
+        return [v / tol for v in (*b.components(), *c.components())]
 
     for _ in range(steps):
         r0 = residual_vec(cx, cy)
@@ -264,7 +265,7 @@ def _symm_complex_coeffs(f: SlicePolynomial) -> list[complex]:
     return [complex(c.x0) for c in symm_poly(f).coeffs]
 
 
-def poly_roots(f: SlicePolynomial, tol: float = CLASSIFY_TOL) -> list[SphereZero]:
+def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     """Candidate zero spheres of a quaternionic polynomial, classified.
 
     Pipeline: form f^s by coefficient convolution and restrict it to L_i.
@@ -273,8 +274,8 @@ def poly_roots(f: SlicePolynomial, tol: float = CLASSIFY_TOL) -> list[SphereZero
     pair.  Each iterated root is polished and folded to a sphere (x, |y|);
     the spheres are deduplicated and classified, and a spherical zero that
     refinement brings within SPHERE_DEDUP_TOL of one already reported is
-    reported once.  The classification tolerance scales with
-    max(1, coefficient norm).
+    reported once.  A value on a sphere is zero when at most CLASSIFY_TOL
+    times backward_bound(|a_n|, |(x - center) + iy|), the majorant of f there.
 
     Raises NonConvergence with an empty ``partial`` when f^s is out of
     floating-point range: a coefficient is not finite, or the leading one
@@ -288,13 +289,13 @@ def poly_roots(f: SlicePolynomial, tol: float = CLASSIFY_TOL) -> list[SphereZero
                              "(a coefficient overflowed or the leading one underflowed)")
     converged = True
     try:
-        roots = aberth_roots(coeffs, conjugate_pairs=True)
+        cap = max(ABERTH_MAX_ITER, 6 * (len(coeffs) - 1))  # grows with deg f^s
+        roots = aberth_roots(coeffs, cap, conjugate_pairs=True)
     except NonConvergence as exc:
         roots = list(exc.partial)
         converged = False
     roots = [_polish_root(coeffs, z) for z in roots[: f.degree]]
-    scale = max(1.0, f.coeff_norm())
-    ctol = tol * scale
+    abs_coeffs = [c.norm() for c in f.coeffs]
     spheres: list[tuple[float, float]] = []
     for z in roots:
         x = z.real + f.center
@@ -309,6 +310,7 @@ def poly_roots(f: SlicePolynomial, tol: float = CLASSIFY_TOL) -> list[SphereZero
     out = []
     expr = Poly(f)
     for x, y in spheres:
+        ctol = CLASSIFY_TOL * backward_bound(abs_coeffs, math.hypot(x - f.center, y))
         if y > 0.0:
             refined = _refine_spherical_candidate(expr, x, y, ctol)
             if refined is not None:
@@ -330,7 +332,7 @@ def star_zero_check(f: SliceExpr, g: SliceExpr, q: Quaternion, tol: float = CLAS
     """Does the zero theorem's predicate match a direct star evaluation?
 
     Predicate: f(q) = 0, or f(q) != 0 and g(f(q)^{-1} q f(q)) = 0,
-    all comparisons with tolerance ``tol``.
+    all comparisons with the absolute ``tol``: generic f and g have no majorant.
     """
     fq = evaluate(f, q)
     if fq.norm() < tol:
@@ -345,12 +347,13 @@ def cauchy_kernel(s: Quaternion, q: Quaternion) -> Quaternion:
 
         S^{-*}(q) = (q^2 - 2 Re(s) q + |s|^2)^{-1} (q - conj(s))
 
-    Singular exactly on the sphere Re(s) + |Im(s)|*S.
+    Singular exactly on the sphere Re(s) + |Im(s)|*S, taken to hold when
+    |denom| <= KERNEL_SINGULAR_TOL * (|s|^2 + 2|Re s| |q| + |q|^2).
     """
     denom = q * q - (2.0 * s.re()) * q + Quaternion(s.norm_sq())
     numer = q - s.conjugate()
-    scale = max(1.0, q.norm_sq(), s.norm_sq())
-    if denom.norm() <= KERNEL_SINGULAR_TOL * scale:
+    bound = backward_bound((s.norm_sq(), 2.0 * abs(s.re()), 1.0), q.norm())
+    if denom.norm() <= KERNEL_SINGULAR_TOL * bound:
         p = slice_coords(q)
         raise SingularPoint(
             f"q lies on the singular sphere of the kernel (x={p.x}, y={p.y})", x=p.x, y=p.y

@@ -104,6 +104,17 @@ def test_roots_out_of_range_symmetrization_exits_3(run, coeffs):
     assert code == 3 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_roots_of_scaled_polynomial(run, scale):
+    # scale * (1 + q^2): f^s is in range, its derivative squared is not.
+    code, out, _ = run(["roots"], {"coeffs": [[scale, 0, 0, 0], [0, 0, 0, 0], [scale, 0, 0, 0]]})
+    assert code == 0
+    zeros = json.loads(out)["zeros"]
+    assert [z["kind"] for z in zeros] == ["spherical"]
+    assert zeros[0]["x"] == pytest.approx(0.0, abs=1e-10)
+    assert zeros[0]["y"] == pytest.approx(1.0, abs=1e-10)
+
+
 def test_kernel_value_and_singularity(run):
     code, out, _ = run(["kernel"], {"s": [0, 0, 1, 0], "q": [0, 0, 2, 0]})
     assert code == 0

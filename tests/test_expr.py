@@ -166,6 +166,17 @@ def test_recip_singular_on_zero_sphere():
     assert exc.value.y == pytest.approx(1.0)
 
 
+def test_recip_scale_invariant():
+    # (scale (1 + q^2))^{-*} at 2j is 1/(scale (1 - 4)); the sphere of j
+    # stays singular at every scale.
+    for scale in (1e-100, 1e-6, 1.0, 1e6, 1e100):
+        f = Poly(polynomial([scale, 0.0, scale]))
+        assert_close(recip_eval(f, 2.0 * UNIT_J.u), Quaternion(-1.0 / (3.0 * scale)),
+                     tol=1e-15 / scale)
+        with pytest.raises(SingularPoint):
+            recip_eval(f, UNIT_K.u)
+
+
 @pytest.mark.parametrize("node, calls", [
     (lambda f: Recip(Recip(f)), 4),
     (lambda f: Star(f, f), 3),

@@ -77,6 +77,15 @@ def test_zero_has_no_inverse():
         quat_inv(Quaternion())
 
 
+@pytest.mark.parametrize("scale", [1e-200, 2.0 ** -600, 1e200, 2.0 ** 600])
+def test_norm_and_inverse_far_from_one(scale):
+    # |q|^2 leaves the double range, |q| and 1/q do not.
+    q = Quaternion(1.0, 2.0, 2.0, 4.0) * scale
+    assert q.norm() == pytest.approx(5.0 * scale, rel=1e-15)
+    assert_close(quat_inv(q) * scale, Quaternion(1.0, -2.0, -2.0, -4.0) * (1.0 / 25.0),
+                 tol=1e-16)
+
+
 @given(quaternions)
 def test_conjugate_recovers_norm(q):
     assert abs((q * q.conjugate()).re() - q.norm_sq()) <= 1e-9 * max(1.0, q.norm_sq())

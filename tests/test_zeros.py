@@ -282,6 +282,22 @@ def test_poly_roots_requires_positive_degree():
         poly_roots(polynomial([1.0]))
 
 
+SCALES = [1e-100, 1e-6, 1.0, 1e6, 1e100]
+
+
+def test_poly_roots_scale_invariant():
+    # f and scale*f have the same zeros, so every decision must agree.
+    rng = SplitMix64(44)
+    for _ in range(30):
+        p = rng.polynomial(max_degree=10)
+        want = poly_roots(p)
+        for scale in SCALES:
+            got = poly_roots(p.right_scaled(Quaternion(scale)))
+            assert [z.kind for z in got] == [z.kind for z in want]
+            for a, b in zip(got, want):
+                assert abs(a.x - b.x) <= 1e-12 and abs(a.y - b.y) <= 1e-12
+
+
 def test_star_zero_check():
     f = Poly(monomial_minus(UNIT_I.u))
     g = Poly(monomial_minus(UNIT_J.u))
@@ -320,3 +336,18 @@ def test_cauchy_kernel_singular_sphere():
     with pytest.raises(SingularPoint) as exc:
         cauchy_kernel(UNIT_I.u, UNIT_J.u)
     assert exc.value.y == pytest.approx(1.0)
+
+
+def test_cauchy_kernel_scale_invariant():
+    # S^{-*} is homogeneous of degree -1 in (s, q), and its singular sphere
+    # scales with s.
+    rng = SplitMix64(45)
+    pairs = [(UNIT_J.u, 2.0 * UNIT_J.u), (UNIT_I.u, 2.0 * UNIT_J.u)]
+    pairs += [(rng.quaternion(2.0), rng.point()) for _ in range(10)]
+    for scale in SCALES:
+        for s, q in pairs:
+            want = cauchy_kernel(s, q)
+            got = cauchy_kernel(s * scale, q * scale) * scale
+            assert_close(got, want, tol=1e-12 * want.norm())
+        with pytest.raises(SingularPoint):
+            cauchy_kernel(UNIT_I.u * scale, UNIT_J.u * scale)
