@@ -161,35 +161,68 @@ class RawMap(SliceExpr):
 
 def evaluate(f: SliceExpr, q: Quaternion) -> Quaternion:
     """Pointwise value of an expression tree."""
+    return _eval(f, q)[0]
+
+
+def _eval(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, float]:
+    """(f(q), m): the value and a majorant m of the terms that formed it, so
+    that its rounding error is a fixed fraction of m.
+
+    A polynomial's m is its backward bound at q; sums add, products multiply
+    and conjugates keep the m of their arguments.  A reciprocal's m is
+    m_f / |f^s(q)|, its denominator taken as exact, as are the values of Ext
+    and RawMap nodes.
+    """
     if isinstance(f, Poly):
-        return f.poly.evaluate(q)
-    if isinstance(f, RawMap):
-        return f.func(q)
+        return f.poly.evaluate(q), f.poly.majorant(q)
     if isinstance(f, Sum):
-        return evaluate(f.f, q) + evaluate(f.g, q)
+        (u, mu), (v, mv) = _eval(f.f, q), _eval(f.g, q)
+        return u + v, mu + mv
     if isinstance(f, RightScalar):
-        return evaluate(f.f, q) * f.a
+        v, m = _eval(f.f, q)
+        return v * f.a, m * f.a.norm()
     if isinstance(f, Star):
-        return star_eval(f.f, f.g, q)
+        # f*g(q) = f(q) g(f(q)^{-1} q f(q)) (Gentili-Stoppato) and
+        # g(x + y*I') = b_g + I'*c_g:  f*g(q) = f(q) b_g + I f(q) c_g.
+        fq, mf = _eval(f.f, q)
+        i, b, c, mg = _pair(f.g, q)
+        return fq * b + i * (fq * c), mf * mg
     if isinstance(f, Conj):
-        return conj_eval(f.f, q)
+        i, b, c, m = _pair(f.f, q)
+        return _conj(i, b, c), m
     if isinstance(f, Symm):
-        return symm_eval(f.f, q)
+        i, b, c, m = _pair(f.f, q)
+        return _symm(i, b, c), m * m
     if isinstance(f, Recip):
-        return recip_eval(f.f, q)
-    if isinstance(f, Ext):
+        # on a spherical zero of f, b and c are rounding noise of size eps * m
+        i, b, c, m = _pair(f.f, q)
+        s = _symm(i, b, c)
+        ns = s.norm()
+        if ns <= RECIP_SINGULAR_TOL * m * m:
+            p = slice_coords(q)
+            raise SingularPoint(
+                f"symmetrization vanishes on the sphere x={p.x}, y={p.y}", x=p.x, y=p.y
+            )
+        return quat_inv(s) * _conj(i, b, c), m / ns
+    if isinstance(f, RawMap):
+        v = f.func(q)
+    elif isinstance(f, Ext):
         p = slice_coords(q)
         if f.domain is not None and not f.domain.contains_xy(p.x, p.y):
             raise DomainError(f"point {q!r} outside the extension's domain")
-        return general_representation(f.r(p.x, p.y), f.s(p.x, p.y), f.j, f.k, p)
-    raise TypeError(f"not a SliceExpr node: {f!r}")
+        v = general_representation(f.r(p.x, p.y), f.s(p.x, p.y), f.j, f.k, p)
+    else:
+        raise TypeError(f"not a SliceExpr node: {f!r}")
+    return v, v.norm()
 
 
-def _pair(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, Quaternion, Quaternion]:
-    """(I, b, c) with f = b + I*c at q = x + y*I, from f(q) and f(conj(q))."""
+def _pair(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, Quaternion, Quaternion, float]:
+    """(I, b, c, m) with f = b + I*c at q = x + y*I, from f(q) and f(conj(q)),
+    and m the larger majorant of the two values."""
     i = slice_coords(q).unit
-    b, c = affine_coeffs(evaluate(f, q), evaluate(f, q.conjugate()), i)
-    return i.u, b, c
+    (vp, mp), (vm, mm) = _eval(f, q), _eval(f, q.conjugate())
+    b, c = affine_coeffs(vp, vm, i)
+    return i.u, b, c, max(mp, mm)
 
 
 def _conj(i: Quaternion, b: Quaternion, c: Quaternion) -> Quaternion:
@@ -201,19 +234,13 @@ def _symm(i: Quaternion, b: Quaternion, c: Quaternion) -> Quaternion:
 
 
 def star_eval(f: SliceExpr, g: SliceExpr, q: Quaternion) -> Quaternion:
-    """Regular product f*g at q.
-
-    From f*g(q) = f(q) g(f(q)^{-1} q f(q)) (Gentili-Stoppato) and
-    g(x + y*I') = b_g + I'*c_g:  f*g(q) = f(q) b_g + I f(q) c_g.
-    """
-    fq = evaluate(f, q)
-    i, b, c = _pair(g, q)
-    return fq * b + i * (fq * c)
+    """Regular product f*g at q, from f(q) and the (b, c) pair of g."""
+    return _eval(Star(f, g), q)[0]
 
 
 def conj_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
     """Regular conjugate f^c at q: conj(b) + I conj(c)."""
-    return _conj(*_pair(f, q))
+    return _eval(Conj(f), q)[0]
 
 
 def symm_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
@@ -221,23 +248,17 @@ def symm_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
 
     The value lies in L_{I_q} by construction.
     """
-    return _symm(*_pair(f, q))
+    return _eval(Symm(f), q)[0]
 
 
 def recip_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
     """Regular reciprocal f^{-*}(q) = f^s(q)^{-1} f^c(q), off Z_{f^s}.
 
     Both factors come from one (b, c) pair of f.  q is on Z_{f^s} when
-    |f^s(q)| <= RECIP_SINGULAR_TOL * (|b|^2 + |c|^2), a scale-free test.
+    |f^s(q)| <= RECIP_SINGULAR_TOL * m^2, with m the majorant of f at q
+    (see _eval); both sides scale as lambda^2 under f -> lambda f.
     """
-    i, b, c = _pair(f, q)
-    s = _symm(i, b, c)
-    if s.norm() <= RECIP_SINGULAR_TOL * (b.norm_sq() + c.norm_sq()):
-        p = slice_coords(q)
-        raise SingularPoint(
-            f"symmetrization vanishes on the sphere x={p.x}, y={p.y}", x=p.x, y=p.y
-        )
-    return quat_inv(s) * _conj(i, b, c)
+    return _eval(Recip(f), q)[0]
 
 
 def star_via_composition(f: SliceExpr, g: SliceExpr, q: Quaternion) -> Quaternion:

@@ -8,6 +8,8 @@ doubles as the oracle for the pointwise (b, c) formulas of the evaluators.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from typing import Iterable, Sequence
 
 from .errors import CenterMismatch
@@ -54,6 +56,16 @@ class SlicePolynomial:
     def coeff_norm(self) -> float:
         return max(c.norm() for c in self.coeffs)
 
+    @functools.cached_property
+    def abs_coeffs(self) -> tuple[float, ...]:
+        return tuple(c.norm() for c in self.coeffs)
+
+    def majorant(self, q: Quaternion) -> float:
+        """backward_bound(|a_n|, |q - center|): the rounding error of
+        evaluate(q) is a fixed fraction of it."""
+        return backward_bound(self.abs_coeffs,
+                              math.hypot(q.x0 - self.center, q.x1, q.x2, q.x3))
+
     def evaluate(self, q: Quaternion) -> Quaternion:
         """Horner evaluation, right-coefficient variant: acc <- w*acc + c.
 
@@ -63,8 +75,7 @@ class SlicePolynomial:
         """
         q = _as_quaternion(q)
         cs = self.coeffs
-        w = q - self.center
-        w0, w1, w2, w3 = w.x0, w.x1, w.x2, w.x3
+        w0, w1, w2, w3 = q.x0 - self.center, q.x1, q.x2, q.x3  # w = q - center
         last = cs[-1]
         a0, a1, a2, a3 = last.x0, last.x1, last.x2, last.x3
         for c in cs[-2::-1]:

@@ -187,9 +187,8 @@ def _polish_root(coeffs: list[complex], z: complex, steps: int = 8) -> complex:
     """Newton on p/p', which has simple zeros at every distinct root.
 
     Restores full accuracy at multiple roots, where plain Aberth stalls at
-    ~sqrt(eps) distance.  Runs on the monic polynomial, so p'^2 stays in range.
+    ~sqrt(eps) distance.  ``coeffs`` must be monic, so that p'^2 stays in range.
     """
-    coeffs = [c / coeffs[-1] for c in coeffs]
     d1 = [coeffs[n] * n for n in range(1, len(coeffs))]
     d2 = [d1[n] * n for n in range(1, len(d1))]
     for _ in range(steps):
@@ -287,6 +286,7 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     if len(coeffs) <= 2 * f.degree or not all(cmath.isfinite(c) for c in coeffs):
         raise NonConvergence("symmetrization out of floating-point range "
                              "(a coefficient overflowed or the leading one underflowed)")
+    coeffs = [c / coeffs[-1] for c in coeffs]
     converged = True
     try:
         cap = max(ABERTH_MAX_ITER, 6 * (len(coeffs) - 1))  # grows with deg f^s
@@ -295,7 +295,6 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
         roots = list(exc.partial)
         converged = False
     roots = [_polish_root(coeffs, z) for z in roots[: f.degree]]
-    abs_coeffs = [c.norm() for c in f.coeffs]
     spheres: list[tuple[float, float]] = []
     for z in roots:
         x = z.real + f.center
@@ -310,7 +309,7 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     out = []
     expr = Poly(f)
     for x, y in spheres:
-        ctol = CLASSIFY_TOL * backward_bound(abs_coeffs, math.hypot(x - f.center, y))
+        ctol = CLASSIFY_TOL * f.majorant(Quaternion(x, y))
         if y > 0.0:
             refined = _refine_spherical_candidate(expr, x, y, ctol)
             if refined is not None:

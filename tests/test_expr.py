@@ -1,5 +1,7 @@
 """Pointwise evaluators: splitting, star calculus, derivative, regularity."""
 
+import math
+
 import pytest
 
 from sliceregular import (
@@ -175,6 +177,18 @@ def test_recip_scale_invariant():
                      tol=1e-15 / scale)
         with pytest.raises(SingularPoint):
             recip_eval(f, UNIT_K.u)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_recip_singular_where_pair_is_rounding_noise(scale):
+    # 2 + q^2 vanishes on the sphere of radius sqrt(2), but at fl(sqrt(2))*j
+    # the computed b = 2 - fl(sqrt(2))^2 is rounding noise, so |f^s| is of
+    # the order of |b|^2 + |c|^2; only the majorant of f shows it is zero.
+    f = Poly(polynomial([2.0 * scale, 0.0, scale]))
+    g = Poly(polynomial([UNIT_I.u, 1.0]))
+    for expr in (f, Star(g, f), Star(Recip(g), f), RightScalar(Conj(f), UNIT_K.u)):
+        with pytest.raises(SingularPoint):
+            recip_eval(expr, math.sqrt(2.0) * UNIT_J.u)
 
 
 @pytest.mark.parametrize("node, calls", [
