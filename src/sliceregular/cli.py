@@ -46,7 +46,7 @@ def _read_stdin_json():
     text = sys.stdin.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep to parse
         raise DecodeError(f"malformed JSON on stdin: {exc}") from exc
 
 

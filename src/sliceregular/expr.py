@@ -1,12 +1,12 @@
 """Expression trees of regular functions and their pointwise evaluators.
 
 Every node evaluates through the Representation Formula: on the sphere of
-q = x + y*I a slice function is f(x + y*I') = b + I'*c, with the pair
-(b, c) taken from the values at q and at its conjugate.  The product,
-conjugate, symmetrization and reciprocal are closed formulas in (b, c), the
-stem calculus of Ghiloni-Perotti (Adv. Math. 226, 2011).  At real points
-c = 0 and every formula reduces to its pointwise form, so no special case is
-needed.
+q = x + y*I a slice function is f(x + y*I') = b + I'*c, the pair (b, c) read
+off a polynomial's stem at x + iy or off any other node's values at q and
+at its conjugate (_pair).  The product, conjugate, symmetrization and
+reciprocal are closed formulas in (b, c), the stem calculus of
+Ghiloni-Perotti (Adv. Math. 226, 2011).  At real points c = 0 and every
+formula reduces to its pointwise form, so no special case is needed.
 
 Trees are immutable and structurally shared; evaluation is a pure function.
 """
@@ -14,6 +14,7 @@ Trees are immutable and structurally shared; evaluation is a pure function.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable
 
 from .errors import DomainError, NotASlicePoint, SingularPoint, ZeroBase
@@ -194,8 +195,12 @@ def _eval(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, float]:
         i, b, c, m = _pair(f.f, q)
         return _symm(i, b, c), m * m
     if isinstance(f, Recip):
-        # on a spherical zero of f, b and c are rounding noise of size eps * m
+        # on a spherical zero of f, b and c are rounding noise of size eps * m.
+        # f is scaled by t = 2^-e to m*t near 1, so that f^s stays a normal
+        # double, and (t f)^{-*} = f^{-*} / t is scaled back.
         i, b, c, m = _pair(f.f, q)
+        t = math.ldexp(1.0, -max(math.frexp(m)[1], -1021))
+        b, c, m = b * t, c * t, m * t
         s = _symm(i, b, c)
         ns = s.norm()
         if ns <= RECIP_SINGULAR_TOL * m * m:
@@ -203,7 +208,7 @@ def _eval(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, float]:
             raise SingularPoint(
                 f"symmetrization vanishes on the sphere x={p.x}, y={p.y}", x=p.x, y=p.y
             )
-        return quat_inv(s) * _conj(i, b, c), m / ns
+        return (quat_inv(s) * _conj(i, b, c)) * t, m / ns * t
     if isinstance(f, RawMap):
         v = f.func(q)
     elif isinstance(f, Ext):
@@ -217,12 +222,17 @@ def _eval(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, float]:
 
 
 def _pair(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, Quaternion, Quaternion, float]:
-    """(I, b, c, m) with f = b + I*c at q = x + y*I, from f(q) and f(conj(q)),
-    and m the larger majorant of the two values."""
-    i = slice_coords(q).unit
+    """(I, b, c, m) with f = b + I*c at q = x + y*I and m a majorant of f
+    there: a polynomial's from its stem at x + iy, any other node's from
+    f(q) and f(conj(q)), with m the larger majorant of the two values."""
+    p = slice_coords(q)
+    if isinstance(f, Poly):
+        v = f.poly.stem(complex(p.x, p.y))
+        b, c = Quaternion(*(w.real for w in v)), Quaternion(*(w.imag for w in v))
+        return p.unit.u, b, c, f.poly.majorant(q)
     (vp, mp), (vm, mm) = _eval(f, q), _eval(f, q.conjugate())
-    b, c = affine_coeffs(vp, vm, i)
-    return i.u, b, c, max(mp, mm)
+    b, c = affine_coeffs(vp, vm, p.unit)
+    return p.unit.u, b, c, max(mp, mm)
 
 
 def _conj(i: Quaternion, b: Quaternion, c: Quaternion) -> Quaternion:

@@ -8,9 +8,9 @@ from .errors import (
     NoRealTrace,
     RealTraceMismatch,
 )
-from .expr import Ext, SliceExpr, StemFunction, evaluate
+from .expr import Ext, SliceExpr, StemFunction, _pair, evaluate
 from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, from_slice
-from .representation import DEGENERATE_UNIT_TOL, affine_coeffs, symmetric_completion
+from .representation import DEGENERATE_UNIT_TOL, symmetric_completion
 
 REAL_TRACE_TOL = 1e-9
 REAL_TRACE_SAMPLES = 32
@@ -19,13 +19,12 @@ _DEFAULT_TRACE = (-1.0, 1.0)
 
 
 def sphere_affine_coeffs(f: SliceExpr, x: float, y: float) -> tuple[Quaternion, Quaternion]:
-    """(b, c) with f(x + y*I) = b + I*c for every I on the sphere x + y*S.
+    """(b, c) with f(x + y*I) = b + I*c for every I on the sphere x + y*S, y >= 0.
 
     Computed with the canonical unit i; independence of that choice is a
     tested property of regular functions, not an input degree of freedom.
     """
-    return affine_coeffs(evaluate(f, from_slice(x, y, UNIT_I)),
-                         evaluate(f, from_slice(x, -y, UNIT_I)), UNIT_I)
+    return _pair(f, from_slice(x, y, UNIT_I))[1:3]
 
 
 def _real_trace_points(r: StemFunction, s: StemFunction | None = None) -> list[float]:

@@ -3,6 +3,7 @@
 These are the concrete regular functions of the package: exact coefficient
 algebra for the regular product, conjugate and symmetrization lives here and
 doubles as the oracle for the pointwise (b, c) formulas of the evaluators.
+``SlicePolynomial.stem`` gives a polynomial's own pair (b, c) in one pass.
 """
 
 from __future__ import annotations
@@ -86,6 +87,16 @@ class SlicePolynomial:
                 w0 * a3 + w1 * a2 - w2 * a1 + w3 * a0 + c.x3,
             )
         return Quaternion(a0, a1, a2, a3)
+
+    def stem(self, z: complex) -> tuple[complex, complex, complex, complex]:
+        """(p_0(z), ..., p_3(z)), p_k(z) = sum_n a_n[k] (z - center)^n, in one
+        Horner pass: at z = x + iy, the components of b + i*c with
+        f(x + y*I) = b + I*c for every I in S (the stem function of f)."""
+        w = z - self.center
+        a0 = a1 = a2 = a3 = 0j
+        for c in reversed(self.coeffs):
+            a0, a1, a2, a3 = a0 * w + c.x0, a1 * w + c.x1, a2 * w + c.x2, a3 * w + c.x3
+        return a0, a1, a2, a3
 
     def derivative(self) -> "SlicePolynomial":
         """Slice derivative: exact coefficient shift."""

@@ -16,6 +16,12 @@ from .representation import AxialDomain, Disc, Rect, SliceRegion, symmetric_comp
 from .zeros import SphereZero, ZeroKind
 
 
+# Nesting bound of a decoded expression tree: it keeps evaluation's
+# recursion far below the interpreter's limit.  It does not bound cost: a
+# chain of star, conj, symm or recip nodes still costs 2^depth.
+MAX_EXPR_DEPTH = 64
+
+
 class DecodeError(ValueError):
     """Malformed JSON payload (wrong shape, missing key, non-finite number,
     or a domain size that is not positive)."""
@@ -123,25 +129,32 @@ def expr_to_json(f: SliceExpr) -> dict:
     raise DecodeError(f"expression node has no JSON encoding: {type(f).__name__}")
 
 
-def expr_from_json(data) -> SliceExpr:
+def expr_from_json(data, depth: int = 1) -> SliceExpr:
+    """Decode an expression tree; ``depth`` is the level of ``data`` in the
+    tree, and trees deeper than MAX_EXPR_DEPTH are rejected."""
+    if depth > MAX_EXPR_DEPTH:
+        raise DecodeError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
     if not isinstance(data, dict) or "op" not in data:
         raise DecodeError(f"expression must be an object with an 'op' tag, got {data!r}")
     op = data["op"]
+
+    def child(key: str) -> SliceExpr:
+        return expr_from_json(_field(data, key), depth + 1)
+
     if op == "poly":
         return Poly(poly_from_json(data))
     if op == "star":
-        return Star(expr_from_json(_field(data, "f")), expr_from_json(_field(data, "g")))
+        return Star(child("f"), child("g"))
     if op == "conj":
-        return Conj(expr_from_json(_field(data, "f")))
+        return Conj(child("f"))
     if op == "symm":
-        return Symm(expr_from_json(_field(data, "f")))
+        return Symm(child("f"))
     if op == "recip":
-        return Recip(expr_from_json(_field(data, "f")))
+        return Recip(child("f"))
     if op == "sum":
-        return Sum(expr_from_json(_field(data, "f")), expr_from_json(_field(data, "g")))
+        return Sum(child("f"), child("g"))
     if op == "rscale":
-        return RightScalar(expr_from_json(_field(data, "f")),
-                           quaternion_from_json(_field(data, "a")))
+        return RightScalar(child("f"), quaternion_from_json(_field(data, "a")))
     if op == "ext":
         # Stems are callables; over the wire an extension is specified by a
         # polynomial stem restricted to one slice (plus an optional domain).

@@ -5,7 +5,8 @@ coefficients and equals |f|^2 on the real axis, so the roots of its
 restriction to L_i come in conjugate pairs (real ones with even
 multiplicity).  Aberth simultaneous iteration follows one root of each pair,
 each is folded to a candidate sphere (x, |y|), and each sphere is classified
-through the affine structure f(x + y*I) = b + I*c.
+through the affine structure f(x + y*I) = b + I*c, whose components are
+real polynomials in x + iy; spherical candidates are refined on them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import NonConvergence, SingularPoint
 from .expr import Poly, SliceExpr, evaluate, recip_eval, star_eval
 from .extension import sphere_affine_coeffs
 from .polynomial import SlicePolynomial, backward_bound, symm_poly
-from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, from_slice, quat_inv, slice_coords
+from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, quat_inv, slice_coords
 
 CLASSIFY_TOL = 1e-8
 SPHERE_DEDUP_TOL = 1e-8
@@ -53,7 +54,7 @@ def sphere_zero_classify(f: SliceExpr, x: float, y: float,
 
     Spherical iff |b| and |c| are below ``tol``, which carries the scale of
     f; otherwise b + I*c = 0 is solved for I and accepted only when I lies
-    on S to CLASSIFY_TOL and the residual |f| is below ``tol``.  For y = 0
+    on S to CLASSIFY_TOL and the residual |b + I*c| is below ``tol``.  For y = 0
     the sphere is a single real point, classified by |f(x)| alone.
     """
     if y < 0:
@@ -72,7 +73,7 @@ def sphere_zero_classify(f: SliceExpr, x: float, y: float,
         cand = -(b * quat_inv(c))
         if abs(cand.re()) < CLASSIFY_TOL and abs(cand.norm() - 1.0) < CLASSIFY_TOL:
             unit = ImaginaryUnit(cand)
-            r = evaluate(f, from_slice(x, y, unit)).norm()
+            r = (b + unit.u * c).norm()
             if r < tol:
                 return SphereZero(x, y, ZeroKind.ISOLATED, unit=unit, residual=r)
     return SphereZero(x, y, ZeroKind.NONE, residual=min(nb, nc))
@@ -212,48 +213,31 @@ def _polish_root(coeffs: list[complex], z: complex, steps: int = 8) -> complex:
 # Polynomial zero pipeline
 # ---------------------------------------------------------------------------
 
-def _refine_spherical_candidate(f: SliceExpr, x: float, y: float, tol: float,
+def _refine_spherical_candidate(f: SlicePolynomial, x: float, y: float, tol: float,
                                 steps: int = 6) -> tuple[float, float] | None:
-    """Gauss-Newton on the affine coefficients (b, c) as a map R^2 -> R^8.
+    """Gauss-Newton on the stem components p_k of f (f.stem) at z = x + iy.
 
     Candidate spheres inherit ~sqrt(eps) error from multiple roots of the
-    symmetrization; a spherical zero is a nonsingular root of (b, c) = 0 and
-    refines to machine precision.  Returns the refined sphere only when both
-    coefficients drop below tolerance, so spheres of isolated zeros (where
-    (b, c) never vanishes) are left alone.  Residuals are in units of tol.
-    """
-    h = 1e-7 * (1.0 + abs(x) + y)
-    cx, cy = x, y
-
-    def residual_vec(px, py):
-        b, c = sphere_affine_coeffs(f, px, py)
-        return [v / tol for v in (*b.components(), *c.components())]
-
+    symmetrization; a spherical zero is a common simple root of the p_k and
+    refines to machine precision.  The p_k are holomorphic, so the step is
+    sum conj(p_k') p_k / sum |p_k'|^2, with the exact p_k' (the stem of
+    f.derivative()) scaled by max |p_k'| to stay in range.  Returns the
+    refined sphere only when |b + i*c| < tol, so spheres of isolated zeros
+    (where b and c never vanish together) are left alone."""
+    df = f.derivative()
+    z = complex(x, y)
     for _ in range(steps):
-        r0 = residual_vec(cx, cy)
-        rx = residual_vec(cx + h, cy)
-        ry = residual_vec(cx, cy + h)
-        jx = [(a - b) / h for a, b in zip(rx, r0)]
-        jy = [(a - b) / h for a, b in zip(ry, r0)]
-        a11 = sum(v * v for v in jx)
-        a12 = sum(u * v for u, v in zip(jx, jy))
-        a22 = sum(v * v for v in jy)
-        g1 = sum(u * v for u, v in zip(jx, r0))
-        g2 = sum(u * v for u, v in zip(jy, r0))
-        det = a11 * a22 - a12 * a12
-        if det == 0.0:
+        p, d = f.stem(z), df.stem(z)
+        scale = max(map(abs, d))
+        if scale == 0.0:
             return None
-        dx = (a22 * g1 - a12 * g2) / det
-        dy = (a11 * g2 - a12 * g1) / det
-        cx, cy = cx - dx, cy - dy
-        if cy < 0.0:
-            cy = -cy
-        if abs(cx - x) > 1e-5 * (1.0 + abs(x)) or abs(cy - y) > 1e-5 * (1.0 + y):
+        d = [v / scale for v in d]
+        z -= sum(v.conjugate() * w for v, w in zip(d, p)) / (scale * sum(abs(v) ** 2 for v in d))
+        z = complex(z.real, abs(z.imag))
+        if abs(z.real - x) > 1e-5 * (1.0 + abs(x)) or abs(z.imag - y) > 1e-5 * (1.0 + y):
             return None
-    b, c = sphere_affine_coeffs(f, cx, cy)
-    if b.norm() < tol and c.norm() < tol:
-        return cx, cy
-    return None
+    return (z.real, z.imag) if math.hypot(*map(abs, f.stem(z))) < tol else None
+
 
 def _symm_complex_coeffs(f: SlicePolynomial) -> list[complex]:
     """Coefficients of f^s restricted to L_i.
@@ -311,7 +295,7 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     for x, y in spheres:
         ctol = CLASSIFY_TOL * f.majorant(Quaternion(x, y))
         if y > 0.0:
-            refined = _refine_spherical_candidate(expr, x, y, ctol)
+            refined = _refine_spherical_candidate(f, x, y, ctol)
             if refined is not None:
                 x, y = refined
         zero = sphere_zero_classify(expr, x, y, tol=ctol)
@@ -347,17 +331,23 @@ def cauchy_kernel(s: Quaternion, q: Quaternion) -> Quaternion:
         S^{-*}(q) = (q^2 - 2 Re(s) q + |s|^2)^{-1} (q - conj(s))
 
     Singular exactly on the sphere Re(s) + |Im(s)|*S, taken to hold when
-    |denom| <= KERNEL_SINGULAR_TOL * (|s|^2 + 2|Re s| |q| + |q|^2).
+    |denom| <= KERNEL_SINGULAR_TOL * (|s|^2 + 2|Re s| |q| + |q|^2).  The
+    kernel is homogeneous of degree -1, so it is formed from s and q scaled
+    by t = 2^-e to norms below 1 (at least 1/2 for the larger), and the
+    result is multiplied by t: the squares stay normal doubles.
     """
-    denom = q * q - (2.0 * s.re()) * q + Quaternion(s.norm_sq())
-    numer = q - s.conjugate()
-    bound = backward_bound((s.norm_sq(), 2.0 * abs(s.re()), 1.0), q.norm())
+    t = math.ldexp(1.0, -max(math.frexp(max(s.norm(), q.norm()))[1], -1021))
+    st, qt = s * t, q * t
+    denom = qt * qt - (2.0 * st.re()) * qt + Quaternion(st.norm_sq())
+    numer = qt - st.conjugate()
+    bound = backward_bound((st.norm_sq(), 2.0 * abs(st.re()), 1.0), qt.norm())
     if denom.norm() <= KERNEL_SINGULAR_TOL * bound:
-        p = slice_coords(q)
+        p = slice_coords(qt)
+        x, y = p.x / t, p.y / t
         raise SingularPoint(
-            f"q lies on the singular sphere of the kernel (x={p.x}, y={p.y})", x=p.x, y=p.y
+            f"q lies on the singular sphere of the kernel (x={x}, y={y})", x=x, y=y
         )
-    return quat_inv(denom) * numer
+    return (quat_inv(denom) * numer) * t
 
 
 def kernel_vs_recip_residual(s: Quaternion, q: Quaternion) -> float:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from sliceregular.cli import main
+from sliceregular.serialize import MAX_EXPR_DEPTH
 
 
 @pytest.fixture
@@ -204,6 +205,23 @@ def test_eval_rejects_star_without_g(run):
 def test_eval_rejects_rscale_without_a(run):
     payload = {"expr": {"op": "rscale", "f": _LINEAR}, "points": [[0, 1, 0, 0]]}
     _assert_decode_error(run(["eval"], payload))
+
+
+def test_eval_rejects_nesting_beyond_depth_cap(run):
+    # the cap bounds evaluation's recursion; deeper payloads exit 2, not
+    # with a RecursionError traceback (exit 1 is kept for failed reports)
+    def nested(depth):
+        text = json.dumps(_LINEAR)
+        for _ in range(depth - 1):
+            text = f'{{"op": "sum", "f": {json.dumps(_LINEAR)}, "g": {text}}}'
+        return f'{{"expr": {text}, "points": [[0, 1, 0, 0]]}}'
+
+    code, out, _ = run(["eval"], nested(MAX_EXPR_DEPTH))
+    assert code == 0 and len(json.loads(out)["values"]) == 1
+    _assert_decode_error(run(["eval"], nested(MAX_EXPR_DEPTH + 1)))
+    conj = '{"op": "conj", "f": ' * 900 + json.dumps(_LINEAR) + "}" * 900
+    _assert_decode_error(run(["eval"], f'{{"expr": {conj}, "points": []}}'))
+    _assert_decode_error(run(["eval"], '{"expr": ' + "[" * 100000 + "]" * 100000 + "}"))
 
 
 def test_check_all_suites_pass(run):

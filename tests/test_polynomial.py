@@ -11,6 +11,7 @@ from sliceregular import (
     UNIT_J,
     UNIT_K,
     conj_poly,
+    from_slice,
     monomial_minus,
     polynomial,
     star_poly,
@@ -127,3 +128,22 @@ def test_evaluate_equals_operator_horner_exactly():
         for q in points:
             # repr tells every distinct double apart, signed zeros included.
             assert repr(p.evaluate(q)) == repr(_operator_horner(p, q))
+
+
+def test_stem_gives_the_pair_of_evaluate():
+    # b + i*c = stem(x + iy) componentwise, and f(x + y*I) = b + I*c for
+    # every I; on the real axis c vanishes exactly.
+    rng = SplitMix64(12)
+    for degree in range(31):
+        p = SlicePolynomial(rng.uniform(-2.0, 2.0),
+                            tuple(rng.quaternion(3.0) for _ in range(degree + 1)))
+        x, y = rng.sphere()
+        v = p.stem(complex(x, y))
+        b, c = Quaternion(*(w.real for w in v)), Quaternion(*(w.imag for w in v))
+        tol = 1e-13 * p.majorant(Quaternion(x, y))
+        for _ in range(3):
+            unit = rng.unit()
+            assert_close(b + unit.u * c, p.evaluate(from_slice(x, y, unit)), tol=tol)
+        v = p.stem(complex(x, 0.0))
+        assert all(w.imag == 0.0 for w in v)
+        assert_close(Quaternion(*(w.real for w in v)), p.evaluate(Quaternion(x)), tol=tol)

@@ -31,7 +31,9 @@ from sliceregular.verify import SplitMix64
 from sliceregular.zeros import (
     ABERTH_MAX_ITER,
     ABERTH_TOL,
+    CLASSIFY_TOL,
     _poly_val_der,
+    _refine_spherical_candidate,
     _symm_complex_coeffs,
     kernel_vs_recip_residual,
 )
@@ -298,6 +300,21 @@ def test_poly_roots_scale_invariant():
                 assert abs(a.x - b.x) <= 1e-12 and abs(a.y - b.y) <= 1e-12
 
 
+def test_refine_spherical_candidate_recovers_sphere():
+    # (q^2 - 2xq + x^2 + y^2) * g vanishes on all of x + y*S; a candidate
+    # 1e-6 off refines to the sphere at every scale of the coefficients.
+    rng = SplitMix64(46)
+    for _ in range(40):
+        x, y = rng.sphere()
+        f = star_poly(polynomial([x * x + y * y, -2.0 * x, 1.0]), rng.polynomial(max_degree=6))
+        for scale in SCALES:
+            g = f.right_scaled(Quaternion(scale))
+            tol = CLASSIFY_TOL * g.majorant(Quaternion(x, y))
+            got = _refine_spherical_candidate(g, x + 1e-6, y - 1e-6, tol)
+            assert got is not None
+            assert abs(got[0] - x) <= 1e-12 and abs(got[1] - y) <= 1e-12
+
+
 def test_star_zero_check():
     f = Poly(monomial_minus(UNIT_I.u))
     g = Poly(monomial_minus(UNIT_J.u))
@@ -340,11 +357,11 @@ def test_cauchy_kernel_singular_sphere():
 
 def test_cauchy_kernel_scale_invariant():
     # S^{-*} is homogeneous of degree -1 in (s, q), and its singular sphere
-    # scales with s.
+    # scales with s, also where |q|^2 is not a double.
     rng = SplitMix64(45)
     pairs = [(UNIT_J.u, 2.0 * UNIT_J.u), (UNIT_I.u, 2.0 * UNIT_J.u)]
     pairs += [(rng.quaternion(2.0), rng.point()) for _ in range(10)]
-    for scale in SCALES:
+    for scale in SCALES + [2.0 ** -560, 2.0 ** 560]:
         for s, q in pairs:
             want = cauchy_kernel(s, q)
             got = cauchy_kernel(s * scale, q * scale) * scale
