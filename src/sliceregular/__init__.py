@@ -7,6 +7,7 @@ from .errors import (
     DomainNotSymmetric,
     NoRealTrace,
     NonConvergence,
+    NonFiniteValue,
     NotASlicePoint,
     RealTraceMismatch,
     SingularPoint,

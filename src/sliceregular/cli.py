@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .errors import NonConvergence, SliceRegularError
+from .errors import NonConvergence, NonFiniteValue, SliceRegularError
 from .expr import Poly, RawMap, evaluate
 from .quaternion import UNIT_I
 from .serialize import (
@@ -51,11 +51,16 @@ def _read_stdin_json():
 
 
 def _dump(obj, pretty: bool) -> str:
-    return json.dumps(obj, indent=2 if pretty else None)
+    """Strict JSON; a non-finite number in a result raises NonFiniteValue."""
+    try:
+        return json.dumps(obj, indent=2 if pretty else None, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteValue(f"result is not finite: {exc}") from exc
 
 
 def _values(expr, points) -> list:
-    """JSON values of expr at a JSON array of points; domain errors go inline."""
+    """JSON values of expr at a JSON array of points; domain errors and
+    non-finite values go inline."""
     if not isinstance(points, list):
         raise DecodeError("'points' must be an array of quaternions")
     values = []

@@ -56,5 +56,9 @@ class NonConvergence(SliceRegularError):
         self.partial = tuple(partial)
 
 
+class NonFiniteValue(SliceRegularError):
+    """A computed value left the range of finite doubles, which JSON cannot carry."""
+
+
 class CenterMismatch(SliceRegularError):
     """Coefficient arithmetic requires polynomials with the same real center."""

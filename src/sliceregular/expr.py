@@ -13,9 +13,7 @@ Trees are immutable and structurally shared; evaluation is a pure function.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import Callable
 
 from .errors import DomainError, NotASlicePoint, SingularPoint, ZeroBase
 from .polynomial import SlicePolynomial
@@ -23,6 +21,7 @@ from .quaternion import (
     ImaginaryUnit,
     ONE,
     Quaternion,
+    Value,
     dot,
     from_slice,
     quat_inv,
@@ -40,14 +39,10 @@ FD_STEP = 1e-5
 # Splitting Lemma components (public API; not on the evaluation path)
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class SplitPair:
+class SplitPair(Value):
     """Complex components of a quaternion against the basis {1, I, J, I*J}."""
 
-    f: complex
-    g: complex
-    i: ImaginaryUnit
-    j: ImaginaryUnit
+    __slots__ = ("f", "g", "i", "j")
 
     def recombine(self) -> Quaternion:
         return from_split(self.f, self.g, self.i, self.j)
@@ -72,8 +67,7 @@ def from_split(f: complex, g: complex, i: ImaginaryUnit, j: ImaginaryUnit) -> Qu
 # Node types
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class StemFunction:
+class StemFunction(Value):
     """Slice data: an evaluation map (x, y) -> H on a declared slice.
 
     ``region`` is the declared domain on the slice (``None`` means the whole
@@ -81,9 +75,8 @@ class StemFunction:
     construction; it is checked numerically by :func:`regularity_residual`.
     """
 
-    func: Callable[[float, float], Quaternion]
-    unit: ImaginaryUnit
-    region: object = None  # SliceRegion or None
+    __slots__ = ("func", "unit", "region")
+    _defaults = {"region": None}
 
     def __call__(self, x: float, y: float) -> Quaternion:
         if self.region is not None and not self.region.contains(x, y):
@@ -91,7 +84,7 @@ class StemFunction:
         return self.func(x, y)
 
 
-class SliceExpr:
+class SliceExpr(Value):
     """Base class of the expression tree."""
 
     __slots__ = ()
@@ -100,60 +93,45 @@ class SliceExpr:
         return evaluate(self, q)
 
 
-@dataclasses.dataclass(frozen=True)
 class Poly(SliceExpr):
-    poly: SlicePolynomial
+    __slots__ = ("poly",)
 
 
-@dataclasses.dataclass(frozen=True)
 class Ext(SliceExpr):
     """Extension of two slice data r (on L_J) and s (on L_K) with J != K."""
 
-    r: StemFunction
-    s: StemFunction
-    j: ImaginaryUnit
-    k: ImaginaryUnit
-    domain: object = None  # AxialDomain or None
+    __slots__ = ("r", "s", "j", "k", "domain")
+    _defaults = {"domain": None}
 
 
-@dataclasses.dataclass(frozen=True)
 class Star(SliceExpr):
-    f: SliceExpr
-    g: SliceExpr
+    __slots__ = ("f", "g")
 
 
-@dataclasses.dataclass(frozen=True)
 class Conj(SliceExpr):
-    f: SliceExpr
+    __slots__ = ("f",)
 
 
-@dataclasses.dataclass(frozen=True)
 class Symm(SliceExpr):
-    f: SliceExpr
+    __slots__ = ("f",)
 
 
-@dataclasses.dataclass(frozen=True)
 class Recip(SliceExpr):
-    f: SliceExpr
+    __slots__ = ("f",)
 
 
-@dataclasses.dataclass(frozen=True)
 class Sum(SliceExpr):
-    f: SliceExpr
-    g: SliceExpr
+    __slots__ = ("f", "g")
 
 
-@dataclasses.dataclass(frozen=True)
 class RightScalar(SliceExpr):
-    f: SliceExpr
-    a: Quaternion
+    __slots__ = ("f", "a")
 
 
-@dataclasses.dataclass(frozen=True)
 class RawMap(SliceExpr):
     """Arbitrary pointwise map, used for non-regular control functions."""
 
-    func: Callable[[Quaternion], Quaternion]
+    __slots__ = ("func",)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,11 @@ doubles as the oracle for the pointwise (b, c) formulas of the evaluators.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import CenterMismatch
-from .quaternion import ONE, Quaternion, ZERO, _coerce
+from .quaternion import ONE, Quaternion, Value, ZERO, _coerce
 
 _CENTER_TOL = 1e-12
 
@@ -26,8 +24,7 @@ def _as_quaternion(c) -> Quaternion:
     return q
 
 
-@dataclasses.dataclass(frozen=True)
-class SlicePolynomial:
+class SlicePolynomial(Value):
     """f(q) = sum_n (q - center)^n a_n with right coefficients a_n.
 
     Trailing coefficients with every component zero are trimmed (a test on
@@ -35,17 +32,15 @@ class SlicePolynomial:
     polynomial keeps a single zero coefficient.
     """
 
-    center: float = 0.0
-    coeffs: tuple[Quaternion, ...] = (ZERO,)
+    __slots__ = ("center", "coeffs", "_abs_coeffs")
 
-    def __post_init__(self):
-        cs = [_as_quaternion(c) for c in self.coeffs]
+    def __init__(self, center: float = 0.0, coeffs: Sequence = (ZERO,)):
+        cs = [_as_quaternion(c) for c in coeffs] or [ZERO]
         while len(cs) > 1 and cs[-1] == ZERO:
             cs.pop()
-        if not cs:
-            cs = [ZERO]
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "center", float(self.center))
+        self.center = float(center)
+        self.coeffs = tuple(cs)
+        self._abs_coeffs = None
 
     @property
     def degree(self) -> int:
@@ -57,9 +52,11 @@ class SlicePolynomial:
     def coeff_norm(self) -> float:
         return max(c.norm() for c in self.coeffs)
 
-    @functools.cached_property
+    @property
     def abs_coeffs(self) -> tuple[float, ...]:
-        return tuple(c.norm() for c in self.coeffs)
+        if self._abs_coeffs is None:
+            self._abs_coeffs = tuple(c.norm() for c in self.coeffs)
+        return self._abs_coeffs
 
     def majorant(self, q: Quaternion) -> float:
         """backward_bound(|a_n|, |q - center|): the rounding error of

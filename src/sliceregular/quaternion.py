@@ -1,12 +1,12 @@
 """Quaternion arithmetic, imaginary units and slice coordinates.
 
 Everything in this module is an immutable value with pure operations, so
-instances may be shared freely between threads.
+instances may be shared freely between threads.  ``Value`` is the base of
+every value type of the package.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 from .errors import NotASlicePoint
@@ -15,14 +15,64 @@ from .errors import NotASlicePoint
 REAL_AXIS_TOL = 1e-12
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Quaternion:
+class Value:
+    """Base of the package's values.  The fields are the public names in
+    ``__slots__``, set by ``__init__`` (positionally or by keyword, defaults
+    in ``_defaults``) and never assigned afterwards.  Equality (same type,
+    equal fields), hash and a ``Name(field=value, ...)`` repr derive from them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = dict(zip(names, args))
+        if len(args) > len(names) or values.keys() & kwargs.keys():
+            raise TypeError(f"{type(self).__name__}(): too many or repeated arguments")
+        values = {**self._defaults, **values, **kwargs}
+        if values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes {names}, got {sorted(values)}")
+        for name in names:
+            setattr(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Quaternion(Value):
     """An element of the skew field H with components along 1, i, j, k."""
 
-    x0: float = 0.0
-    x1: float = 0.0
-    x2: float = 0.0
-    x3: float = 0.0
+    __slots__ = ("x0", "x1", "x2", "x3")
+
+    def __init__(self, x0: float = 0.0, x1: float = 0.0, x2: float = 0.0, x3: float = 0.0):
+        self.x0 = x0
+        self.x1 = x1
+        self.x2 = x2
+        self.x3 = x3
+
+    def __eq__(self, other):
+        if other.__class__ is not Quaternion:
+            return NotImplemented
+        return (self.x0 == other.x0 and self.x1 == other.x1
+                and self.x2 == other.x2 and self.x3 == other.x3)
+
+    __hash__ = Value.__hash__
 
     def __add__(self, other):
         other = _coerce(other)
@@ -137,22 +187,20 @@ def dot(a: Quaternion, b: Quaternion) -> float:
     return a.x0 * b.x0 + a.x1 * b.x1 + a.x2 * b.x2 + a.x3 * b.x3
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class ImaginaryUnit:
+class ImaginaryUnit(Value):
     """A validated point of the sphere S of imaginary units.
 
     Construction normalizes the imaginary part of the given quaternion and
     rejects inputs whose imaginary part is below ``REAL_AXIS_TOL``.
     """
 
-    u: Quaternion
+    __slots__ = ("u",)
 
-    def __post_init__(self):
-        q = self.u
-        n = q.im_norm()
+    def __init__(self, u: Quaternion):
+        n = u.im_norm()
         if n < REAL_AXIS_TOL:
             raise NotASlicePoint("cannot build an imaginary unit from a (near-)real quaternion")
-        object.__setattr__(self, "u", Quaternion(0.0, q.x1 / n, q.x2 / n, q.x3 / n))
+        self.u = Quaternion(0.0, u.x1 / n, u.x2 / n, u.x3 / n)
 
     def __neg__(self):
         return ImaginaryUnit(-self.u)
@@ -163,18 +211,20 @@ UNIT_J = ImaginaryUnit(Quaternion(0.0, 0.0, 1.0, 0.0))
 UNIT_K = ImaginaryUnit(Quaternion(0.0, 0.0, 0.0, 1.0))
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class SlicePoint:
+class SlicePoint(Value):
     """The decomposition q = x + y*I with y >= 0.
 
     ``unit_is_arbitrary`` marks real points, where any element of S would do
     and the canonical unit i is used by convention.
     """
 
-    x: float
-    y: float
-    unit: ImaginaryUnit
-    unit_is_arbitrary: bool = False
+    __slots__ = ("x", "y", "unit", "unit_is_arbitrary")
+
+    def __init__(self, x: float, y: float, unit: ImaginaryUnit, unit_is_arbitrary: bool = False):
+        self.x = x
+        self.y = y
+        self.unit = unit
+        self.unit_is_arbitrary = unit_is_arbitrary
 
     def to_quaternion(self) -> Quaternion:
         return from_slice(self.x, self.y, self.unit)

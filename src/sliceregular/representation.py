@@ -8,12 +8,10 @@ set they describe depends on a point q only through (Re(q), |Im(q)|).
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
-from typing import ClassVar
 
 from .errors import DegenerateUnits
-from .quaternion import ImaginaryUnit, Quaternion, SlicePoint, quat_inv, slice_coords
+from .quaternion import ImaginaryUnit, Quaternion, SlicePoint, Value, quat_inv, slice_coords
 
 DEGENERATE_UNIT_TOL = 1e-9
 DEFAULT_GRID_STEP = 1e-2
@@ -56,13 +54,10 @@ def general_representation(v_j: Quaternion, v_k: Quaternion, j: ImaginaryUnit,
 # Slice regions and axially symmetric domains
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class Disc:
+class Disc(Value):
     """Open disc in the (x, y) coordinates of one slice."""
 
-    cx: float
-    cy: float
-    r: float
+    __slots__ = ("cx", "cy", "r")
 
     def contains(self, x: float, y: float) -> bool:
         dx, dy = x - self.cx, y - self.cy
@@ -75,14 +70,10 @@ class Disc:
         return Disc(self.cx, -self.cy, self.r)
 
 
-@dataclasses.dataclass(frozen=True)
-class Rect:
+class Rect(Value):
     """Open box (x0, x1) x (y0, y1) in the coordinates of one slice."""
 
-    x0: float
-    x1: float
-    y0: float
-    y1: float
+    __slots__ = ("x0", "x1", "y0", "y1")
 
     def contains(self, x: float, y: float) -> bool:
         return self.x0 < x < self.x1 and self.y0 < y < self.y1
@@ -94,11 +85,10 @@ class Rect:
         return Rect(self.x0, self.x1, -self.y1, -self.y0)
 
 
-@dataclasses.dataclass(frozen=True)
-class SliceRegion:
+class SliceRegion(Value):
     """Finite union of shapes on one slice (y may be negative)."""
 
-    shapes: tuple
+    __slots__ = ("shapes",)
 
     def contains(self, x: float, y: float) -> bool:
         return any(s.contains(x, y) for s in self.shapes)
@@ -147,21 +137,18 @@ class SliceRegion:
         return pts
 
 
-@dataclasses.dataclass(frozen=True)
-class AxialDomain:
+class AxialDomain(Value):
     """Axially symmetric set described by a slice region.
 
     Membership of q depends only on (Re(q), |Im(q)|): q belongs to the domain
     iff the generating region contains (x, y) or (x, -y) for y = |Im(q)|.
     """
 
-    # A union of whole spheres x + y*S is axially symmetric by construction.
-    axially_symmetric: ClassVar[bool] = True
+    __slots__ = ("region", "contains_real", "is_s_domain", "grid_step")
+    _defaults = {"grid_step": DEFAULT_GRID_STEP}
 
-    region: SliceRegion
-    contains_real: bool
-    is_s_domain: bool
-    grid_step: float = DEFAULT_GRID_STEP
+    # A union of whole spheres x + y*S is axially symmetric by construction.
+    axially_symmetric = True
 
     def contains(self, q: Quaternion) -> bool:
         p = slice_coords(q)
@@ -170,6 +157,14 @@ class AxialDomain:
     def contains_xy(self, x: float, y: float) -> bool:
         y = abs(y)
         return self.region.contains(x, y) or self.region.contains(x, -y)
+
+
+def raster_cells(region: SliceRegion, step: float) -> float:
+    """Cells of the raster on which _slice_components classifies the region
+    at this step, over-counted by at most one row and one column (inf if it
+    has no finite size); is_axis_symmetric samples half as many points."""
+    x0, x1, y0, y1 = region.bounds()
+    return ((x1 - x0) / step + 4.0) * (2.0 * max(abs(y0), abs(y1)) / step + 4.0)
 
 
 def _slice_components(region: SliceRegion, step: float) -> tuple[int, bool]:

@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import math
 
+from .errors import NonFiniteValue
 from .expr import Conj, Ext, Poly, Recip, RightScalar, SliceExpr, Star, Sum, Symm
 from .extension import ext_from_holomorphic, restriction_stem
 from .polynomial import SlicePolynomial
 from .quaternion import ImaginaryUnit, Quaternion
-from .representation import AxialDomain, Disc, Rect, SliceRegion, symmetric_completion
+from .representation import (
+    DEFAULT_GRID_STEP, AxialDomain, Disc, Rect, SliceRegion, raster_cells, symmetric_completion,
+)
 from .zeros import SphereZero, ZeroKind
 
 
@@ -21,10 +24,17 @@ from .zeros import SphereZero, ZeroKind
 # chain of star, conj, symm or recip nodes still costs 2^depth.
 MAX_EXPR_DEPTH = 64
 
+# Bound on the raster that classifies a decoded domain at its grid step
+# (representation.raster_cells): the flood fill of symmetric_completion and
+# the symmetry test of ext_from_holomorphic take time and memory in
+# proportion to it, a few seconds for 10^6 cells.
+MAX_RASTER_CELLS = 10 ** 6
+
 
 class DecodeError(ValueError):
     """Malformed JSON payload (wrong shape, missing key, non-finite number,
-    or a domain size that is not positive)."""
+    a domain size that is not positive, or a domain raster over
+    MAX_RASTER_CELLS)."""
 
 
 def _finite(value, what: str) -> float:
@@ -37,7 +47,11 @@ def _finite(value, what: str) -> float:
 
 
 def quaternion_to_json(q: Quaternion) -> list[float]:
-    return [q.x0, q.x1, q.x2, q.x3]
+    """Raises NonFiniteValue for a non-finite component (an overflowed result)."""
+    out = [q.x0, q.x1, q.x2, q.x3]
+    if not all(map(math.isfinite, out)):
+        raise NonFiniteValue(f"result is not a finite quaternion: {q!r}")
+    return out
 
 
 def quaternion_from_json(data) -> Quaternion:
@@ -65,7 +79,15 @@ def domain_from_json(data) -> AxialDomain:
     grid_step = _finite(data.get("grid_step", 1e-2), "grid step")
     if grid_step <= 0.0:
         raise DecodeError(f"grid step must be positive, got {grid_step!r}")
-    return symmetric_completion(region, grid_step=grid_step)
+    return symmetric_completion(_bounded_raster(region, grid_step), grid_step=grid_step)
+
+
+def _bounded_raster(region: SliceRegion, step: float) -> SliceRegion:
+    cells = raster_cells(region, step)
+    if cells > MAX_RASTER_CELLS:
+        raise DecodeError(f"domain raster of {cells:.3g} cells at grid step {step!r} "
+                          f"exceeds {MAX_RASTER_CELLS}")
+    return region
 
 
 def region_from_json(data) -> SliceRegion:
@@ -166,7 +188,9 @@ def expr_from_json(data, depth: int = 1) -> SliceExpr:
             unit = ImaginaryUnit(unit_q)
         except Exception as exc:
             raise DecodeError(f"'slice' is not an imaginary unit: {exc}") from exc
-        region = region_from_json(data["domain"]) if "domain" in data else None
+        region = None
+        if "domain" in data:
+            region = _bounded_raster(region_from_json(data["domain"]), DEFAULT_GRID_STEP)
         return ext_from_holomorphic(restriction_stem(Poly(poly), unit, region=region))
     raise DecodeError(f"unknown expression op {op!r}")
 

@@ -6,7 +6,6 @@ reports reproduce bit-identically across platforms for a given seed.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 from .expr import (
@@ -25,7 +24,7 @@ from .expr import (
 from .extension import ext_from_holomorphic, restriction_stem
 from .polynomial import SlicePolynomial
 from .quaternion import (
-    ImaginaryUnit, Quaternion, SlicePoint, from_slice, orthogonal_unit, slice_coords,
+    ImaginaryUnit, Quaternion, SlicePoint, Value, from_slice, orthogonal_unit, slice_coords,
 )
 from .representation import general_representation
 
@@ -98,16 +97,10 @@ class SplitMix64:
         return SlicePolynomial(center, tuple(coeffs))
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Value):
     """Outcome of one theorem-shaped check over sampled inputs."""
 
-    name: str
-    samples: int
-    max_residual: float
-    tolerance: float
-    passed: bool
-    worst_case: tuple[str, float]
+    __slots__ = ("name", "samples", "max_residual", "tolerance", "passed", "worst_case")
 
     def to_json(self) -> dict:
         return {

@@ -12,7 +12,6 @@ real polynomials in x + iy; spherical candidates are refined on them.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import enum
 import math
 
@@ -20,7 +19,7 @@ from .errors import NonConvergence, SingularPoint
 from .expr import Poly, SliceExpr, evaluate, recip_eval, star_eval
 from .extension import sphere_affine_coeffs
 from .polynomial import SlicePolynomial, backward_bound, symm_poly
-from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, quat_inv, slice_coords
+from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, Value, quat_inv, slice_coords
 
 CLASSIFY_TOL = 1e-8
 SPHERE_DEDUP_TOL = 1e-8
@@ -35,17 +34,11 @@ class ZeroKind(enum.Enum):
     SPHERICAL = "spherical"
 
 
-@dataclasses.dataclass(frozen=True)
-class SphereZero:
+class SphereZero(Value):
     """Classification of the zero set of a regular function on x + y*S."""
 
-    x: float
-    y: float
-    kind: ZeroKind
-    unit: ImaginaryUnit | None = None
-    residual: float = 0.0
-    unit_is_arbitrary: bool = False
-    converged: bool = True
+    __slots__ = ("x", "y", "kind", "unit", "residual", "unit_is_arbitrary", "converged")
+    _defaults = {"unit": None, "residual": 0.0, "unit_is_arbitrary": False, "converged": True}
 
 
 def sphere_zero_classify(f: SliceExpr, x: float, y: float,
@@ -304,7 +297,8 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
                 and abs(y - o.y) <= SPHERE_DEDUP_TOL for o in out):
             continue
         if not converged:
-            zero = dataclasses.replace(zero, converged=False)
+            zero = SphereZero(zero.x, zero.y, zero.kind, zero.unit, zero.residual,
+                              zero.unit_is_arbitrary, converged=False)
         out.append(zero)
     if not converged:
         raise NonConvergence("root iteration did not converge", partial=out)

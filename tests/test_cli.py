@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -125,6 +128,34 @@ def test_kernel_value_and_singularity(run):
     assert code == 3 and err.startswith("error:")
 
 
+def _strict_json(text):
+    """json.loads without the NaN and Infinity that Python accepts by default."""
+    return json.loads(text, parse_constant=lambda name: pytest.fail(f"not JSON: {name}"))
+
+
+@pytest.mark.parametrize("op, constant", [("recip", 1e-310), ("symm", 1e200)])
+def test_eval_reports_overflowed_values_inline(run, op, constant):
+    # 1/1e-310 and (1e200)^2 exceed the largest double
+    payload = {"expr": {"op": op, "f": {"op": "poly", "coeffs": [[constant, 0, 0, 0]]}},
+               "points": [[0, 0, 1, 0]]}
+    code, out, _ = run(["eval"], payload)
+    assert code == 0
+    assert "not a finite" in _strict_json(out)["values"][0]["error"]
+
+
+def test_roots_output_is_strict_json(run):
+    # f^s is in range but its monic form is not, so the iteration yields NaN
+    code, out, err = run(["roots"], {"coeffs": [[1e150, 0, 0, 0], [0, 0, 0, 0],
+                                                [1e-150, 0, 0, 0]]})
+    assert (code == 0 and _strict_json(out)) or (
+        code == 3 and out == "" and err.startswith("error:"))
+
+
+def test_kernel_overflow_exits_3(run):
+    code, out, err = run(["kernel"], {"s": [0, 0, 0, 0], "q": [1e-310, 0, 0, 0]})
+    assert code == 3 and out == "" and err.startswith("error:")
+
+
 def test_extend_values_and_domain(run):
     payload = {
         "stem": {"coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]]},
@@ -195,6 +226,25 @@ def test_extend_rejects_non_object_domain(run):
 
 def test_extend_rejects_non_array_boxes(run):
     _assert_decode_error(run(["extend"], {"domain": {"boxes": 3}}))
+
+
+def test_domain_raster_is_bounded_at_decode(run):
+    # a radius-6 disc needs 1.44e6 cells at the default grid step
+    disc = {"discs": [{"cx": 0.0, "cy": 0.0, "r": 6.0}]}
+    _assert_decode_error(run(["extend"], {"domain": disc}))
+    _assert_decode_error(run(["eval"], {"expr": {"op": "ext", **_STEM, "domain": disc},
+                                        "points": [[0, 0, 0, 0]]}))
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # each costs milliseconds of every CLI process's start-up; -S keeps
+    # site-packages hooks out of the measured set
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sliceregular.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_eval_rejects_star_without_g(run):
