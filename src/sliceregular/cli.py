@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .errors import NonConvergence, NonFiniteValue, SliceRegularError
+from .errors import NonFiniteValue, SliceRegularError
 from .expr import Poly, RawMap, evaluate
 from .quaternion import UNIT_I
 from .serialize import (
@@ -216,8 +216,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except DecodeError as exc:
         return _fail(str(exc), USAGE_EXIT)
-    except NonConvergence as exc:
-        return _fail(str(exc), DOMAIN_EXIT)
     except SliceRegularError as exc:
         return _fail(str(exc), DOMAIN_EXIT)
 

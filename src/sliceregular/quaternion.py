@@ -11,7 +11,7 @@ import math
 
 from .errors import NotASlicePoint
 
-# |Im(q)| below this is treated as "on the real axis".
+# imaginary_unit_of rejects q with |Im(q)| at most this.
 REAL_AXIS_TOL = 1e-12
 
 
@@ -129,9 +129,6 @@ class Quaternion(Value):
     def re(self) -> float:
         return self.x0
 
-    def im(self) -> "Quaternion":
-        return Quaternion(0.0, self.x1, self.x2, self.x3)
-
     def norm_sq(self) -> float:
         return self.x0 * self.x0 + self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3
 
@@ -139,7 +136,9 @@ class Quaternion(Value):
         return math.hypot(self.x0, self.x1, self.x2, self.x3)
 
     def im_norm(self) -> float:
-        return math.sqrt(self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3)
+        """|Im(q)|, by math.hypot only where a square leaves the normal range."""
+        n = math.sqrt(self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3)
+        return n if 1e-150 < n < 1e150 else math.hypot(self.x1, self.x2, self.x3)
 
     def inverse(self) -> "Quaternion":
         return quat_inv(self)
@@ -191,15 +190,15 @@ class ImaginaryUnit(Value):
     """A validated point of the sphere S of imaginary units.
 
     Construction normalizes the imaginary part of the given quaternion and
-    rejects inputs whose imaginary part is below ``REAL_AXIS_TOL``.
+    rejects a real input.
     """
 
     __slots__ = ("u",)
 
     def __init__(self, u: Quaternion):
         n = u.im_norm()
-        if n < REAL_AXIS_TOL:
-            raise NotASlicePoint("cannot build an imaginary unit from a (near-)real quaternion")
+        if n == 0.0:
+            raise NotASlicePoint("cannot build an imaginary unit from a real quaternion")
         self.u = Quaternion(0.0, u.x1 / n, u.x2 / n, u.x3 / n)
 
     def __neg__(self):
@@ -245,10 +244,10 @@ def imaginary_unit_of(q: Quaternion) -> ImaginaryUnit:
 def slice_coords(q: Quaternion) -> SlicePoint:
     """(x, y, I) with q = x + y*I and y >= 0.
 
-    Real points get y = 0 and the canonical unit i, flagged as arbitrary.
+    Real points (Im q = 0) get y = 0 and the canonical unit i, flagged as arbitrary.
     """
     y = q.im_norm()
-    if y <= REAL_AXIS_TOL:
+    if y == 0.0:
         return SlicePoint(q.x0, 0.0, UNIT_I, unit_is_arbitrary=True)
     return SlicePoint(q.x0, y, ImaginaryUnit(q))
 

@@ -8,6 +8,7 @@ set they describe depends on a point q only through (Re(q), |Im(q)|).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from .errors import DegenerateUnits
@@ -66,6 +67,11 @@ class Disc(Value):
     def bounds(self):
         return (self.cx - self.r, self.cx + self.r, self.cy - self.r, self.cy + self.r)
 
+    def real_interval(self):
+        """The open interval where the disc meets the real axis, or None."""
+        h2 = self.r * self.r - self.cy * self.cy  # > 0 iff cy^2 < r^2, as in contains
+        return (self.cx - math.sqrt(h2), self.cx + math.sqrt(h2)) if h2 > 0.0 else None
+
     def mirrored(self):
         return Disc(self.cx, -self.cy, self.r)
 
@@ -81,6 +87,11 @@ class Rect(Value):
     def bounds(self):
         return (self.x0, self.x1, self.y0, self.y1)
 
+    def real_interval(self):
+        """The open interval where the box meets the real axis, or None: a
+        box with y0 = 0 is open at the axis and misses it."""
+        return (self.x0, self.x1) if self.y0 < 0.0 < self.y1 else None
+
     def mirrored(self):
         return Rect(self.x0, self.x1, -self.y1, -self.y0)
 
@@ -92,9 +103,6 @@ class SliceRegion(Value):
 
     def contains(self, x: float, y: float) -> bool:
         return any(s.contains(x, y) for s in self.shapes)
-
-    def is_empty(self) -> bool:
-        return not self.shapes
 
     def bounds(self):
         bs = [s.bounds() for s in self.shapes]
@@ -122,19 +130,12 @@ class SliceRegion(Value):
         return True
 
     def real_trace_samples(self, count: int = 32) -> list[float]:
-        """Evenly spaced points of the region's intersection with the real axis."""
-        x0, x1, _, _ = self.bounds()
-        if count < 2:
-            count = 2
-        pts = []
-        for n in range(count * 8):
-            x = x0 + (x1 - x0) * n / (count * 8 - 1)
-            if self.contains(x, 0.0):
-                pts.append(x)
-        if len(pts) > count:
-            stride = len(pts) / count
-            pts = [pts[int(m * stride)] for m in range(count)]
-        return pts
+        """At most ``count`` points of the region's intersection with the real
+        axis, evenly spaced over each shape's axis interval."""
+        trace = [iv for iv in (s.real_interval() for s in self.shapes) if iv is not None]
+        k = max(1, count // len(trace)) if trace else 0
+        pts = [lo + (hi - lo) * (m + 0.5) / k for lo, hi in trace for m in range(k)]
+        return [x for x in pts[:count] if self.contains(x, 0.0)]
 
 
 class AxialDomain(Value):
@@ -167,11 +168,11 @@ def raster_cells(region: SliceRegion, step: float) -> float:
     return ((x1 - x0) / step + 4.0) * (2.0 * max(abs(y0), abs(y1)) / step + 4.0)
 
 
-def _slice_components(region: SliceRegion, step: float) -> tuple[int, bool]:
+def _slice_components(region: SliceRegion, step: float) -> int:
     """Flood-fill count of connected components of the mirrored slice set.
 
-    Returns (component count, touches real axis).  The slice set on any L_I is
-    the region together with its mirror image across the real axis.
+    The slice set on any L_I is the region together with its mirror image
+    across the real axis.
     """
     x0, x1, y0, y1 = region.bounds()
     top = max(abs(y0), abs(y1))
@@ -186,10 +187,6 @@ def _slice_components(region: SliceRegion, step: float) -> tuple[int, bool]:
         return region.contains(x, abs(y)) or region.contains(x, -abs(y))
 
     grid = [[inside(ix, iy) for iy in range(ny)] for ix in range(nx)]
-    touches_real = any(
-        grid[ix][iy] and abs(ylo + iy * step) < step
-        for ix in range(nx) for iy in range(ny)
-    )
     seen = [[False] * ny for _ in range(nx)]
     components = 0
     for sx in range(nx):
@@ -205,18 +202,17 @@ def _slice_components(region: SliceRegion, step: float) -> tuple[int, bool]:
                     if 0 <= jx < nx and 0 <= jy < ny and grid[jx][jy] and not seen[jx][jy]:
                         seen[jx][jy] = True
                         queue.append((jx, jy))
-    return components, touches_real
+    return components
 
 
 def symmetric_completion(region: SliceRegion, grid_step: float = DEFAULT_GRID_STEP) -> AxialDomain:
     """Union of the spheres x + y*S over the points x + y*J of a slice region.
 
     The result is always axially symmetric; it is an s-domain iff it meets the
-    real axis and its intersection with one (hence every) slice is connected,
-    decided by a flood fill on a rasterized picture of the slice set.
+    real axis, decided exactly from the shapes' axis intervals, and its
+    intersection with one (hence every) slice is connected, decided by a
+    flood fill on a rasterized picture of the slice set.
     """
-    if region.is_empty():
-        return AxialDomain(region, contains_real=False, is_s_domain=False, grid_step=grid_step)
-    components, touches_real = _slice_components(region, grid_step)
-    is_s = touches_real and components == 1
-    return AxialDomain(region, contains_real=touches_real, is_s_domain=is_s, grid_step=grid_step)
+    contains_real = any(s.real_interval() for s in region.shapes)
+    is_s = contains_real and _slice_components(region, grid_step) == 1
+    return AxialDomain(region, contains_real=contains_real, is_s_domain=is_s, grid_step=grid_step)

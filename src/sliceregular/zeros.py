@@ -19,7 +19,7 @@ from .errors import NonConvergence, SingularPoint
 from .expr import Poly, SliceExpr, evaluate, recip_eval, star_eval
 from .extension import sphere_affine_coeffs
 from .polynomial import SlicePolynomial, backward_bound, symm_poly
-from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, Value, quat_inv, slice_coords
+from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, ZERO, Value, quat_inv, slice_coords
 
 CLASSIFY_TOL = 1e-8
 SPHERE_DEDUP_TOL = 1e-8
@@ -45,29 +45,29 @@ def sphere_zero_classify(f: SliceExpr, x: float, y: float,
                          tol: float = CLASSIFY_TOL) -> SphereZero:
     """Classify the zero set of f on the sphere x + y*S.
 
-    Spherical iff |b| and |c| are below ``tol``, which carries the scale of
+    Spherical iff |b| and |c| are at most ``tol``, which carries the scale of
     f; otherwise b + I*c = 0 is solved for I and accepted only when I lies
-    on S to CLASSIFY_TOL and the residual |b + I*c| is below ``tol``.  For y = 0
-    the sphere is a single real point, classified by |f(x)| alone.
+    on S to CLASSIFY_TOL and the residual |b + I*c| is at most ``tol`` (so 0
+    is zero even at tol = 0).  For y = 0 the sphere is a single real point.
     """
     if y < 0:
         raise ValueError("sphere radius y must be nonnegative")
     if y == 0.0:
         r = evaluate(f, Quaternion(x)).norm()
-        if r < tol:
+        if r <= tol:
             return SphereZero(x, 0.0, ZeroKind.ISOLATED, unit=UNIT_I,
                               residual=r, unit_is_arbitrary=True)
         return SphereZero(x, 0.0, ZeroKind.NONE, residual=r)
     b, c = sphere_affine_coeffs(f, x, y)
     nb, nc = b.norm(), c.norm()
-    if nb < tol and nc < tol:
+    if nb <= tol and nc <= tol:
         return SphereZero(x, y, ZeroKind.SPHERICAL, residual=max(nb, nc))
-    if nc >= tol:
+    if nc > tol:
         cand = -(b * quat_inv(c))
         if abs(cand.re()) < CLASSIFY_TOL and abs(cand.norm() - 1.0) < CLASSIFY_TOL:
             unit = ImaginaryUnit(cand)
             r = (b + unit.u * c).norm()
-            if r < tol:
+            if r <= tol:
                 return SphereZero(x, y, ZeroKind.ISOLATED, unit=unit, residual=r)
     return SphereZero(x, y, ZeroKind.NONE, residual=min(nb, nc))
 
@@ -249,21 +249,25 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     come in conjugate pairs and Aberth iteration runs on one root of each
     pair.  Each iterated root is polished and folded to a sphere (x, |y|);
     the spheres are deduplicated and classified, and a spherical zero that
-    refinement brings within SPHERE_DEDUP_TOL of one already reported is
-    reported once.  A value on a sphere is zero when at most CLASSIFY_TOL
-    times backward_bound(|a_n|, |(x - center) + iy|), the majorant of f there.
+    refinement brings onto one already reported is reported once.  Folding
+    and both "same sphere" tests allow SPHERE_DEDUP_TOL times the largest
+    root modulus of f^s about the center.  A value on a sphere is zero when
+    at most CLASSIFY_TOL times backward_bound(|a_n|, |(x - center) + iy|),
+    the majorant of f there.
 
-    Raises NonConvergence with an empty ``partial`` when f^s is out of
-    floating-point range: a coefficient is not finite, or the leading one
-    underflowed to 0 so that deg f^s < 2 deg f.
+    Raises NonConvergence with an empty ``partial`` when the monic f^s is out
+    of floating-point range: a coefficient is not finite, the leading one of
+    f^s underflowed to 0 (deg f^s < 2 deg f), or the constant one is 0 while
+    f(center) is not.
     """
     if f.degree < 1:
         raise ValueError("root finding requires degree >= 1")
     coeffs = _symm_complex_coeffs(f)
-    if len(coeffs) <= 2 * f.degree or not all(cmath.isfinite(c) for c in coeffs):
-        raise NonConvergence("symmetrization out of floating-point range "
-                             "(a coefficient overflowed or the leading one underflowed)")
-    coeffs = [c / coeffs[-1] for c in coeffs]
+    lead = coeffs[-1] if len(coeffs) > 2 * f.degree else math.nan  # NaN: it underflowed
+    coeffs = [c / lead for c in coeffs]
+    if not all(map(cmath.isfinite, coeffs)) or (coeffs[0] == 0 and f.coeffs[0] != ZERO):
+        raise NonConvergence("symmetrization out of floating-point range (a coefficient "
+                             "overflowed, or the leading or constant one underflowed)")
     converged = True
     try:
         cap = max(ABERTH_MAX_ITER, 6 * (len(coeffs) - 1))  # grows with deg f^s
@@ -272,14 +276,14 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
         roots = list(exc.partial)
         converged = False
     roots = [_polish_root(coeffs, z) for z in roots[: f.degree]]
+    tol = SPHERE_DEDUP_TOL * max(map(abs, roots))
     spheres: list[tuple[float, float]] = []
     for z in roots:
         x = z.real + f.center
         y = abs(z.imag)
-        if y < SPHERE_DEDUP_TOL:
+        if y < tol:
             y = 0.0
-        if any(abs(x - sx) <= SPHERE_DEDUP_TOL and abs(y - sy) <= SPHERE_DEDUP_TOL
-               for sx, sy in spheres):
+        if any(abs(x - sx) <= tol and abs(y - sy) <= tol for sx, sy in spheres):
             continue
         spheres.append((x, y))
     spheres.sort()
@@ -293,8 +297,8 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
                 x, y = refined
         zero = sphere_zero_classify(expr, x, y, tol=ctol)
         if zero.kind is ZeroKind.SPHERICAL and any(
-                o.kind is ZeroKind.SPHERICAL and abs(x - o.x) <= SPHERE_DEDUP_TOL
-                and abs(y - o.y) <= SPHERE_DEDUP_TOL for o in out):
+                o.kind is ZeroKind.SPHERICAL and abs(x - o.x) <= tol
+                and abs(y - o.y) <= tol for o in out):
             continue
         if not converged:
             zero = SphereZero(zero.x, zero.y, zero.kind, zero.unit, zero.residual,

@@ -102,6 +102,7 @@ def test_roots_degree_zero_exits_2(run):
 @pytest.mark.parametrize("coeffs", [
     [[1e160, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]],  # f^s coefficients overflow
     [[1, 0, 0, 0], [0, 0, 0, 0], [1e-170, 0, 0, 0]],  # f^s leading coefficient underflows
+    [[1e-160, 0, 0, 0], [1e150, 0, 0, 0]],  # monic f^s constant 1e-320 / 1e300 underflows
 ])
 def test_roots_out_of_range_symmetrization_exits_3(run, coeffs):
     code, out, err = run(["roots"], {"coeffs": coeffs})
@@ -173,10 +174,16 @@ def test_extend_values_and_domain(run):
 
 
 def test_extend_classifies_off_axis_disc(run):
-    payload = {"domain": {"discs": [{"cy": 2.0, "r": 1.0}]}}
-    code, out, _ = run(["extend"], payload)
-    assert code == 0
-    assert json.loads(out)["domain"]["is_s_domain"] is False
+    # clear of the real axis by 1, and by 0.003 (below the grid step) as a
+    # disc and as a box
+    for domain in ({"discs": [{"cy": 2.0, "r": 1.0}]},
+                   {"discs": [{"cx": 0.4, "cy": 0.503, "r": 0.5}]},
+                   {"boxes": [{"x0": -0.5, "x1": 0.5, "y0": 0.003, "y1": 0.503}]}):
+        code, out, _ = run(["extend"], {"domain": domain})
+        assert code == 0
+        assert json.loads(out)["domain"] == {
+            "contains_real": False, "axially_symmetric": True, "is_s_domain": False,
+        }
 
 
 def test_extend_empty_payload_exits_2(run):

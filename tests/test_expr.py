@@ -122,6 +122,16 @@ def complexish(a: float, b: float) -> Quaternion:
     return Quaternion(a, b, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("y", [1e-13, 1e-160, 1e200])
+def test_conj_keeps_points_just_off_the_axis(y):
+    # a point is real only when Im q = 0: q^c = q at y*j, and
+    # (q + i)^c = q - i at 0.5 + y*(j + k), at every scale of y
+    q = Quaternion(0.0, 0.0, y, 0.0)
+    assert evaluate(Conj(identity_expr()), q) == q
+    q = Quaternion(0.5, 0.0, y, y)
+    assert evaluate(Conj(Poly(polynomial([Quaternion(0.0, 1.0), 1.0]))), q) == q - UNIT_I.u
+
+
 def test_conj_eval_matches_coefficient_oracle():
     rng = SplitMix64(6)
     for _ in range(20):

@@ -279,6 +279,24 @@ def test_poly_roots_residuals_random():
                     assert evaluate(expr, q).norm() <= 1e-7 * max(1.0, p.coeff_norm())
 
 
+ISO, SPH = ZeroKind.ISOLATED, ZeroKind.SPHERICAL
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ([0.0, 1.0], [(0.0, 0.0, ISO)]),  # zeros at the center, where the majorant is 0
+    ([0.0, 0.0, 1.0], [(0.0, 0.0, ISO)]),
+    ([0.0, -1.0, 1.0], [(0.0, 0.0, ISO), (1.0, 0.0, ISO)]),
+    ([1e-20, 0.0, 1.0], [(0.0, 1e-10, SPH)]),  # zeros far below 1e-8: q^2 + 1e-20
+    ([-1e-18, 0.0, 1.0], [(-1e-9, 0.0, ISO), (1e-9, 0.0, ISO)]),  # and q^2 - 1e-18
+])
+def test_poly_roots_fold_and_merge_at_the_roots_scale(coeffs, want):
+    zeros = poly_roots(polynomial(coeffs))
+    assert [z.kind for z in zeros] == [kind for *_, kind in want]
+    scale = max(abs(x) + y for x, y, _ in want)
+    for z, (x, y, _) in zip(zeros, want):
+        assert abs(z.x - x) <= 1e-6 * scale and abs(z.y - y) <= 1e-6 * scale
+
+
 def test_poly_roots_requires_positive_degree():
     with pytest.raises(ValueError):
         poly_roots(polynomial([1.0]))
