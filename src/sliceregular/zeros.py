@@ -241,6 +241,11 @@ def _symm_complex_coeffs(f: SlicePolynomial) -> list[complex]:
     return [complex(c.x0) for c in symm_poly(f).coeffs]
 
 
+def _same_sphere(a: complex, b: complex) -> bool:
+    """Are candidate spheres a and b (x + iy about the center) one, at their own scale?"""
+    return abs(a - b) <= SPHERE_DEDUP_TOL * max(abs(a), abs(b))
+
+
 def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     """Candidate zero spheres of a quaternionic polynomial, classified.
 
@@ -249,9 +254,11 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     come in conjugate pairs and Aberth iteration runs on one root of each
     pair.  Each iterated root is polished and folded to a sphere (x, |y|);
     the spheres are deduplicated and classified, and a spherical zero that
-    refinement brings onto one already reported is reported once.  Folding
-    and both "same sphere" tests allow SPHERE_DEDUP_TOL times the largest
-    root modulus of f^s about the center.  A value on a sphere is zero when
+    refinement brings onto one already reported is reported once.  A root z
+    of f^s about the center folds to the axis when |Im z| < SPHERE_DEDUP_TOL
+    * |z|, and two spheres are one when they are within SPHERE_DEDUP_TOL times
+    the larger modulus: each test is at the scale of the roots it compares, so
+    small zeros survive beside large ones.  A value on a sphere is zero when
     at most CLASSIFY_TOL times backward_bound(|a_n|, |(x - center) + iy|),
     the majorant of f there.
 
@@ -276,17 +283,12 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
         roots = list(exc.partial)
         converged = False
     roots = [_polish_root(coeffs, z) for z in roots[: f.degree]]
-    tol = SPHERE_DEDUP_TOL * max(map(abs, roots))
-    spheres: list[tuple[float, float]] = []
+    seen: list[complex] = []  # candidate spheres x + iy about the center
     for z in roots:
-        x = z.real + f.center
-        y = abs(z.imag)
-        if y < tol:
-            y = 0.0
-        if any(abs(x - sx) <= tol and abs(y - sy) <= tol for sx, sy in spheres):
-            continue
-        spheres.append((x, y))
-    spheres.sort()
+        z = complex(z.real, abs(z.imag) if abs(z.imag) >= SPHERE_DEDUP_TOL * abs(z) else 0.0)
+        if not any(_same_sphere(z, s) for s in seen):
+            seen.append(z)
+    spheres = sorted((z.real + f.center, z.imag) for z in seen)
     out = []
     expr = Poly(f)
     for x, y in spheres:
@@ -297,8 +299,8 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
                 x, y = refined
         zero = sphere_zero_classify(expr, x, y, tol=ctol)
         if zero.kind is ZeroKind.SPHERICAL and any(
-                o.kind is ZeroKind.SPHERICAL and abs(x - o.x) <= tol
-                and abs(y - o.y) <= tol for o in out):
+                o.kind is ZeroKind.SPHERICAL and _same_sphere(
+                    complex(x - f.center, y), complex(o.x - f.center, o.y)) for o in out):
             continue
         if not converged:
             zero = SphereZero(zero.x, zero.y, zero.kind, zero.unit, zero.residual,

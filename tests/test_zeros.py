@@ -288,13 +288,15 @@ ISO, SPH = ZeroKind.ISOLATED, ZeroKind.SPHERICAL
     ([0.0, -1.0, 1.0], [(0.0, 0.0, ISO), (1.0, 0.0, ISO)]),
     ([1e-20, 0.0, 1.0], [(0.0, 1e-10, SPH)]),  # zeros far below 1e-8: q^2 + 1e-20
     ([-1e-18, 0.0, 1.0], [(-1e-9, 0.0, ISO), (1e-9, 0.0, ISO)]),  # and q^2 - 1e-18
+    # small zeros beside a large one: (q - 1)(q - 2)(q - 1e9) and (q^2 + 1)(q - 1e9)
+    ([-2e9, 3e9 + 2.0, -1e9 - 3.0, 1.0], [(1.0, 0.0, ISO), (2.0, 0.0, ISO), (1e9, 0.0, ISO)]),
+    ([-1e9, 1.0, -1e9, 1.0], [(0.0, 1.0, SPH), (1e9, 0.0, ISO)]),
 ])
 def test_poly_roots_fold_and_merge_at_the_roots_scale(coeffs, want):
     zeros = poly_roots(polynomial(coeffs))
     assert [z.kind for z in zeros] == [kind for *_, kind in want]
-    scale = max(abs(x) + y for x, y, _ in want)
-    for z, (x, y, _) in zip(zeros, want):
-        assert abs(z.x - x) <= 1e-6 * scale and abs(z.y - y) <= 1e-6 * scale
+    for z, (x, y, _) in zip(zeros, want):  # each zero to its own scale
+        assert abs(z.x - x) <= 1e-6 * (abs(x) + y) and abs(z.y - y) <= 1e-6 * (abs(x) + y)
 
 
 def test_poly_roots_requires_positive_degree():
