@@ -214,5 +214,6 @@ def symmetric_completion(region: SliceRegion, grid_step: float = DEFAULT_GRID_ST
     flood fill on a rasterized picture of the slice set.
     """
     contains_real = any(s.real_interval() for s in region.shapes)
-    is_s = contains_real and _slice_components(region, grid_step) == 1
+    # Rastered on the axis or off it, so that the cost follows the region's size alone.
+    is_s = bool(region.shapes) and _slice_components(region, grid_step) == 1 and contains_real
     return AxialDomain(region, contains_real=contains_real, is_s_domain=is_s, grid_step=grid_step)
