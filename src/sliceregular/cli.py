@@ -134,7 +134,7 @@ def _cmd_extend(args) -> int:
 
 
 def _check_reports(args):
-    seed = args.seed
+    seed = args.seed if args.seed is not None else int(os.environ.get("SLICEREG_SEED", "7"))
     samples = args.samples
     rng = SplitMix64(seed ^ 0xC0FFEE)
     reports = []
@@ -177,7 +177,6 @@ def _cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_seed = int(os.environ.get("SLICEREG_SEED", "7"))
     parser = argparse.ArgumentParser(
         prog="sliceregular",
         description="Calculus of slice regular quaternionic functions over JSON stdin/stdout.",
@@ -194,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run theorem-shaped verification suites")
     p_check.add_argument("--suite", choices=["grf", "identities", "extension", "all"],
                          default="all")
-    p_check.add_argument("--seed", type=int, default=default_seed)
+    p_check.add_argument("--seed", type=int)  # None: SLICEREG_SEED, then 7
     p_check.add_argument("--samples", type=int, default=200)
     p_check.add_argument("--with-control", action="store_true",
                          help="include the non-regular control (expected to fail)")
@@ -209,9 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first main() call, reused by later ones
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except DecodeError as exc:

@@ -114,20 +114,13 @@ class SliceRegion(Value):
     def mirrored(self) -> "SliceRegion":
         return SliceRegion(tuple(s.mirrored() for s in self.shapes))
 
-    def is_axis_symmetric(self, step: float = DEFAULT_GRID_STEP) -> bool:
-        """Sampled check that (x, y) in region iff (x, -y) in region."""
-        x0, x1, y0, y1 = self.bounds()
-        x0, x1 = x0 - step, x1 + step
-        top = max(abs(y0), abs(y1)) + step
-        x = x0
-        while x <= x1:
-            y = step / 2.0
-            while y <= top:
-                if self.contains(x, y) != self.contains(x, -y):
-                    return False
-                y += step
-            x += step
-        return True
+    def is_axis_symmetric(self) -> bool:
+        """Exact, conservative test that (x, y) in region iff (x, -y) in region:
+        true when each shape's mirror lies inside one shape of the region.
+
+        It never accepts an asymmetric region, but it rejects a union that is
+        symmetric only as a whole, where several shapes cover one mirror."""
+        return all(any(_inside(m.mirrored(), s) for s in self.shapes) for m in self.shapes)
 
     def real_trace_samples(self, count: int = 32) -> list[float]:
         """At most ``count`` points of the region's intersection with the real
@@ -136,6 +129,20 @@ class SliceRegion(Value):
         k = max(1, count // len(trace)) if trace else 0
         pts = [lo + (hi - lo) * (m + 0.5) / k for lo, hi in trace for m in range(k)]
         return [x for x in pts[:count] if self.contains(x, 0.0)]
+
+
+def _inside(a, b) -> bool:
+    """Closed-form test that the open shape a lies in the open shape b (their
+    boundaries may touch)."""
+    if isinstance(b, Rect):
+        x0, x1, y0, y1 = a.bounds()
+        return b.x0 <= x0 and x1 <= b.x1 and b.y0 <= y0 and y1 <= b.y1
+    if isinstance(a, Disc):
+        return math.hypot(a.cx - b.cx, a.cy - b.cy) + a.r <= b.r
+    # a box lies in a disc when its farthest corner lies in the closed disc
+    dx = max(abs(a.x0 - b.cx), abs(a.x1 - b.cx))
+    dy = max(abs(a.y0 - b.cy), abs(a.y1 - b.cy))
+    return dx * dx + dy * dy <= b.r * b.r
 
 
 class AxialDomain(Value):
@@ -163,7 +170,7 @@ class AxialDomain(Value):
 def raster_cells(region: SliceRegion, step: float) -> float:
     """Cells of the raster on which _slice_components classifies the region
     at this step, over-counted by at most one row and one column (inf if it
-    has no finite size); is_axis_symmetric samples half as many points."""
+    has no finite size)."""
     x0, x1, y0, y1 = region.bounds()
     return ((x1 - x0) / step + 4.0) * (2.0 * max(abs(y0), abs(y1)) / step + 4.0)
 

@@ -25,9 +25,8 @@ from .zeros import SphereZero, ZeroKind
 MAX_EXPR_DEPTH = 64
 
 # Bound on the raster that classifies a decoded domain at its grid step
-# (representation.raster_cells): the flood fill of symmetric_completion and
-# the symmetry test of ext_from_holomorphic take time and memory in
-# proportion to it, a few seconds for 10^6 cells.
+# (representation.raster_cells): the flood fill of symmetric_completion
+# takes time and memory in proportion to it, a few seconds for 10^6 cells.
 MAX_RASTER_CELLS = 10 ** 6
 
 

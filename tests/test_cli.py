@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from sliceregular.cli import main
+from sliceregular.cli import build_parser, main
 from sliceregular.serialize import MAX_EXPR_DEPTH
 
 
@@ -308,10 +308,43 @@ def test_check_is_deterministic(run):
 
 
 def test_check_seed_from_environment(run):
-    _, by_env, _ = run(["check", "--suite", "extension", "--samples", "30"],
-                       env={"SLICEREG_SEED": "12"})
-    _, by_flag, _ = run(["check", "--suite", "extension", "--samples", "30", "--seed", "12"])
-    assert by_env == by_flag
+    # read at each call, so a change between in-process calls takes effect
+    outs = []
+    for seed in ("12", "13"):
+        _, by_env, _ = run(["check", "--suite", "extension", "--samples", "30"],
+                           env={"SLICEREG_SEED": seed})
+        _, by_flag, _ = run(["check", "--suite", "extension", "--samples", "30", "--seed", seed])
+        assert by_env == by_flag
+        outs.append(by_env)
+    assert outs[0] != outs[1]
+
+
+def test_main_builds_one_parser_per_process(run, monkeypatch):
+    import sliceregular.cli as cli
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    payload = {"expr": _LINEAR, "points": [[1, 0, 0, 0]]}
+    for _ in range(5):
+        assert run(["eval"], payload) == (0, '{"values": [[1.0, 0.0, 0.0, 0.0]]}\n', "")
+    assert run(["check", "--suite", "identities", "--samples", "10"])[0] == 0
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
+def test_usage_error_leaves_no_parser_state(run, capsys):
+    argv = ["check", "--suite", "identities", "--samples", "10"]
+    first = run(argv, env={"SLICEREG_SEED": "5"})
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--seed", "9", "--samples", "10", "--suite", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(argv) == first
 
 
 def test_check_rejects_nonpositive_samples(run):

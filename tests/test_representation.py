@@ -101,6 +101,18 @@ def test_region_mirror_and_symmetry():
     off = SliceRegion((Disc(0.0, 2.0, 1.0),))
     assert not off.is_axis_symmetric()
     assert off.mirrored().contains(0.0, -2.0)
+    for m in (3e-3, 1e-3, 3e-4, 1e-4):  # below a 1e-2 sampling step
+        assert not SliceRegion((Rect(-0.5, 0.5, -0.5, 0.5 + m),)).is_axis_symmetric()
+    # each mirror inside one shape: itself, its mirror partner, a box, a disc
+    for shapes in [(Rect(-0.5, 0.5, -0.5, 0.5),),
+                   (Disc(0.0, 0.3, 0.3), Disc(0.0, -0.3, 0.3)),
+                   (Disc(0.0, 0.5, 0.5), Rect(-1.0, 1.0, -1.0, 1.0)),
+                   (Rect(0.0, 0.5, 0.0, 0.5), Disc(0.0, 0.0, 1.0))]:
+        assert SliceRegion(shapes).is_axis_symmetric()
+    # the open box (-1, 1) x (-1, 1) as a union whose first shape's mirror
+    # needs both shapes to cover it: the conservative test rejects it
+    halves = SliceRegion((Rect(-1.0, 1.0, -1.0, 0.5), Rect(-1.0, 1.0, 0.0, 1.0)))
+    assert not halves.is_axis_symmetric()
 
 
 def test_real_centered_ball_is_s_domain():
