@@ -134,8 +134,14 @@ def _cmd_extend(args) -> int:
 
 
 def _check_reports(args):
-    seed = args.seed if args.seed is not None else int(os.environ.get("SLICEREG_SEED", "7"))
+    """The reports of ``check``; a usage error raises DecodeError."""
     samples = args.samples
+    if samples <= 0:
+        raise DecodeError("--samples must be a positive integer")
+    try:
+        seed = args.seed if args.seed is not None else int(os.environ.get("SLICEREG_SEED", "7"))
+    except ValueError as exc:
+        raise DecodeError(f"SLICEREG_SEED must be an integer: {exc}") from exc
     rng = SplitMix64(seed ^ 0xC0FFEE)
     reports = []
     if args.suite in ("grf", "all"):
@@ -165,9 +171,6 @@ def _check_reports(args):
 
 
 def _cmd_check(args) -> int:
-    if args.samples <= 0:
-        print("error: --samples must be a positive integer", file=sys.stderr)
-        return USAGE_EXIT
     reports = _check_reports(args)
     failed = False
     for report in reports:

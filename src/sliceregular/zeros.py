@@ -4,9 +4,9 @@ Polynomial zero finding goes through the symmetrization: f^s has real
 coefficients and equals |f|^2 on the real axis, so the roots of its
 restriction to L_i come in conjugate pairs (real ones with even
 multiplicity).  Aberth simultaneous iteration follows one root of each pair,
-each is folded to a candidate sphere (x, |y|), and each sphere is classified
-through the affine structure f(x + y*I) = b + I*c, whose components are
-real polynomials in x + iy; spherical candidates are refined on them.
+each is refined on f's own stem b + i*c (f(x + y*I) = b + I*c, whose
+components are polynomials in x + iy), folded to a candidate sphere (x, |y|)
+and classified through that affine structure.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
             # Backward-error stop: at multiple roots the Newton correction
             # stalls at eps^(1/multiplicity), so a step-size test alone never
             # fires.  |p| at rounding level of its own evaluation is as
-            # converged as the coefficients allow; the polish pass sharpens.
+            # converged as the coefficients allow; poly_roots refines further.
             r, pw = abs(zm), 1.0
             backward = 0.0
             for a in abs_coeffs:
@@ -177,59 +177,46 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
     return z
 
 
-def _polish_root(coeffs: list[complex], z: complex, steps: int = 8) -> complex:
-    """Newton on p/p', which has simple zeros at every distinct root.
-
-    Restores full accuracy at multiple roots, where plain Aberth stalls at
-    ~sqrt(eps) distance.  ``coeffs`` must be monic, so that p'^2 stays in range.
-    """
-    d1 = [coeffs[n] * n for n in range(1, len(coeffs))]
-    d2 = [d1[n] * n for n in range(1, len(d1))]
-    for _ in range(steps):
-        p, _ = _poly_val_der(coeffs, z)
-        p1, _ = _poly_val_der(d1, z) if d1 else (0j, 0j)
-        p2, _ = _poly_val_der(d2, z) if d2 else (0j, 0j)
-        if p1 == 0:
-            break
-        u = p / p1
-        du = 1.0 - p * p2 / (p1 * p1)
-        if du == 0:
-            break
-        step = u / du
-        z = z - step
-        if abs(step) < 1e-15 * max(1.0, abs(z)):
-            break
-    return z
-
-
 # ---------------------------------------------------------------------------
 # Polynomial zero pipeline
 # ---------------------------------------------------------------------------
 
-def _refine_spherical_candidate(f: SlicePolynomial, x: float, y: float, tol: float,
-                                steps: int = 6) -> tuple[float, float] | None:
-    """Gauss-Newton on the stem components p_k of f (f.stem) at z = x + iy.
+def _refine(f: SlicePolynomial, z: complex, steps: int = 8) -> complex:
+    """Newton on u = s/s' from z, where s = sum_k p_k^2 is f^s on L_i, from
+    the stem p_k of f (f.stem) and the stems p_k', p_k'' of its derivatives.
 
-    Candidate spheres inherit ~sqrt(eps) error from multiple roots of the
-    symmetrization; a spherical zero is a common simple root of the p_k and
-    refines to machine precision.  The p_k are holomorphic, so the step is
-    sum conj(p_k') p_k / sum |p_k'|^2, with the exact p_k' (the stem of
-    f.derivative()) scaled by max |p_k'| to stay in range.  Returns the
-    refined sphere only when |b + i*c| < tol, so spheres of isolated zeros
-    (where b and c never vanish together) are left alone."""
+    u has a simple zero at every root of s, so the real and spherical zeros
+    of f, double roots of s, converge quadratically too.  p, p' and p'' are
+    scaled by the power of two that brings f's majorant at z near 1, so the
+    squares stay normal doubles and the step does not depend on f's scale.
+    """
     df = f.derivative()
-    z = complex(x, y)
+    fs = (f, df, df.derivative())
     for _ in range(steps):
-        p, d = f.stem(z), df.stem(z)
-        scale = max(map(abs, d))
-        if scale == 0.0:
-            return None
-        d = [v / scale for v in d]
-        z -= sum(v.conjugate() * w for v, w in zip(d, p)) / (scale * sum(abs(v) ** 2 for v in d))
-        z = complex(z.real, abs(z.imag))
-        if abs(z.real - x) > 1e-5 * (1.0 + abs(x)) or abs(z.imag - y) > 1e-5 * (1.0 + y):
-            return None
-    return (z.real, z.imag) if math.hypot(*map(abs, f.stem(z))) < tol else None
+        m = f.majorant(Quaternion(z.real, z.imag))
+        t = math.ldexp(1.0, -max(math.frexp(m)[1], -1021))
+        p, d, d2 = ([v * t for v in g.stem(z)] for g in fs)
+        s = sum(v * v for v in p)
+        s1 = 2.0 * sum(v * w for v, w in zip(p, d))
+        s2 = 2.0 * sum(w * w + v * e for v, w, e in zip(p, d, d2))
+        if s == 0 or s1 == 0:
+            break
+        u = s / s1
+        du = 1.0 - u * (s2 / s1)
+        if du == 0:
+            break
+        step = u / du
+        z -= step
+        if abs(step) <= 1e-15 * abs(z):
+            break
+    return z
+
+
+def _refine_spherical_candidate(f: SlicePolynomial, x: float, y: float,
+                                tol: float) -> tuple[float, float] | None:
+    """The sphere (x, |y|) of _refine(f, x + iy) when |f.stem| < tol there, else None."""
+    z = _refine(f, complex(x, y))
+    return (z.real, abs(z.imag)) if math.hypot(*map(abs, f.stem(z))) < tol else None
 
 
 def _symm_complex_coeffs(f: SlicePolynomial) -> list[complex]:
@@ -241,21 +228,15 @@ def _symm_complex_coeffs(f: SlicePolynomial) -> list[complex]:
     return [complex(c.x0) for c in symm_poly(f).coeffs]
 
 
-def _same_sphere(a: complex, b: complex) -> bool:
-    """Are candidate spheres a and b (x + iy about the center) one, at their own scale?"""
-    return abs(a - b) <= SPHERE_DEDUP_TOL * max(abs(a), abs(b))
-
-
 def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     """Candidate zero spheres of a quaternionic polynomial, classified.
 
     Pipeline: form f^s by coefficient convolution and restrict it to L_i.
     f^s has real coefficients and equals |f|^2 on the real axis, so its roots
     come in conjugate pairs and Aberth iteration runs on one root of each
-    pair.  Each iterated root is polished and folded to a sphere (x, |y|);
-    the spheres are deduplicated and classified, and a spherical zero that
-    refinement brings onto one already reported is reported once.  A root z
-    of f^s about the center folds to the axis when |Im z| < SPHERE_DEDUP_TOL
+    pair.  Each iterated root is refined on f's own stem (_refine), folded to
+    a sphere (x, |y|), merged with the spheres before it and classified.  A
+    root z about the center folds to the axis when |Im z| < SPHERE_DEDUP_TOL
     * |z|, and two spheres are one when they are within SPHERE_DEDUP_TOL times
     the larger modulus: each test is at the scale of the roots it compares, so
     small zeros survive beside large ones.  A value on a sphere is zero when
@@ -264,8 +245,8 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
 
     Raises NonConvergence with an empty ``partial`` when the monic f^s is out
     of floating-point range: a coefficient is not finite, the leading one of
-    f^s underflowed to 0 (deg f^s < 2 deg f), or the constant one is 0 while
-    f(center) is not.
+    f^s underflowed to 0 (deg f^s < 2 deg f), the constant one is 0 while
+    f(center) is not, or its majorant is not finite at an iterate.
     """
     if f.degree < 1:
         raise ValueError("root finding requires degree >= 1")
@@ -282,26 +263,22 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     except NonConvergence as exc:
         roots = list(exc.partial)
         converged = False
-    roots = [_polish_root(coeffs, z) for z in roots[: f.degree]]
-    seen: list[complex] = []  # candidate spheres x + iy about the center
+    roots = roots[: f.degree]
+    # Aberth's backward-error stop takes inf <= inf: an iterate whose f^s
+    # overflowed stops on its start circle.
+    abs_coeffs = [abs(c) for c in coeffs]
+    if not all(math.isfinite(backward_bound(abs_coeffs, abs(z))) for z in roots):
+        raise NonConvergence("symmetrization out of floating-point range at an iterate")
+    seen: list[complex] = []  # refined candidate spheres x + iy about the center
     for z in roots:
+        z = _refine(f, z + f.center) - f.center
         z = complex(z.real, abs(z.imag) if abs(z.imag) >= SPHERE_DEDUP_TOL * abs(z) else 0.0)
-        if not any(_same_sphere(z, s) for s in seen):
+        if all(abs(z - s) > SPHERE_DEDUP_TOL * max(abs(z), abs(s)) for s in seen):
             seen.append(z)
-    spheres = sorted((z.real + f.center, z.imag) for z in seen)
     out = []
     expr = Poly(f)
-    for x, y in spheres:
-        ctol = CLASSIFY_TOL * f.majorant(Quaternion(x, y))
-        if y > 0.0:
-            refined = _refine_spherical_candidate(f, x, y, ctol)
-            if refined is not None:
-                x, y = refined
-        zero = sphere_zero_classify(expr, x, y, tol=ctol)
-        if zero.kind is ZeroKind.SPHERICAL and any(
-                o.kind is ZeroKind.SPHERICAL and _same_sphere(
-                    complex(x - f.center, y), complex(o.x - f.center, o.y)) for o in out):
-            continue
+    for x, y in sorted((z.real + f.center, z.imag) for z in seen):
+        zero = sphere_zero_classify(expr, x, y, tol=CLASSIFY_TOL * f.majorant(Quaternion(x, y)))
         if not converged:
             zero = SphereZero(zero.x, zero.y, zero.kind, zero.unit, zero.residual,
                               zero.unit_is_arbitrary, converged=False)

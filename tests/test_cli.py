@@ -317,6 +317,9 @@ def test_check_seed_from_environment(run):
         assert by_env == by_flag
         outs.append(by_env)
     assert outs[0] != outs[1]
+    # a seed that is not an integer is a usage error, not a failed report
+    code, out, err = run(["check", "--suite", "extension"], env={"SLICEREG_SEED": "abc"})
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_main_builds_one_parser_per_process(run, monkeypatch):

@@ -291,12 +291,52 @@ ISO, SPH = ZeroKind.ISOLATED, ZeroKind.SPHERICAL
     # small zeros beside a large one: (q - 1)(q - 2)(q - 1e9) and (q^2 + 1)(q - 1e9)
     ([-2e9, 3e9 + 2.0, -1e9 - 3.0, 1.0], [(1.0, 0.0, ISO), (2.0, 0.0, ISO), (1e9, 0.0, ISO)]),
     ([-1e9, 1.0, -1e9, 1.0], [(0.0, 1.0, SPH), (1e9, 0.0, ISO)]),
+    # simple real zeros, double roots of f^s, stay points: (q + 24)(q + 12)
+    # and (q - 1e-7)(q - 3); the double sphere of (q^2 + 1)^2 is one zero
+    ([288.0, 36.0, 1.0], [(-24.0, 0.0, ISO), (-12.0, 0.0, ISO)]),
+    ([3e-7, -3.0000001, 1.0], [(1e-7, 0.0, ISO), (3.0, 0.0, ISO)]),
+    ([1.0, 0.0, 2.0, 0.0, 1.0], [(0.0, 1.0, SPH)]),
 ])
 def test_poly_roots_fold_and_merge_at_the_roots_scale(coeffs, want):
     zeros = poly_roots(polynomial(coeffs))
     assert [z.kind for z in zeros] == [kind for *_, kind in want]
     for z, (x, y, _) in zip(zeros, want):  # each zero to its own scale
         assert abs(z.x - x) <= 1e-6 * (abs(x) + y) and abs(z.y - y) <= 1e-6 * (abs(x) + y)
+
+
+def test_poly_roots_simple_real_zeros_are_points():
+    # prod (q - m 2^k) over 2 to 5 distinct integers m in -6..6: every zero
+    # is a simple real one, exact in floating point, as are the coefficients.
+    rng = SplitMix64(93)
+    for _ in range(300):
+        n, k = 2 + rng.next_u64() % 4, rng.next_u64() % 34 - 30
+        ms = set()
+        while len(ms) < n:
+            ms.add(rng.next_u64() % 13 - 6)
+        want = sorted(math.ldexp(m, k) for m in ms)
+        f = polynomial([1.0])
+        for r in want:
+            f = star_poly(f, polynomial([-r, 1.0]))
+        zeros = poly_roots(f)
+        assert [(z.kind, z.y) for z in zeros] == [(ISO, 0.0)] * n
+        for z, r in zip(zeros, want):
+            assert abs(z.x - r) <= 1e-13 * max(map(abs, want))
+
+
+def test_poly_roots_small_real_pair_to_the_last_bits():
+    # q^2 - 1e-18: refined on f's stem, not on the rounded coefficients of f^s
+    zeros = poly_roots(polynomial([-1e-18, 0.0, 1.0]))
+    assert [z.kind for z in zeros] == [ISO, ISO]
+    for z, r in zip(zeros, (-1e-9, 1e-9)):
+        assert abs(z.x - r) <= 4 * math.ulp(1e-9)
+
+
+@pytest.mark.parametrize("coeffs", [[1e153, 1.0], [1e40, 0.0, 1.0]])
+def test_poly_roots_iterates_out_of_range(coeffs):
+    # f^s is in range, but at the iterates its terms overflow: an error,
+    # not zeros at NaN
+    with pytest.raises(NonConvergence, match="out of floating-point range"):
+        poly_roots(polynomial(coeffs))
 
 
 def test_poly_roots_requires_positive_degree():
