@@ -15,6 +15,7 @@ import sys
 from .errors import NonFiniteValue, SliceRegularError
 from .expr import Poly, RawMap, evaluate
 from .quaternion import UNIT_I
+from .representation import DEFAULT_GRID_STEP
 from .serialize import (
     DecodeError,
     domain_from_json,
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=_cmd_check)
 
     p_ext = sub.add_parser("extend", help="extend slice data / classify a domain")
-    p_ext.add_argument("--grid-step", type=float, default=1e-2)
+    p_ext.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
     p_ext.set_defaults(func=_cmd_extend)
 
     p_kernel = sub.add_parser("kernel", help="Cauchy kernel S^{-*}(q) for q - s")

@@ -32,7 +32,6 @@ from .representation import affine_coeffs, general_representation
 SPLIT_ORTHOGONALITY_TOL = 1e-9
 RECIP_SINGULAR_TOL = 1e-10
 COMPOSITION_ZERO_TOL = 1e-12
-FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -251,25 +250,29 @@ def recip_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
 
 def star_via_composition(f: SliceExpr, g: SliceExpr, q: Quaternion) -> Quaternion:
     """Cross-check form f*g(q) = f(q) g(f(q)^{-1} q f(q)); needs f(q) != 0,
-    tested absolutely: a generic f has no coefficient majorant."""
-    fq = evaluate(f, q)
-    if fq.norm() <= COMPOSITION_ZERO_TOL:
+    taken to fail when |f(q)| <= COMPOSITION_ZERO_TOL times f's majorant."""
+    fq, m = _eval(f, q)
+    if fq.norm() <= COMPOSITION_ZERO_TOL * m:
         raise ZeroBase("composition form undefined where f(q) = 0")
     return fq * evaluate(g, quat_inv(fq) * q * fq)
 
 
-def slice_derivative(f: SliceExpr, q: Quaternion, h: float = FD_STEP) -> Quaternion:
+def _fd_step(x: float, y: float) -> float:
+    """2^(e - 18), e the exponent of max(|x|, |y|): a step at the scale of x + y*I."""
+    return math.ldexp(1.0, math.frexp(max(abs(x), abs(y), 2.0 ** -1000))[1] - 18)
+
+
+def slice_derivative(f: SliceExpr, q: Quaternion) -> Quaternion:
     """Slice derivative: exact coefficient shift for polynomials, central
-    finite difference in x (step h) for every other node."""
+    finite difference in x (step _fd_step) for every other node."""
     if isinstance(f, Poly):
         return f.poly.derivative().evaluate(q)
-    plus = evaluate(f, q + Quaternion(h))
-    minus = evaluate(f, q - Quaternion(h))
-    return (plus - minus) * (1.0 / (2.0 * h))
+    h = _fd_step(q.x0, q.im_norm())
+    return (evaluate(f, q + Quaternion(h)) - evaluate(f, q - Quaternion(h))) * (0.5 / h)
 
 
-def regularity_residual(f: SliceExpr, q: Quaternion, h: float = FD_STEP) -> float:
-    """|1/2 (d/dx + I d/dy) f| at q = x + y*I, estimated by central differences.
+def regularity_residual(f: SliceExpr, q: Quaternion) -> float:
+    """|1/2 (d/dx + I d/dy) f| at q = x + y*I, by central differences (_fd_step).
 
     Near zero for regular f; order one for non-regular maps.  The point must
     be non-real (the slice is ambiguous at y = 0).
@@ -277,14 +280,12 @@ def regularity_residual(f: SliceExpr, q: Quaternion, h: float = FD_STEP) -> floa
     p = slice_coords(q)
     if p.unit_is_arbitrary:
         raise NotASlicePoint("regularity residual is undefined on the real axis")
-    i = p.unit
+    i, h = p.unit, _fd_step(p.x, p.y)
     fxp = evaluate(f, from_slice(p.x + h, p.y, i))
     fxm = evaluate(f, from_slice(p.x - h, p.y, i))
     fyp = evaluate(f, from_slice(p.x, p.y + h, i))
     fym = evaluate(f, from_slice(p.x, p.y - h, i))
-    dx = (fxp - fxm) * (1.0 / (2.0 * h))
-    dy = (fyp - fym) * (1.0 / (2.0 * h))
-    return ((dx + i.u * dy) * 0.5).norm()
+    return ((fxp - fxm + i.u * (fyp - fym)) * (0.25 / h)).norm()
 
 
 def identity_expr() -> Poly:

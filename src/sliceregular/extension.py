@@ -41,20 +41,21 @@ def _real_trace_points(r: StemFunction, s: StemFunction | None = None) -> list[f
 def extend(r: StemFunction, s: StemFunction, j: ImaginaryUnit, k: ImaginaryUnit) -> SliceExpr:
     """Unique regular extension of slice data r (on L_J) and s (on L_K).
 
-    The two data must agree on the real trace of their (mirror) domains;
-    agreement is sampled at evenly spaced real points.
+    The two data must agree on the real trace of their (mirror) domains:
+    at evenly spaced real points, the largest |r - s| is at most
+    REAL_TRACE_TOL times the largest |r| or |s| there.
     """
     if (j.u - k.u).norm() <= DEGENERATE_UNIT_TOL:
         raise DegenerateUnits("extension needs two distinct imaginary units")
     pts = _real_trace_points(r, s)
     if not pts:
         raise NoRealTrace("the slice domain does not meet the real axis")
-    for x in pts:
-        gap = (r(x, 0.0) - s(x, 0.0)).norm()
-        if gap > REAL_TRACE_TOL:
-            raise RealTraceMismatch(
-                f"slice data disagree on the real axis at x={x} (|r-s| = {gap:.3e})"
-            )
+    trace = [(x, r(x, 0.0), s(x, 0.0)) for x in pts]
+    gap, x = max(((u - v).norm(), x) for x, u, v in trace)
+    scale = max(max(u.norm(), v.norm()) for _, u, v in trace)
+    if gap > REAL_TRACE_TOL * scale:
+        raise RealTraceMismatch(f"slice data disagree on the real axis at x={x} "
+                                f"(|r-s| = {gap:.3e} where |r|, |s| reach {scale:.3e})")
     domain = None
     if r.region is not None:
         domain = symmetric_completion(r.region)
@@ -69,19 +70,16 @@ def ext_from_holomorphic(f: StemFunction) -> SliceExpr:
     s(x + yK) = f(x - yJ), which reproduces the single-slice formula
       f~(x+yI) = 1/2 [f(x+yJ) + f(x-yJ)] + I 1/2 [J (f(x-yJ) - f(x+yJ))].
     """
-    if f.region is not None:
-        if not f.region.is_axis_symmetric():
-            raise DomainNotSymmetric(
-                "single-slice extension needs a domain symmetric in the real axis"
-            )
-        if not f.region.real_trace_samples(REAL_TRACE_SAMPLES):
-            raise NoRealTrace("the slice domain does not meet the real axis")
+    if f.region is not None and not f.region.is_axis_symmetric():
+        raise DomainNotSymmetric("single-slice extension needs a domain symmetric in the real axis")
+    domain = symmetric_completion(f.region) if f.region is not None else None
+    if domain is not None and not domain.contains_real:
+        raise NoRealTrace("the slice domain does not meet the real axis")
     mirror = StemFunction(
         func=lambda x, y, _f=f.func: _f(x, -y),
         unit=-f.unit,
         region=f.region.mirrored() if f.region is not None else None,
     )
-    domain = symmetric_completion(f.region) if f.region is not None else None
     return Ext(r=f, s=mirror, j=f.unit, k=-f.unit, domain=domain)
 
 

@@ -19,10 +19,15 @@ from .representation import (
 from .zeros import SphereZero, ZeroKind
 
 
-# Nesting bound of a decoded expression tree: it keeps evaluation's
-# recursion far below the interpreter's limit.  It does not bound cost: a
-# chain of star, conj, symm or recip nodes still costs 2^depth.
+# Bounds on a decoded expression tree: its depth keeps evaluation's recursion
+# far below the interpreter's limit, and its cost (_eval_cost, leaf
+# evaluations per point; 2^depth for a chain of conj nodes) bounds the time.
 MAX_EXPR_DEPTH = 64
+MAX_EVAL_COST = 4096
+
+# Op tags of the expression nodes with one child "f", or with "f" and "g".
+_UNARY_OPS = {"conj": Conj, "symm": Symm, "recip": Recip}
+_BINARY_OPS = {"star": Star, "sum": Sum}
 
 # Bound on the raster that classifies a decoded domain at its grid step
 # (representation.raster_cells): the flood fill of symmetric_completion
@@ -75,7 +80,7 @@ def poly_from_json(data) -> SlicePolynomial:
 
 def domain_from_json(data) -> AxialDomain:
     region = region_from_json(data)
-    grid_step = _finite(data.get("grid_step", 1e-2), "grid step")
+    grid_step = _finite(data.get("grid_step", DEFAULT_GRID_STEP), "grid step")
     if grid_step <= 0.0:
         raise DecodeError(f"grid step must be positive, got {grid_step!r}")
     return symmetric_completion(_bounded_raster(region, grid_step), grid_step=grid_step)
@@ -152,10 +157,10 @@ def expr_to_json(f: SliceExpr) -> dict:
 
 def expr_from_json(data, depth: int = 1) -> SliceExpr:
     """Decode an expression tree; ``depth`` is the level of ``data`` in the
-    tree, and trees deeper than MAX_EXPR_DEPTH are rejected."""
+    tree.  Trees over MAX_EXPR_DEPTH or MAX_EVAL_COST are rejected."""
     if depth > MAX_EXPR_DEPTH:
         raise DecodeError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
-    if not isinstance(data, dict) or "op" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("op"), str):
         raise DecodeError(f"expression must be an object with an 'op' tag, got {data!r}")
     op = data["op"]
 
@@ -163,20 +168,14 @@ def expr_from_json(data, depth: int = 1) -> SliceExpr:
         return expr_from_json(_field(data, key), depth + 1)
 
     if op == "poly":
-        return Poly(poly_from_json(data))
-    if op == "star":
-        return Star(child("f"), child("g"))
-    if op == "conj":
-        return Conj(child("f"))
-    if op == "symm":
-        return Symm(child("f"))
-    if op == "recip":
-        return Recip(child("f"))
-    if op == "sum":
-        return Sum(child("f"), child("g"))
-    if op == "rscale":
-        return RightScalar(child("f"), quaternion_from_json(_field(data, "a")))
-    if op == "ext":
+        f = Poly(poly_from_json(data))
+    elif op in _UNARY_OPS:
+        f = _UNARY_OPS[op](child("f"))
+    elif op in _BINARY_OPS:
+        f = _BINARY_OPS[op](child("f"), child("g"))
+    elif op == "rscale":
+        f = RightScalar(child("f"), quaternion_from_json(_field(data, "a")))
+    elif op == "ext":
         # Stems are callables; over the wire an extension is specified by a
         # polynomial stem restricted to one slice (plus an optional domain).
         if "stem" not in data or "slice" not in data:
@@ -190,8 +189,23 @@ def expr_from_json(data, depth: int = 1) -> SliceExpr:
         region = None
         if "domain" in data:
             region = _bounded_raster(region_from_json(data["domain"]), DEFAULT_GRID_STEP)
-        return ext_from_holomorphic(restriction_stem(Poly(poly), unit, region=region))
-    raise DecodeError(f"unknown expression op {op!r}")
+        f = ext_from_holomorphic(restriction_stem(Poly(poly), unit, region=region))
+    else:
+        raise DecodeError(f"unknown expression op {op!r}")
+    if depth == 1 and _eval_cost(f) > MAX_EVAL_COST:
+        raise DecodeError(f"expression costs more than {MAX_EVAL_COST} leaf evaluations per point")
+    return f
+
+
+def _eval_cost(f: SliceExpr, pair: bool = False) -> int:
+    """Leaf evaluations of expr._eval at one point (of expr._pair if ``pair``)."""
+    if pair and not isinstance(f, Poly):
+        return 2 * _eval_cost(f)
+    if isinstance(f, (Conj, Symm, Recip)):
+        return _eval_cost(f.f, pair=True)
+    if isinstance(f, (Sum, Star)):
+        return _eval_cost(f.f) + _eval_cost(f.g, pair=isinstance(f, Star))
+    return _eval_cost(f.f) if isinstance(f, RightScalar) else 1
 
 
 def sphere_zero_to_json(z: SphereZero) -> dict:

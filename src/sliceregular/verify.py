@@ -8,18 +8,9 @@ from __future__ import annotations
 
 import math
 
+from .errors import SingularPoint
 from .expr import (
-    Conj,
-    Poly,
-    Recip,
-    SliceExpr,
-    Star,
-    conj_eval,
-    evaluate,
-    split,
-    star_eval,
-    star_via_composition,
-    symm_eval,
+    Conj, Poly, Recip, SliceExpr, Star, Symm, _eval, evaluate, split, star_via_composition,
 )
 from .extension import ext_from_holomorphic, restriction_stem
 from .polynomial import SlicePolynomial
@@ -35,6 +26,10 @@ _MASK = (1 << 64) - 1
 BOX_X = 2.0
 BOX_Y_MIN = 0.1
 BOX_Y_MAX = 2.0
+
+# Every report compares residual / m with CHECK_TOL, m the majorant of the
+# values compared (expr._eval), so lambda*f gets the verdict of f.
+CHECK_TOL = 1e-9
 
 
 class SplitMix64:
@@ -113,8 +108,7 @@ class CheckReport(Value):
         }
 
 
-def _report(name: str, samples: int, residuals: list[tuple[str, float]],
-            tolerance: float) -> CheckReport:
+def _report(name: str, samples: int, residuals: list[tuple[str, float]]) -> CheckReport:
     if residuals:
         worst = max(residuals, key=lambda t: t[1])
     else:
@@ -122,18 +116,23 @@ def _report(name: str, samples: int, residuals: list[tuple[str, float]],
     max_res = worst[1]
     return CheckReport(
         name=name, samples=samples, max_residual=max_res,
-        tolerance=tolerance, passed=max_res <= tolerance,
+        tolerance=CHECK_TOL, passed=max_res <= CHECK_TOL,
         worst_case=worst,
     )
 
 
+def _relative(residual: float, m: float) -> float:
+    """residual / m; an exact 0 (the only residual a zero majorant allows) is 0."""
+    return residual / m if residual else 0.0
+
+
 def check_grf_invariance(f: SliceExpr, spheres: int = 20, unit_pairs: int = 20,
-                         seed: int = 7, tolerance: float = 1e-9,
-                         name: str = "grf_invariance") -> CheckReport:
+                         seed: int = 7, name: str = "grf_invariance") -> CheckReport:
     """Spread of the general representation across random unit pairs.
 
     For each sampled sphere and target point, the value rebuilt from the
-    slices L_J and L_K must not depend on the choice of (J, K).
+    slices L_J and L_K must not depend on the choice of (J, K): the spread,
+    divided by the largest majorant of the values it was rebuilt from.
 
     This measures slice-ness (on each sphere x + y*S the value depends
     affinely on the unit, f(x + y*I) = b + I*c), not regularity: every slice
@@ -146,17 +145,17 @@ def check_grf_invariance(f: SliceExpr, spheres: int = 20, unit_pairs: int = 20,
     for _ in range(spheres):
         x, y = rng.sphere()
         target = SlicePoint(x, y, rng.unit())
-        values = []
+        values, m = [], 0.0
         for _ in range(unit_pairs):
             j, k = rng.unit_pair()
-            v_j = evaluate(f, from_slice(x, y, j))
-            v_k = evaluate(f, from_slice(x, y, k))
+            (v_j, m_j), (v_k, m_k) = _eval(f, from_slice(x, y, j)), _eval(f, from_slice(x, y, k))
+            m = max(m, m_j, m_k)
             values.append(general_representation(v_j, v_k, j, k, target))
         spread = max(
             (a - b).norm() for ai, a in enumerate(values) for b in values[ai + 1:]
         )
-        residuals.append((f"sphere x={x:.6g} y={y:.6g}", spread))
-    return _report(name, spheres, residuals, tolerance)
+        residuals.append((f"sphere x={x:.6g} y={y:.6g}", _relative(spread, m)))
+    return _report(name, spheres, residuals)
 
 
 def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
@@ -166,7 +165,9 @@ def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
     One report per identity: conjugate anti-homomorphism, the composition
     form of the product, multiplicativity (and commutation) of the
     symmetrization, left reciprocal identity, slice preservation of f^s.
-    The right reciprocal identity is measured and reported as well.
+    The right reciprocal identity is measured and reported as well.  Each
+    residual is relative to the majorants of the values it compares; a
+    point on the zero set of f^s has no reciprocal and is skipped.
     """
     rng = SplitMix64(seed)
     antihom, compose, multiplicative, commute = [], [], [], []
@@ -177,52 +178,49 @@ def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
         q = rng.point()
         tag = f"q=({q.x0:.4g},{q.x1:.4g},{q.x2:.4g},{q.x3:.4g})"
 
-        lhs = conj_eval(fg, q)
-        rhs = star_eval(Conj(g), Conj(f), q)
-        antihom.append((tag, (lhs - rhs).norm()))
+        (lhs, m_lhs), (rhs, m_rhs) = _eval(Conj(fg), q), _eval(Star(Conj(g), Conj(f)), q)
+        antihom.append((tag, _relative((lhs - rhs).norm(), m_lhs + m_rhs)))
 
-        star = star_eval(f, g, q)
-        if evaluate(f, q).norm() > 1e-6:
-            compose.append((tag, (star_via_composition(f, g, q) - star).norm()))
+        (star, m_star), (fq, m_f) = _eval(fg, q), _eval(f, q)
+        if fq.norm() > 1e-6 * m_f:
+            compose.append((tag, _relative((star_via_composition(f, g, q) - star).norm(), m_star)))
 
-        sf, sg = symm_eval(f, q), symm_eval(g, q)
-        # Both symmetrization residuals are measured relative to the product
-        # magnitude, which can reach ~1e5 inside the sampling box; an
-        # absolute tolerance there would only measure rounding noise.
-        scale = max(1.0, sf.norm() * sg.norm())
-        multiplicative.append((tag, (symm_eval(fg, q) - sf * sg).norm() / scale))
-        commute.append((tag, (sf * sg - sg * sf).norm() / scale))
+        (sfg, m_fg), (sf, m_sf), (sg, m_sg) = (_eval(Symm(h), q) for h in (fg, f, g))
+        multiplicative.append((tag, _relative((sfg - sf * sg).norm(), m_fg + m_sf * m_sg)))
+        commute.append((tag, _relative((sf * sg - sg * sf).norm(), m_sf * m_sg)))
 
         sp = slice_coords(q)
         if not sp.unit_is_arbitrary:
             j = orthogonal_unit(sp.unit)
-            parts = split(sf, sp.unit, j)
-            slice_pres.append((tag, abs(parts.g)))
+            slice_pres.append((tag, _relative(abs(split(sf, sp.unit, j).g), m_sf)))
 
-        if sf.norm() > 1e-3:
-            left_recip.append((tag, (star_eval(recip_f, f, q) - Quaternion(1.0)).norm()))
-            right_recip.append((tag, (star_eval(f, recip_f, q) - Quaternion(1.0)).norm()))
+        try:
+            (vl, ml), (vr, mr) = _eval(Star(recip_f, f), q), _eval(Star(f, recip_f), q)
+        except SingularPoint:
+            continue
+        left_recip.append((tag, _relative((vl - Quaternion(1.0)).norm(), ml)))
+        right_recip.append((tag, _relative((vr - Quaternion(1.0)).norm(), mr)))
 
     return [
-        _report("conjugate_antihomomorphism", len(antihom), antihom, 1e-9),
-        _report("star_composition_form", len(compose), compose, 1e-8),
-        _report("symmetrization_multiplicative", len(multiplicative), multiplicative, 1e-9),
-        _report("symmetrization_factors_commute", len(commute), commute, 1e-12),
-        _report("symmetrization_slice_preservation", len(slice_pres), slice_pres, 1e-10),
-        _report("reciprocal_left_identity", len(left_recip), left_recip, 1e-8),
-        _report("reciprocal_right_identity", len(right_recip), right_recip, 1e-8),
+        _report("conjugate_antihomomorphism", len(antihom), antihom),
+        _report("star_composition_form", len(compose), compose),
+        _report("symmetrization_multiplicative", len(multiplicative), multiplicative),
+        _report("symmetrization_factors_commute", len(commute), commute),
+        _report("symmetrization_slice_preservation", len(slice_pres), slice_pres),
+        _report("reciprocal_left_identity", len(left_recip), left_recip),
+        _report("reciprocal_right_identity", len(right_recip), right_recip),
     ]
 
 
 def check_extension_roundtrip(f: SlicePolynomial, unit: ImaginaryUnit,
-                              points: int = 100, seed: int = 7,
-                              tolerance: float = 1e-9) -> CheckReport:
-    """Extension of the slice restriction of a polynomial reproduces it."""
+                              points: int = 100, seed: int = 7) -> CheckReport:
+    """Extension of the slice restriction of a polynomial reproduces it, to
+    a residual relative to f's majorant."""
     rng = SplitMix64(seed)
     ext = ext_from_holomorphic(restriction_stem(Poly(f), unit))
     residuals = []
     for _ in range(points):
         q = rng.point()
         tag = f"q=({q.x0:.4g},{q.x1:.4g},{q.x2:.4g},{q.x3:.4g})"
-        residuals.append((tag, (evaluate(ext, q) - f.evaluate(q)).norm()))
-    return _report("extension_roundtrip", points, residuals, tolerance)
+        residuals.append((tag, _relative((evaluate(ext, q) - f.evaluate(q)).norm(), f.majorant(q))))
+    return _report("extension_roundtrip", points, residuals)

@@ -16,7 +16,7 @@ import enum
 import math
 
 from .errors import NonConvergence, SingularPoint
-from .expr import Poly, SliceExpr, evaluate, recip_eval, star_eval
+from .expr import Poly, SliceExpr, Star, _eval, evaluate, recip_eval
 from .extension import sphere_affine_coeffs
 from .polynomial import SlicePolynomial, backward_bound, symm_poly
 from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, ZERO, Value, quat_inv, slice_coords
@@ -26,6 +26,7 @@ SPHERE_DEDUP_TOL = 1e-8
 ABERTH_MAX_ITER = 200
 ABERTH_TOL = 1e-13
 KERNEL_SINGULAR_TOL = 1e-10
+REFINE_STEPS = 8
 
 
 class ZeroKind(enum.Enum):
@@ -181,18 +182,23 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
 # Polynomial zero pipeline
 # ---------------------------------------------------------------------------
 
-def _refine(f: SlicePolynomial, z: complex, steps: int = 8) -> complex:
+def _with_derivatives(f: SlicePolynomial) -> tuple[SlicePolynomial, ...]:
+    df = f.derivative()
+    return f, df, df.derivative()
+
+
+def _refine(fs: tuple[SlicePolynomial, ...], z: complex) -> complex:
     """Newton on u = s/s' from z, where s = sum_k p_k^2 is f^s on L_i, from
-    the stem p_k of f (f.stem) and the stems p_k', p_k'' of its derivatives.
+    the stem p_k of f (f.stem) and the stems p_k', p_k'' of its derivatives;
+    fs is (f, f', f''), as _with_derivatives gives it.
 
     u has a simple zero at every root of s, so the real and spherical zeros
     of f, double roots of s, converge quadratically too.  p, p' and p'' are
     scaled by the power of two that brings f's majorant at z near 1, so the
     squares stay normal doubles and the step does not depend on f's scale.
     """
-    df = f.derivative()
-    fs = (f, df, df.derivative())
-    for _ in range(steps):
+    f = fs[0]
+    for _ in range(REFINE_STEPS):
         m = f.majorant(Quaternion(z.real, z.imag))
         t = math.ldexp(1.0, -max(math.frexp(m)[1], -1021))
         p, d, d2 = ([v * t for v in g.stem(z)] for g in fs)
@@ -215,7 +221,7 @@ def _refine(f: SlicePolynomial, z: complex, steps: int = 8) -> complex:
 def _refine_spherical_candidate(f: SlicePolynomial, x: float, y: float,
                                 tol: float) -> tuple[float, float] | None:
     """The sphere (x, |y|) of _refine(f, x + iy) when |f.stem| < tol there, else None."""
-    z = _refine(f, complex(x, y))
+    z = _refine(_with_derivatives(f), complex(x, y))
     return (z.real, abs(z.imag)) if math.hypot(*map(abs, f.stem(z))) < tol else None
 
 
@@ -270,8 +276,9 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     if not all(math.isfinite(backward_bound(abs_coeffs, abs(z))) for z in roots):
         raise NonConvergence("symmetrization out of floating-point range at an iterate")
     seen: list[complex] = []  # refined candidate spheres x + iy about the center
+    fs = _with_derivatives(f)
     for z in roots:
-        z = _refine(f, z + f.center) - f.center
+        z = _refine(fs, z + f.center) - f.center
         z = complex(z.real, abs(z.imag) if abs(z.imag) >= SPHERE_DEDUP_TOL * abs(z) else 0.0)
         if all(abs(z - s) > SPHERE_DEDUP_TOL * max(abs(z), abs(s)) for s in seen):
             seen.append(z)
@@ -288,18 +295,18 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     return out
 
 
-def star_zero_check(f: SliceExpr, g: SliceExpr, q: Quaternion, tol: float = CLASSIFY_TOL) -> bool:
+def star_zero_check(f: SliceExpr, g: SliceExpr, q: Quaternion) -> bool:
     """Does the zero theorem's predicate match a direct star evaluation?
 
-    Predicate: f(q) = 0, or f(q) != 0 and g(f(q)^{-1} q f(q)) = 0,
-    all comparisons with the absolute ``tol``: generic f and g have no majorant.
+    Predicate: f(q) = 0, or f(q) != 0 and g(f(q)^{-1} q f(q)) = 0.  A value
+    is zero when at most CLASSIFY_TOL times its majorant (expr._eval), which
+    for Ext and RawMap nodes is the value's own norm: only 0 is zero there.
     """
-    fq = evaluate(f, q)
-    if fq.norm() < tol:
-        predicate = True
-    else:
-        predicate = evaluate(g, quat_inv(fq) * q * fq).norm() < tol
-    return predicate == (star_eval(f, g, q).norm() < tol)
+    v, m = _eval(f, q)
+    if v.norm() > CLASSIFY_TOL * m:  # f(q) != 0: the predicate reads g there
+        v, m = _eval(g, quat_inv(v) * q * v)
+    fg, m_fg = _eval(Star(f, g), q)
+    return (v.norm() <= CLASSIFY_TOL * m) == (fg.norm() <= CLASSIFY_TOL * m_fg)
 
 
 def cauchy_kernel(s: Quaternion, q: Quaternion) -> Quaternion:

@@ -70,7 +70,7 @@ def test_criterion_01_conjugation_control():
     ok = worst_cr > 1e-2 and grf.passed
     assert report(1, "falsifiability control q -> conj(q)", ok,
                   f"control Cauchy-Riemann residual {worst_cr:.3e}, required > 1e-2 "
-                  f"over 20 points; grf spread {grf.max_residual:.3e} "
+                  f"over 20 points; grf spread/m {grf.max_residual:.3e} "
                   f"<= {grf.tolerance:.0e} (slice, not regular)")
 
 

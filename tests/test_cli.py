@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from sliceregular.cli import build_parser, main
-from sliceregular.serialize import MAX_EXPR_DEPTH
+from sliceregular.serialize import MAX_EXPR_DEPTH, DecodeError, expr_from_json
 
 
 @pytest.fixture
@@ -278,6 +278,17 @@ def test_eval_rejects_nesting_beyond_depth_cap(run):
     _assert_decode_error(run(["eval"], nested(MAX_EXPR_DEPTH + 1)))
     conj = '{"op": "conj", "f": ' * 900 + json.dumps(_LINEAR) + "}" * 900
     _assert_decode_error(run(["eval"], f'{{"expr": {conj}, "points": []}}'))
+
+    # the cost bound: n conj levels over a polynomial cost 2^(n-1) leaf
+    # evaluations per point, so 13 levels (4096) are served and 14 are not
+    def chain(levels):
+        return json.loads('{"op": "conj", "f": ' * levels + json.dumps(_LINEAR) + "}" * levels)
+
+    with pytest.raises(DecodeError, match="leaf evaluations"):
+        expr_from_json(chain(40))
+    code, out, _ = run(["eval"], {"expr": chain(13), "points": [[0, 1, 0, 0]]})
+    assert code == 0 and len(json.loads(out)["values"]) == 1
+    _assert_decode_error(run(["eval"], {"expr": chain(14), "points": [[0, 1, 0, 0]]}))
     _assert_decode_error(run(["eval"], '{"expr": ' + "[" * 100000 + "]" * 100000 + "}"))
 
 

@@ -41,7 +41,8 @@ from sliceregular import (
     symm_poly,
 )
 from sliceregular.expr import from_split, split
-from sliceregular.quaternion import dot
+from sliceregular.quaternion import dot, quat_inv
+from sliceregular.serialize import _eval_cost
 from sliceregular.verify import SplitMix64
 
 from conftest import assert_close
@@ -206,10 +207,13 @@ def test_recip_singular_where_pair_is_rounding_noise(scale):
     (lambda f: Star(f, f), 2),
     (Symm, 1),
     (Conj, 1),
-], ids=["recip-recip", "star", "symm", "conj"])
+    (lambda f: Conj(Conj(Conj(f))), 4),
+    (lambda f: Sum(Star(Conj(f), Symm(f)), RightScalar(Recip(f), UNIT_K.u)), 4),
+], ids=["recip-recip", "star", "symm", "conj", "conj-chain", "mixed"])
 def test_evaluation_counts_polynomial_calls(monkeypatch, node, calls):
     # a polynomial's (b, c) pair is one stem pass; other nodes read their
-    # children at q and conj(q) only
+    # children at q and conj(q) only.  The decoder's cost bound counts the
+    # same calls.
     count = [0]
 
     def counted(original):
@@ -220,16 +224,21 @@ def test_evaluation_counts_polynomial_calls(monkeypatch, node, calls):
 
     for name in ("evaluate", "stem"):
         monkeypatch.setattr(SlicePolynomial, name, counted(getattr(SlicePolynomial, name)))
-    evaluate(node(Poly(polynomial([UNIT_J.u, ONE, UNIT_I.u]))), Quaternion(0.3, 0.4, -0.5, 0.6))
-    assert count[0] == calls
+    tree = node(Poly(polynomial([UNIT_J.u, ONE, UNIT_I.u])))
+    evaluate(tree, Quaternion(0.3, 0.4, -0.5, 0.6))
+    assert count[0] == calls == _eval_cost(tree)
 
 
 def test_composition_form_agrees():
-    f = Poly(polynomial([1.0, UNIT_I.u]))
+    # f(q) != 0 is judged against f's majorant, so a small f still has a
+    # composition form
     g = Poly(polynomial([UNIT_J.u, 1.0, 1.0]))
-    for q in sample_points(37, 30):
-        if evaluate(f, q).norm() > 1e-6:
-            assert_close(star_via_composition(f, g, q), star_eval(f, g, q), tol=1e-9)
+    for scale in (1.0, 1e-13):
+        f = Poly(polynomial([scale, scale * UNIT_I.u]))
+        for q in sample_points(37, 30):
+            if evaluate(f, q).norm() > 1e-6 * scale:
+                assert_close(star_via_composition(f, g, q), star_eval(f, g, q),
+                             tol=1e-9 * scale)
 
 
 def test_composition_form_needs_nonzero_base():
@@ -256,6 +265,14 @@ def test_slice_derivative_finite_difference():
     expr = Sum(Poly(p), Poly(polynomial([0.0])))  # non-Poly node, FD path
     q = Quaternion(1.0, 2.0, 0.0, 0.0)
     assert_close(slice_derivative(expr, q), 2.0 * q, tol=1e-8)
+    # the step follows the point's scale: (q^2 + s^2)^{-*} has slice
+    # derivative -2q (q^2 + s^2)^{-2}, at q = s(0.5 + 0.7j) for every s
+    for s in (1e-100, 1e-30, 1e-8, 1e-3, 1.0, 1e6, 1e12, 1e30, 1e100):
+        q = from_slice(0.5 * s, 0.7 * s, UNIT_J)
+        w = quat_inv(q * q + Quaternion(s * s))
+        exact = ((q * w) * w) * -2.0
+        got = slice_derivative(Recip(Poly(polynomial([s * s, 0.0, 1.0]))), q)
+        assert (got - exact).norm() <= 1e-9 * exact.norm(), s
 
 
 def test_regularity_residual_small_for_regular():
@@ -264,12 +281,20 @@ def test_regularity_residual_small_for_regular():
         f = Poly(rng.polynomial(max_degree=4))
         q = rng.point()
         assert regularity_residual(f, q) <= 1e-7
+    # relative to |f'| at every scale of the point
+    for s in (1e-100, 1e-8, 1.0, 1e12, 1e100):
+        q = from_slice(0.5 * s, 0.7 * s, UNIT_J)
+        f = Recip(Poly(polynomial([s * s, 0.0, 1.0])))
+        assert regularity_residual(f, q) <= 1e-9 * slice_derivative(f, q).norm(), s
 
 
 def test_regularity_residual_flags_nonregular_maps():
     # quaternion conjugation: residual exactly 1 on every slice
     conj_map = RawMap(lambda q: q.conjugate())
     assert regularity_residual(conj_map, from_slice(0.3, 1.0, UNIT_J)) == pytest.approx(1.0, abs=1e-9)
+    for s in (1e-100, 1e-8, 1e-3, 1e6, 1e12, 1e100):
+        q = from_slice(0.5 * s, 0.7 * s, UNIT_J)
+        assert regularity_residual(conj_map, q) == pytest.approx(1.0, abs=1e-9), s
     # left multiplication by i: regular on L_i only
     left_i = RawMap(lambda q: UNIT_I.u * q)
     assert regularity_residual(left_i, from_slice(0.3, 1.0, UNIT_I)) <= 1e-9

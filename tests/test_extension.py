@@ -105,6 +105,15 @@ def test_extend_rejects_mismatched_real_trace():
     s = restriction_stem(Poly(polynomial([1.0, 1.0])), UNIT_K)
     with pytest.raises(RealTraceMismatch):
         extend(r, s, UNIT_J, UNIT_K)
+    # the trace test is relative to the data's size on the trace
+    p = polynomial([0.3, 1.0, 0.5])
+    for scale in (1.0, 2.0 ** 40, 2.0 ** -40, 1e12, 1e-12):
+        r = restriction_stem(Poly(p.right_scaled(Quaternion(scale))), UNIT_J)
+        near = restriction_stem(Poly(p.right_scaled(Quaternion(scale * (1.0 + 1e-13)))), UNIT_K)
+        extend(r, near, UNIT_J, UNIT_K)
+        twice = restriction_stem(Poly(p.right_scaled(Quaternion(2.0 * scale))), UNIT_K)
+        with pytest.raises(RealTraceMismatch):
+            extend(r, twice, UNIT_J, UNIT_K)
 
 
 def test_extend_rejects_domains_missing_the_real_axis():

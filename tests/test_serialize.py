@@ -57,6 +57,9 @@ def test_expr_rejects_unknown_op():
         expr_from_json({"op": "laplace"})
     with pytest.raises(DecodeError):
         expr_from_json([1, 2])
+    for op in ([], {}, 5, None):  # not a tag, and not all of them hashable
+        with pytest.raises(DecodeError):
+            expr_from_json({"op": op, "f": {"op": "poly", "coeffs": [[1, 0, 0, 0]]}})
 
 
 def test_ext_expr_from_json():

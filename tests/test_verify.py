@@ -2,6 +2,7 @@
 
 from sliceregular import (
     Poly,
+    Quaternion,
     RawMap,
     UNIT_I,
     check_extension_roundtrip,
@@ -80,6 +81,25 @@ def test_identity_suite_passes_for_polynomials():
     for report in reports:
         assert report.passed, report
         assert report.samples > 0
+
+
+def _nine_reports(scale):
+    rng = SplitMix64(3)
+    f, g = (rng.polynomial().right_scaled(Quaternion(scale)) for _ in range(2))
+    return ([check_grf_invariance(Poly(f), spheres=5, seed=1)]
+            + check_identity_suite(Poly(f), Poly(g), points=40, seed=1)
+            + [check_extension_roundtrip(f, UNIT_I, points=40, seed=1)])
+
+
+def test_reports_do_not_depend_on_the_scale_of_f():
+    # every residual is divided by the majorant of the values it compares:
+    # a power-of-two scale changes no bit, any other scale no verdict
+    base = _nine_reports(1.0)
+    assert all(r.passed and r.samples > 0 for r in base)
+    for j in (20, -20, 60, -60, 100, -100):
+        assert _nine_reports(2.0 ** j) == base, j
+    for scale in (1e12, 1e-12):
+        assert [r.passed for r in _nine_reports(scale)] == [r.passed for r in base], scale
 
 
 def test_extension_roundtrip_check():

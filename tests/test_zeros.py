@@ -383,6 +383,13 @@ def test_star_zero_check():
         assert star_zero_check(f, g, rng.point())
     assert star_zero_check(f, g, UNIT_I.u)
     assert star_zero_check(f, g, UNIT_J.u)
+    # each "= 0" is judged against the value's majorant, so scaling f and g
+    # together changes nothing
+    for scale in (1e-9, 1.0, 1e9):
+        rng = SplitMix64(42)
+        f, g = (Poly(rng.polynomial().right_scaled(Quaternion(scale))) for _ in range(2))
+        for _ in range(50):
+            assert star_zero_check(f, g, rng.point()), scale
 
 
 def test_cauchy_kernel_example():
