@@ -1,16 +1,21 @@
 """Command-line front end: JSON over stdin/stdout.
 
+Usage: ``sliceregular [--pretty] COMMAND [OPTION]...``; ``-h``/``--help``
+prints the commands and their options and exits 0.  Options are spelled in
+full, as ``--name value`` or ``--name=value``.
+
 Exit codes: 0 success, 1 failed check reports, 2 usage or parse errors,
-3 domain/singularity errors.  Machine-parsable errors go to stderr with the
-byte-exact prefix "error:".
+3 domain/singularity errors and any other (internal) error.  Errors go to
+stderr as one line with the byte-exact prefix "error:"; a usage error raises
+SystemExit(2) after printing it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import NonFiniteValue, SliceRegularError
 from .expr import Poly, RawMap, evaluate
@@ -35,6 +40,7 @@ from .zeros import cauchy_kernel, poly_roots
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 3
+INTERNAL_EXIT = 3
 CHECK_FAIL_EXIT = 1
 
 
@@ -180,36 +186,114 @@ def _cmd_check(args) -> int:
     return CHECK_FAIL_EXIT if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sliceregular",
-        description="Calculus of slice regular quaternionic functions over JSON stdin/stdout.",
-    )
-    parser.add_argument("--pretty", action="store_true", help="indent JSON output")
-    sub = parser.add_subparsers(dest="command", required=True)
+SUITES = ("grf", "identities", "extension", "all")
 
-    p_eval = sub.add_parser("eval", help="evaluate an expression at points")
-    p_eval.set_defaults(func=_cmd_eval)
+USAGE = f"""\
+usage: sliceregular [--pretty] COMMAND [OPTION]...
 
-    p_roots = sub.add_parser("roots", help="zero spheres of a quaternionic polynomial")
-    p_roots.set_defaults(func=_cmd_roots)
+Calculus of slice regular quaternionic functions: each command reads one
+JSON document from stdin and writes JSON to stdout.
 
-    p_check = sub.add_parser("check", help="run theorem-shaped verification suites")
-    p_check.add_argument("--suite", choices=["grf", "identities", "extension", "all"],
-                         default="all")
-    p_check.add_argument("--seed", type=int)  # None: SLICEREG_SEED, then 7
-    p_check.add_argument("--samples", type=int, default=200)
-    p_check.add_argument("--with-control", action="store_true",
-                         help="include the non-regular control (expected to fail)")
-    p_check.set_defaults(func=_cmd_check)
+commands:
+  eval      evaluate an expression at points
+  roots     zero spheres of a quaternionic polynomial
+  kernel    Cauchy kernel S^{{-*}}(q) for q - s
+  extend    extend slice data / classify a domain
+              --grid-step STEP  domain grid step (default {DEFAULT_GRID_STEP})
+  check     run theorem-shaped verification suites
+              --suite {{{','.join(SUITES)}}}  (default all)
+              --seed N          (default $SLICEREG_SEED, then 7)
+              --samples N       (default 200)
+              --with-control    include the non-regular control (expected to fail)
 
-    p_ext = sub.add_parser("extend", help="extend slice data / classify a domain")
-    p_ext.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
-    p_ext.set_defaults(func=_cmd_extend)
+options:
+  --pretty     indent JSON output (before the command)
+  -h, --help   print this text and exit
 
-    p_kernel = sub.add_parser("kernel", help="Cauchy kernel S^{-*}(q) for q - s")
-    p_kernel.set_defaults(func=_cmd_kernel)
-    return parser
+Options are spelled in full, as --name value or --name=value.
+Exit codes: 0 success, 1 a check report failed, 2 usage or parse error,
+3 domain, singularity or internal error.
+"""
+
+
+def _suite(text: str) -> str:
+    if text not in SUITES:
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(SUITES)})")
+    return text
+
+
+# command -> (handler, {option: (attribute, converter or None for a flag, default)})
+_COMMANDS = {
+    "eval": (_cmd_eval, {}),
+    "roots": (_cmd_roots, {}),
+    "check": (_cmd_check, {
+        "--suite": ("suite", _suite, "all"),
+        "--seed": ("seed", int, None),  # None: SLICEREG_SEED, then 7
+        "--samples": ("samples", int, 200),
+        "--with-control": ("with_control", None, False),
+    }),
+    "extend": (_cmd_extend, {"--grid-step": ("grid_step", float, DEFAULT_GRID_STEP)}),
+    "kernel": (_cmd_kernel, {}),
+}
+_HELP = ("-h", "--help")
+
+
+def _usage_error(message: str):
+    raise SystemExit(_fail(message, USAGE_EXIT))
+
+
+def _help():
+    sys.stdout.write(USAGE)
+    raise SystemExit(0)
+
+
+class _Parser:
+    """Parses ``[--pretty] COMMAND [--name value | --name=value | --flag]...``
+    by the table ``_COMMANDS``.  Help exits 0; a usage error prints one
+    ``error:`` line and exits 2."""
+
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        words = iter(sys.argv[1:] if argv is None else argv)
+        pretty = False
+        for word in words:
+            if word in _HELP:
+                _help()
+            if word != "--pretty":
+                break
+            pretty = True
+        else:
+            _usage_error(f"a command is required (choose from {', '.join(_COMMANDS)})")
+        if word not in _COMMANDS:
+            _usage_error(f"invalid choice: {word!r} (choose from {', '.join(_COMMANDS)})")
+        func, options = _COMMANDS[word]
+        args = SimpleNamespace(command=word, func=func, pretty=pretty)
+        for attr, _convert, default in options.values():
+            setattr(args, attr, default)
+        for word in words:
+            if word in _HELP:
+                _help()
+            name, has_value, text = word.partition("=")
+            if name not in options:
+                _usage_error(f"unrecognized argument {word!r} for {args.command}")
+            attr, convert, _default = options[name]
+            if convert is None:
+                if has_value:
+                    _usage_error(f"argument {name} takes no value")
+                setattr(args, attr, True)
+                continue
+            if not has_value:
+                text = next(words, None)
+                if text is None:
+                    _usage_error(f"argument {name} expects a value")
+            try:
+                setattr(args, attr, convert(text))
+            except ValueError as exc:
+                _usage_error(f"argument {name}: {exc}")
+        return args
+
+
+def build_parser() -> _Parser:
+    return _Parser()
 
 
 _parser = None  # built by the first main() call, reused by later ones
@@ -226,6 +310,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), USAGE_EXIT)
     except SliceRegularError as exc:
         return _fail(str(exc), DOMAIN_EXIT)
+    except Exception as exc:  # last resort, so that exit 1 means only a failed report
+        return _fail(f"internal error: {type(exc).__name__}: {exc}", INTERNAL_EXIT)
 
 
 if __name__ == "__main__":

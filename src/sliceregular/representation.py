@@ -170,9 +170,11 @@ class AxialDomain(Value):
 def raster_cells(region: SliceRegion, step: float) -> float:
     """Cells of the raster on which _slice_components classifies the region
     at this step, over-counted by at most one row and one column (inf if it
-    has no finite size)."""
+    has no finite size).  It reads the raster's own bounds, padded by one
+    step, so a step that overflows them gives inf."""
     x0, x1, y0, y1 = region.bounds()
-    return ((x1 - x0) / step + 4.0) * (2.0 * max(abs(y0), abs(y1)) / step + 4.0)
+    top = max(abs(y0), abs(y1))
+    return ((x1 + step - (x0 - step)) / step + 2.0) * (2.0 * (top + step) / step + 2.0)
 
 
 def _slice_components(region: SliceRegion, step: float) -> int:

@@ -11,7 +11,6 @@ and classified through that affine structure.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 
@@ -86,6 +85,11 @@ def _poly_val_der(coeffs: list[complex], z: complex) -> tuple[complex, complex]:
     return p, dp
 
 
+def _cis(t: float) -> complex:
+    """e^(it), bit for bit as cmath.exp(1j * t) gives it."""
+    return complex(math.cos(t), math.sin(t))
+
+
 def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
                  tol: float = ABERTH_TOL, *, conjugate_pairs: bool = False) -> list[complex]:
     """All roots of a complex polynomial (a_0 + a_1 z + ... + a_n z^n).
@@ -123,9 +127,9 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
     radius = 1.0 + max(abs_coeffs[:-1])
     if conjugate_pairs:
         half = n // 2
-        z = [radius * cmath.exp(1j * (math.pi * (m + 0.5) / half)) for m in range(half)]
+        z = [radius * _cis(math.pi * (m + 0.5) / half) for m in range(half)]
     else:
-        z = [radius * cmath.exp(1j * (2.0 * math.pi * m / n + 0.4)) for m in range(n)]
+        z = [radius * _cis(2.0 * math.pi * m / n + 0.4) for m in range(n)]
     active = list(range(len(z)))
     done = False
     for _ in range(max_iter):
@@ -259,7 +263,8 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     coeffs = _symm_complex_coeffs(f)
     lead = coeffs[-1] if len(coeffs) > 2 * f.degree else math.nan  # NaN: it underflowed
     coeffs = [c / lead for c in coeffs]
-    if not all(map(cmath.isfinite, coeffs)) or (coeffs[0] == 0 and f.coeffs[0] != ZERO):
+    finite = all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs)
+    if not finite or (coeffs[0] == 0 and f.coeffs[0] != ZERO):
         raise NonConvergence("symmetrization out of floating-point range (a coefficient "
                              "overflowed, or the leading or constant one underflowed)")
     converged = True

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -243,15 +244,38 @@ def test_domain_raster_is_bounded_at_decode(run):
                                         "points": [[0, 0, 0, 0]]}))
 
 
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # each costs milliseconds of every CLI process's start-up; -S keeps
-    # site-packages hooks out of the measured set
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    # each costs milliseconds of every CLI process's start-up (argparse
+    # brings gettext); -S keeps site-packages hooks out of the measured set
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import sliceregular.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
+            "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'cmath'}"
+            " & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, _SRC], capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_console_help_and_usage_error():
+    # a real process, where SystemExit becomes the exit status
+    def console(*argv):
+        return subprocess.run([sys.executable, "-S", "-m", "sliceregular.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=_SRC), stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True, timeout=60)
+
+    done = console("--help")
+    assert done.returncode == 0 and done.stderr == ""
+    names = ["eval", "roots", "check", "extend", "kernel", "--pretty", "--help", "--suite",
+             "--seed", "--samples", "--with-control", "--grid-step"]
+    assert all(name in done.stdout for name in names)
+    import sliceregular.cli as cli
+    assert set(cli._COMMANDS) | {o for _, options in cli._COMMANDS.values() for o in options} \
+        <= set(names)
+    done = console("frob")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_eval_rejects_star_without_g(run):
@@ -359,6 +383,136 @@ def test_usage_error_leaves_no_parser_state(run, capsys):
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
     assert run(argv) == first
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frob"],
+    ["check", "--suite", "bogus"], ["check", "--samples", "abc"], ["check", "--seed", "1.5"],
+    ["extend", "--grid-step", "x"],
+    ["check", "--samples"], ["check", "--samp", "5"],
+    ["eval", "--pretty"], ["check", "--with-control=1"],
+])
+def test_usage_error_is_one_line(monkeypatch, capsys, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--pretty", "--help"], ["check", "--seed", "3", "-h"]])
+def test_help_exits_0(monkeypatch, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == "" and out.startswith("usage: sliceregular")
+
+
+def test_option_value_forms(run):
+    spaced = run(["check", "--suite", "identities", "--seed", "3", "--samples", "20"])
+    assert run(["check", "--suite=identities", "--seed=3", "--samples=20"]) == spaced
+    assert run(["check", "--seed", "-4", "--suite", "identities", "--samples", "20"])[0] == 0
+
+
+def test_unexpected_exception_exits_3(run, monkeypatch):
+    # exit 1 stays "a check report failed"
+    import sliceregular.cli as cli
+
+    def broken(s, q):
+        raise RuntimeError("broken kernel")
+
+    monkeypatch.setattr(cli, "cauchy_kernel", broken)
+    code, out, err = run(["kernel"], {"s": [0, 0, 1, 0], "q": [0, 0, 2, 0]})
+    assert (code, out, err) == (3, "", "error: internal error: RuntimeError: broken kernel\n")
+
+
+_BIG = 1e308
+_DISC = {"domain": {"discs": [{"r": 1.0}]}}
+_CHECK = ["check", "--suite", "extension", "--samples", "10"]
+
+
+def _conj_chain(levels):
+    return '{"op": "conj", "f": ' * levels + json.dumps(_LINEAR) + "}" * levels
+
+
+@pytest.mark.parametrize("argv, payload, seed", [
+    # deep JSON and expression nesting
+    (["eval"], "[" * 100000 + "]" * 100000, None),
+    (["eval"], '{"a": ' * 100000 + "1" + "}" * 100000, None),
+    (["roots"], '{"coeffs": ' + "[" * 50000 + "]" * 50000 + "}", None),
+    (["kernel"], '{"s": ' + "[" * 50000 + "]" * 50000 + ', "q": [0, 0, 0, 0]}', None),
+    (["eval"], '{"expr": ' + _conj_chain(900) + ', "points": []}', None),
+    (["eval"], '{"expr": ' + _conj_chain(40) + ', "points": [[0, 1, 0, 0]]}', None),
+    (["eval"], {"expr": _LINEAR, "points": [[[[[[0]]]]]]}, None),
+    (["extend"], {"stem": {"coeffs": [[[[1]]]]}}, None),
+    # 1e308 magnitudes
+    (["eval"], {"expr": {"op": "poly", "coeffs": [[_BIG] * 4] * 3},
+                "points": [[_BIG] * 4, [-_BIG, 0, 0, 0]]}, None),
+    (["eval"], {"expr": {"op": "recip", "f": {"op": "poly", "coeffs": [[_BIG, 0, 0, 0],
+                                                                       [_BIG, _BIG, 0, 0]]}},
+                "points": [[0, _BIG, 0, 0]]}, None),
+    (["eval"], {"expr": {"op": "rscale", "f": _LINEAR, "a": [_BIG] * 4},
+                "points": [[_BIG] * 4]}, None),
+    (["roots"], {"coeffs": [[_BIG] * 4] * 3}, None),
+    (["roots"], {"coeffs": [[5e-324, 0, 0, 0], [0, 0, 0, 0], [_BIG, 0, 0, 0]]}, None),
+    (["kernel"], {"s": [_BIG] * 4, "q": [-_BIG, 0, 0, 0]}, None),
+    (["kernel"], {"s": [0, _BIG, 0, 0], "q": [0, 0, _BIG, 0]}, None),
+    (["extend"], {"stem": {"coeffs": [[_BIG] * 4] * 2}, "slice": [0, _BIG, 0, 0],
+                  "points": [[_BIG] * 4]}, None),
+    (["extend"], {"domain": {"discs": [{"cx": _BIG, "cy": _BIG, "r": _BIG}]}}, None),
+    (["extend"], {"domain": {"boxes": [{"x0": -_BIG, "x1": _BIG, "y0": -_BIG, "y1": _BIG}]}},
+     None),
+    (["extend", "--grid-step", "1e308"], _DISC, None),
+    (["extend", "--grid-step", "1e-308"], _DISC, None),
+    (["check", "--suite", "identities", "--samples", "10", "--seed", "9" * 309], None, None),
+    # zero or negative sizes
+    (["check", "--samples", "0"], None, None),
+    (["check", "--samples", "-5"], None, None),
+    (["extend", "--grid-step", "-1"], _DISC, None),
+    (["extend", "--grid-step", "nan"], _DISC, None),
+    (["extend"], {"domain": {"discs": [{"r": 0}]}}, None),
+    (["extend"], {"domain": {"boxes": [{"x0": 0, "x1": 0, "y1": 1}]}}, None),
+    (["extend"], {"domain": {}}, None),
+    (["roots"], {"coeffs": []}, None),
+    (["eval"], {"expr": _LINEAR, "points": [[]]}, None),
+    # wrong types at nested positions
+    (["eval"], {"expr": {"op": "poly", "coeffs": [[1, 0, 0, "a"]]}, "points": [[0, 1, 0, 0]]},
+     None),
+    (["eval"], {"expr": _LINEAR, "points": [[True, 1, 0, None]]}, None),
+    (["eval"], {"expr": {"op": "sum", "f": _LINEAR, "g": [1, 2]}, "points": [[1, 0, 0, 0]]},
+     None),
+    (["eval"], {"expr": {"op": "star", "f": _LINEAR, "g": {"op": "poly", "coeffs": {"0": 1}}},
+                "points": [[1, 0, 0, 0]]}, None),
+    (["eval"], {"expr": {"op": "ext", "stem": {"coeffs": [[1, 0, 0, 0]]}, "slice": [0, 1, 0, 0],
+                         "domain": {"discs": [[0, 0, 1]]}}, "points": [[1, 0, 0, 0]]}, None),
+    (["roots"], {"coeffs": [[1, 0, 0, 0], [1, 0, 0, 0]], "center": [0, 0, "x", 0]}, None),
+    (["kernel"], {"s": {"w": 1}, "q": [0, 0, 0, 0]}, None),
+    (["extend"], {"domain": {"discs": [{"r": "1"}], "grid_step": "0.1"}}, None),
+    (["extend"], {"stem": {"coeffs": [[1, 0, 0, 0]]}, "slice": [0, 0, 0, 0],
+                  "points": [[1, 0, 0, 0]]}, None),
+    (["roots"], '{"coeffs": [[Infinity, 0, 0, 0], [1, 0, 0, 0]]}', None),
+    # a bad SLICEREG_SEED
+    (_CHECK, None, "abc"),
+    (_CHECK, None, "1.5"),
+    (_CHECK, None, ""),
+    (_CHECK, None, "9" * 5000),
+])
+def test_hostile_payload_is_answered_or_refused(run, monkeypatch, argv, payload, seed):
+    # strict JSON with exit 0 or 1, or one error: line with exit 2 or 3, in
+    # bounded time; never the last-resort "internal error", which would hide
+    # a hole in the decoder
+    if seed is None:
+        monkeypatch.delenv("SLICEREG_SEED", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(argv, payload, env=None if seed is None else {"SLICEREG_SEED": seed})
+    assert time.perf_counter() - start < 2.0
+    if code in (0, 1):
+        assert err == "" and out and all(_strict_json(line) for line in out.splitlines())
+    else:
+        assert code in (2, 3) and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "internal error" not in err
 
 
 def test_check_rejects_nonpositive_samples(run):
