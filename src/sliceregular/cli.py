@@ -43,6 +43,9 @@ DOMAIN_EXIT = 3
 INTERNAL_EXIT = 3
 CHECK_FAIL_EXIT = 1
 
+# Bound on check --samples: the suites take time in proportion to it.
+MAX_SAMPLES = 10 ** 4
+
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -118,10 +121,7 @@ def _cmd_extend(args) -> int:
         raise DecodeError("extend expects a JSON object")
     out = {}
     if "domain" in payload:
-        domain_json = payload["domain"]
-        if not isinstance(domain_json, dict):
-            raise DecodeError(f"domain must be an object, got {domain_json!r}")
-        domain = domain_from_json({"grid_step": args.grid_step, **domain_json})
+        domain = domain_from_json(payload["domain"], grid_step=args.grid_step)
         out["domain"] = {
             "contains_real": domain.contains_real,
             "axially_symmetric": domain.axially_symmetric,
@@ -143,8 +143,8 @@ def _cmd_extend(args) -> int:
 def _check_reports(args):
     """The reports of ``check``; a usage error raises DecodeError."""
     samples = args.samples
-    if samples <= 0:
-        raise DecodeError("--samples must be a positive integer")
+    if not 0 < samples <= MAX_SAMPLES:
+        raise DecodeError(f"--samples must be a positive integer at most {MAX_SAMPLES}")
     try:
         seed = args.seed if args.seed is not None else int(os.environ.get("SLICEREG_SEED", "7"))
     except ValueError as exc:
@@ -203,7 +203,7 @@ commands:
   check     run theorem-shaped verification suites
               --suite {{{','.join(SUITES)}}}  (default all)
               --seed N          (default $SLICEREG_SEED, then 7)
-              --samples N       (default 200)
+              --samples N       (default 200, at most {MAX_SAMPLES})
               --with-control    include the non-regular control (expected to fail)
 
 options:

@@ -9,7 +9,6 @@ set they describe depends on a point q only through (Re(q), |Im(q)|).
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from .errors import DegenerateUnits
 from .quaternion import ImaginaryUnit, Quaternion, SlicePoint, Value, quat_inv, slice_coords
@@ -67,6 +66,17 @@ class Disc(Value):
     def bounds(self):
         return (self.cx - self.r, self.cx + self.r, self.cy - self.r, self.cy + self.r)
 
+    def chord(self, x: float):
+        """(lo, hi, cy): the open chord (lo, hi) of y that the vertical line at
+        x cuts, and cy, about which contains(x, y) is unimodal in y; None
+        exactly when contains(x, y) holds for no y."""
+        dx = x - self.cx
+        d2, r2 = dx * dx, self.r * self.r
+        if d2 >= r2:  # then dx*dx + dy*dy >= r*r for every dy
+            return None
+        h = math.sqrt(r2 - d2)
+        return self.cy - h, self.cy + h, self.cy
+
     def real_interval(self):
         """The open interval where the disc meets the real axis, or None."""
         h2 = self.r * self.r - self.cy * self.cy  # > 0 iff cy^2 < r^2, as in contains
@@ -86,6 +96,11 @@ class Rect(Value):
 
     def bounds(self):
         return (self.x0, self.x1, self.y0, self.y1)
+
+    def chord(self, x: float):
+        """(y0, y1, y0): the chord and a pivot, as in Disc.chord; None exactly
+        when x is outside (x0, x1)."""
+        return (self.y0, self.y1, self.y0) if self.x0 < x < self.x1 else None
 
     def real_interval(self):
         """The open interval where the box meets the real axis, or None: a
@@ -178,10 +193,16 @@ def raster_cells(region: SliceRegion, step: float) -> float:
 
 
 def _slice_components(region: SliceRegion, step: float) -> int:
-    """Flood-fill count of connected components of the mirrored slice set.
+    """Connected components of the mirrored slice set, as a flood fill over
+    4-neighbour cells of its raster counts them, found column by column.
 
     The slice set on any L_I is the region together with its mirror image
-    across the real axis.
+    across the real axis.  Cell (ix, iy) of the raster is the point
+    (x0 + ix*step, ylo + iy*step); it is in the set when the region contains
+    (x, |y|) or (x, -|y|), that is when a shape or a shape's mirror contains
+    (x, y).  Each such shape covers one run of a column's cells
+    (_column_run).  The runs of a column are merged, and runs of adjacent
+    columns that share a row are joined by union-find.
     """
     x0, x1, y0, y1 = region.bounds()
     top = max(abs(y0), abs(y1))
@@ -189,29 +210,79 @@ def _slice_components(region: SliceRegion, step: float) -> int:
     ylo, yhi = -top - step, top + step
     nx = max(2, int((x1 - x0) / step) + 1)
     ny = max(2, int((yhi - ylo) / step) + 1)
+    shapes = region.shapes + region.mirrored().shapes
+    parent: list[int] = []  # union-find over the merged runs of all columns
 
-    def inside(ix, iy):
+    def root(n: int) -> int:
+        while parent[n] != n:
+            parent[n] = n = parent[parent[n]]
+        return n
+
+    prev: list[list[int]] = []  # merged runs [a, b, node] of the previous column
+    for ix in range(nx):
         x = x0 + ix * step
-        y = ylo + iy * step
-        return region.contains(x, abs(y)) or region.contains(x, -abs(y))
+        column: list[list[int]] = []
+        for a, b in sorted(filter(None, (_column_run(s, x, ylo, step, ny) for s in shapes))):
+            if column and a <= column[-1][1] + 1:  # overlapping or vertically adjacent
+                column[-1][1] = max(column[-1][1], b)
+            else:
+                column.append([a, b, len(parent)])
+                parent.append(len(parent))
+        i = j = 0
+        while i < len(prev) and j < len(column):
+            (a, b, m), (c, d, n) = prev[i], column[j]
+            if a <= d and c <= b:  # the runs share a row
+                parent[root(m)] = root(n)
+            if b < d:
+                i += 1
+            else:
+                j += 1
+        prev = column
+    return sum(n == m for n, m in enumerate(parent))
 
-    grid = [[inside(ix, iy) for iy in range(ny)] for ix in range(nx)]
-    seen = [[False] * ny for _ in range(nx)]
-    components = 0
-    for sx in range(nx):
-        for sy in range(ny):
-            if not grid[sx][sy] or seen[sx][sy]:
-                continue
-            components += 1
-            queue = deque([(sx, sy)])
-            seen[sx][sy] = True
-            while queue:
-                ix, iy = queue.popleft()
-                for jx, jy in ((ix + 1, iy), (ix - 1, iy), (ix, iy + 1), (ix, iy - 1)):
-                    if 0 <= jx < nx and 0 <= jy < ny and grid[jx][jy] and not seen[jx][jy]:
-                        seen[jx][jy] = True
-                        queue.append((jx, jy))
-    return components
+
+def _column_run(shape, x: float, ylo: float, step: float, ny: int):
+    """The run (a, b) of the cells iy < ny whose point (x, ylo + iy*step) the
+    shape contains, or None.
+
+    The points' y grows with iy and contains(x, y) is unimodal about the
+    chord's pivot c, so the run, if any, holds the last cell at or below c
+    or the first above it.  Each end starts at the chord's cell and moves
+    with contains until it agrees with it, so the run is exact whatever the
+    chord's rounding.
+    """
+    chord = shape.chord(x)
+    if chord is None:
+        return None
+    lo, hi, c = chord
+
+    def inside(iy: int) -> bool:
+        return shape.contains(x, ylo + iy * step)
+
+    def cell(y: float) -> float:
+        return min(max((y - ylo) / step, 0.0), ny - 1.0)
+
+    k = math.floor(cell(c)) + 1  # then moved to the first cell above c
+    while k > 0 and ylo + (k - 1) * step > c:
+        k -= 1
+    while k < ny and ylo + k * step <= c:
+        k += 1
+    if k > 0 and inside(k - 1):
+        p = k - 1
+    elif k < ny and inside(k):
+        p = k
+    else:
+        return None
+    a, b = min(math.ceil(cell(lo)), p), max(math.floor(cell(hi)), p)
+    while not inside(a):
+        a += 1
+    while a > 0 and inside(a - 1):
+        a -= 1
+    while not inside(b):
+        b -= 1
+    while b < ny - 1 and inside(b + 1):
+        b += 1
+    return a, b
 
 
 def symmetric_completion(region: SliceRegion, grid_step: float = DEFAULT_GRID_STEP) -> AxialDomain:

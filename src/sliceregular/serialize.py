@@ -30,23 +30,38 @@ _UNARY_OPS = {"conj": Conj, "symm": Symm, "recip": Recip}
 _BINARY_OPS = {"star": Star, "sum": Sum}
 
 # Bound on the raster that classifies a decoded domain at its grid step
-# (representation.raster_cells): the flood fill of symmetric_completion
-# takes time and memory in proportion to it, a few seconds for 10^6 cells.
+# (representation.raster_cells).  symmetric_completion sweeps its columns,
+# so its time grows with the columns times the shapes and its memory with
+# the runs of cells it finds, never with the cells themselves.
 MAX_RASTER_CELLS = 10 ** 6
+
+# Bound on the shapes of a decoded domain: classification and the symmetry
+# test of an ext node's domain (SliceRegion.is_axis_symmetric, quadratic in
+# the shapes) take time in proportion to it.
+MAX_SHAPES = 256
+
+# Longest echo of a rejected value in a decode error message.
+MAX_ECHO = 200
 
 
 class DecodeError(ValueError):
     """Malformed JSON payload (wrong shape, missing key, non-finite number,
-    a domain size that is not positive, or a domain raster over
-    MAX_RASTER_CELLS)."""
+    a domain size that is not positive, or a domain over MAX_SHAPES shapes
+    or with a raster over MAX_RASTER_CELLS)."""
+
+
+def _echo(value) -> str:
+    """repr of a rejected value, cut to MAX_ECHO characters."""
+    text = repr(value)
+    return text if len(text) <= MAX_ECHO else text[:MAX_ECHO] + "..."
 
 
 def _finite(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DecodeError(f"{what} must be a number, got {value!r}")
+        raise DecodeError(f"{what} must be a number, got {_echo(value)}")
     x = float(value)
     if not math.isfinite(x):
-        raise DecodeError(f"{what} must be finite, got {value!r}")
+        raise DecodeError(f"{what} must be finite, got {_echo(value)}")
     return x
 
 
@@ -60,7 +75,7 @@ def quaternion_to_json(q: Quaternion) -> list[float]:
 
 def quaternion_from_json(data) -> Quaternion:
     if not isinstance(data, list) or len(data) != 4:
-        raise DecodeError(f"quaternion must be an array of 4 doubles, got {data!r}")
+        raise DecodeError(f"quaternion must be an array of 4 doubles, got {_echo(data)}")
     return Quaternion(*(_finite(v, "quaternion component") for v in data))
 
 
@@ -70,7 +85,7 @@ def poly_to_json(p: SlicePolynomial) -> dict:
 
 def poly_from_json(data) -> SlicePolynomial:
     if not isinstance(data, dict) or "coeffs" not in data:
-        raise DecodeError(f"polynomial must be an object with 'coeffs', got {data!r}")
+        raise DecodeError(f"polynomial must be an object with 'coeffs', got {_echo(data)}")
     coeffs = data["coeffs"]
     if not isinstance(coeffs, list) or not coeffs:
         raise DecodeError("polynomial 'coeffs' must be a non-empty array")
@@ -78,9 +93,10 @@ def poly_from_json(data) -> SlicePolynomial:
     return SlicePolynomial(center, tuple(quaternion_from_json(c) for c in coeffs))
 
 
-def domain_from_json(data) -> AxialDomain:
+def domain_from_json(data, grid_step: float = DEFAULT_GRID_STEP) -> AxialDomain:
+    """The domain's own "grid_step" key, if any, overrides ``grid_step``."""
     region = region_from_json(data)
-    grid_step = _finite(data.get("grid_step", DEFAULT_GRID_STEP), "grid step")
+    grid_step = _finite(data.get("grid_step", grid_step), "grid step")
     if grid_step <= 0.0:
         raise DecodeError(f"grid step must be positive, got {grid_step!r}")
     return symmetric_completion(_bounded_raster(region, grid_step), grid_step=grid_step)
@@ -96,24 +112,26 @@ def _bounded_raster(region: SliceRegion, step: float) -> SliceRegion:
 
 def region_from_json(data) -> SliceRegion:
     if not isinstance(data, dict):
-        raise DecodeError(f"domain must be an object, got {data!r}")
+        raise DecodeError(f"domain must be an object, got {_echo(data)}")
     boxes, discs = data.get("boxes", []), data.get("discs", [])
     if not (isinstance(boxes, list) and isinstance(discs, list)):
-        raise DecodeError(f"domain 'boxes' and 'discs' must be arrays, got {data!r}")
+        raise DecodeError(f"domain 'boxes' and 'discs' must be arrays, got {_echo(data)}")
+    if len(boxes) + len(discs) > MAX_SHAPES:
+        raise DecodeError(f"domain of {len(boxes) + len(discs)} shapes exceeds {MAX_SHAPES}")
     shapes = []
     for box in boxes:
         if not isinstance(box, dict):
-            raise DecodeError(f"domain box must be an object, got {box!r}")
+            raise DecodeError(f"domain box must be an object, got {_echo(box)}")
         x0 = _finite(_field(box, "x0"), "box x0")
         x1 = _finite(_field(box, "x1"), "box x1")
         y1 = _finite(_field(box, "y1"), "box y1")
         y0 = _finite(box.get("y0", 0.0), "box y0")
         if not (x0 < x1 and y0 < y1):
-            raise DecodeError(f"domain box needs x0 < x1 and y0 < y1, got {box!r}")
+            raise DecodeError(f"domain box needs x0 < x1 and y0 < y1, got {_echo(box)}")
         shapes.append(Rect(x0, x1, y0, y1))
     for disc in discs:
         if not isinstance(disc, dict):
-            raise DecodeError(f"domain disc must be an object, got {disc!r}")
+            raise DecodeError(f"domain disc must be an object, got {_echo(disc)}")
         if "r" not in disc:
             _missing("r")
         cx = _finite(disc.get("cx", 0.0), "disc cx")
@@ -161,7 +179,7 @@ def expr_from_json(data, depth: int = 1) -> SliceExpr:
     if depth > MAX_EXPR_DEPTH:
         raise DecodeError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
     if not isinstance(data, dict) or not isinstance(data.get("op"), str):
-        raise DecodeError(f"expression must be an object with an 'op' tag, got {data!r}")
+        raise DecodeError(f"expression must be an object with an 'op' tag, got {_echo(data)}")
     op = data["op"]
 
     def child(key: str) -> SliceExpr:
@@ -191,7 +209,7 @@ def expr_from_json(data, depth: int = 1) -> SliceExpr:
             region = _bounded_raster(region_from_json(data["domain"]), DEFAULT_GRID_STEP)
         f = ext_from_holomorphic(restriction_stem(Poly(poly), unit, region=region))
     else:
-        raise DecodeError(f"unknown expression op {op!r}")
+        raise DecodeError(f"unknown expression op {_echo(op)}")
     if depth == 1 and _eval_cost(f) > MAX_EVAL_COST:
         raise DecodeError(f"expression costs more than {MAX_EVAL_COST} leaf evaluations per point")
     return f

@@ -222,13 +222,6 @@ def _refine(fs: tuple[SlicePolynomial, ...], z: complex) -> complex:
     return z
 
 
-def _refine_spherical_candidate(f: SlicePolynomial, x: float, y: float,
-                                tol: float) -> tuple[float, float] | None:
-    """The sphere (x, |y|) of _refine(f, x + iy) when |f.stem| < tol there, else None."""
-    z = _refine(_with_derivatives(f), complex(x, y))
-    return (z.real, abs(z.imag)) if math.hypot(*map(abs, f.stem(z))) < tol else None
-
-
 def _symm_complex_coeffs(f: SlicePolynomial) -> list[complex]:
     """Coefficients of f^s restricted to L_i.
 

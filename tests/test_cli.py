@@ -436,6 +436,17 @@ def _conj_chain(levels):
     return '{"op": "conj", "f": ' * levels + json.dumps(_LINEAR) + "}" * levels
 
 
+def _lattice(n):
+    """n x n discs of radius 0.005 on [-2.4, 2.4] x [0, 4.8]."""
+    return {"discs": [{"cx": -2.4 + 4.8 * i / (n - 1), "cy": 4.8 * j / (n - 1), "r": 0.005}
+                      for i in range(n) for j in range(n)]}
+
+
+def _ext_over(domain):
+    return {"expr": {"op": "ext", "stem": {"coeffs": [[1, 0, 0, 0]]}, "slice": [0, 1, 0, 0],
+                     "domain": domain}, "points": [[1, 0, 0, 0]]}
+
+
 @pytest.mark.parametrize("argv, payload, seed", [
     # deep JSON and expression nesting
     (["eval"], "[" * 100000 + "]" * 100000, None),
@@ -497,6 +508,13 @@ def _conj_chain(levels):
     (_CHECK, None, "1.5"),
     (_CHECK, None, ""),
     (_CHECK, None, "9" * 5000),
+    # a huge sample count
+    (["check", "--samples", str(10 ** 308)], None, None),
+    # many shapes: classification and the symmetry test of an ext domain
+    (["extend"], {"domain": _lattice(20)}, None),
+    (["extend"], {"domain": _lattice(16)}, None),
+    (["eval"], _ext_over({"discs": [{"cx": k * 1e-3, "r": 0.5} for k in range(2000)]}), None),
+    (["eval"], _ext_over({"discs": [{"cx": k * 1e-3, "r": 0.5} for k in range(256)]}), None),
 ])
 def test_hostile_payload_is_answered_or_refused(run, monkeypatch, argv, payload, seed):
     # strict JSON with exit 0 or 1, or one error: line with exit 2 or 3, in
@@ -518,6 +536,38 @@ def test_hostile_payload_is_answered_or_refused(run, monkeypatch, argv, payload,
 def test_check_rejects_nonpositive_samples(run):
     code, _, err = run(["check", "--samples", "0"])
     assert code == 2 and err.startswith("error:")
+
+
+def test_check_rejects_samples_over_the_limit(run):
+    import sliceregular.cli as cli
+    code, _, err = run(["check", "--samples", str(cli.MAX_SAMPLES + 1)])
+    assert code == 2 and err.startswith("error:")
+
+
+def test_domain_shape_limit():
+    from sliceregular.serialize import MAX_SHAPES, domain_from_json
+    discs = [{"cx": 0.01 * k, "r": 0.5} for k in range(MAX_SHAPES)]
+    assert domain_from_json({"discs": discs}).is_s_domain
+    with pytest.raises(DecodeError, match="shapes exceeds"):
+        domain_from_json({"discs": discs, "boxes": [{"x0": 0, "x1": 1, "y1": 1}]})
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["roots"], [0] * 200000),
+    (["eval"], {"expr": {"op": "x" * 200000}, "points": []}),
+    (["extend"], {"domain": {"discs": [{"r": "1" * 200000}]}}),
+    (["extend"], {"domain": [0] * 200000}),
+])
+def test_decode_error_echoes_a_bounded_value(run, argv, payload):
+    from sliceregular.serialize import MAX_ECHO
+    code, out, err = run(argv, payload)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert len(err) <= MAX_ECHO + 100
+
+
+def test_extend_domain_error_shows_only_the_sent_keys(run):
+    code, _, err = run(["extend", "--grid-step", "0.05"], {"domain": {"discs": 1}})
+    assert code == 2 and "grid_step" not in err
 
 
 def test_pretty_flag(run):

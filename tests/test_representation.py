@@ -1,5 +1,8 @@
 """Representation formulas and axially symmetric domains."""
 
+import math
+from collections import deque
+
 import pytest
 
 from sliceregular import (
@@ -21,6 +24,7 @@ from sliceregular import (
     representation,
     symmetric_completion,
 )
+from sliceregular.representation import _column_run, _slice_components
 from sliceregular.verify import SplitMix64
 
 from conftest import assert_close
@@ -154,3 +158,121 @@ def test_axial_membership_folds_the_sphere():
     # the box is open at y0 = 0, so it does not meet the real axis
     assert not domain.contains_xy(0.0, 0.0)
     assert not domain.contains_real and not domain.is_s_domain
+
+
+def _reference_components(region, step):
+    """Flood-fill count of the connected components of the mirrored slice set.
+
+    This is the plain form of ``_slice_components``: it tests every cell of
+    the raster and fills 4-neighbour cells, and the column sweep must give
+    the same count.
+    """
+    x0, x1, y0, y1 = region.bounds()
+    top = max(abs(y0), abs(y1))
+    x0, x1 = x0 - step, x1 + step
+    ylo, yhi = -top - step, top + step
+    nx = max(2, int((x1 - x0) / step) + 1)
+    ny = max(2, int((yhi - ylo) / step) + 1)
+
+    def inside(ix, iy):
+        x = x0 + ix * step
+        y = ylo + iy * step
+        return region.contains(x, abs(y)) or region.contains(x, -abs(y))
+
+    grid = [[inside(ix, iy) for iy in range(ny)] for ix in range(nx)]
+    seen = [[False] * ny for _ in range(nx)]
+    components = 0
+    for sx in range(nx):
+        for sy in range(ny):
+            if not grid[sx][sy] or seen[sx][sy]:
+                continue
+            components += 1
+            queue = deque([(sx, sy)])
+            seen[sx][sy] = True
+            while queue:
+                ix, iy = queue.popleft()
+                for jx, jy in ((ix + 1, iy), (ix - 1, iy), (ix, iy + 1), (ix, iy - 1)):
+                    if 0 <= jx < nx and 0 <= jy < ny and grid[jx][jy] and not seen[jx][jy]:
+                        seen[jx][jy] = True
+                        queue.append((jx, jy))
+    return components
+
+
+def _random_union(rng, step):
+    """1-4 shapes of extent at most 0.3: free discs and boxes, boxes with
+    y0 = 0, discs tangent to the axis or to another disc, and shapes whose
+    gap to, or overlap with, the shape before them is below one step."""
+    shapes = []
+    for _ in range(1 + int(rng.uniform(0, 4))):
+        kind = int(rng.uniform(0, 5)) if shapes else int(rng.uniform(0, 3))
+        r = rng.uniform(0.01, 0.15)
+        if kind == 0:
+            shapes.append(Disc(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), r))
+        elif kind == 1:
+            x0, y0 = rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)
+            shapes.append(Rect(x0, x0 + 2 * r, y0, y0 + rng.uniform(0.005, 0.3)))
+        elif kind == 2:
+            x0 = rng.uniform(-0.2, 0.2)
+            shapes.append(Rect(x0, x0 + 2 * r, 0.0, rng.uniform(0.005, 0.3)))
+        else:
+            a = shapes[-1]
+            cx, cy, ra = ((a.x0 + a.x1) / 2, a.y1, 0.0) if isinstance(a, Rect) else (a.cx, a.cy, a.r)
+            gap = 0.0 if kind == 3 else rng.uniform(-step, step)  # tangent, or a sub-step gap
+            t = rng.uniform(0, 2 * math.pi)
+            d = ra + r + gap
+            shapes.append(Disc(cx + d * math.cos(t), cy + d * math.sin(t), r))
+        if rng.uniform() < 0.2:
+            last = shapes.pop()  # tangent to the axis, from above
+            if isinstance(last, Disc):
+                shapes.append(Disc(last.cx, last.r, last.r))
+            else:
+                shapes.append(Rect(last.x0, last.x1, 0.0, last.y1 - last.y0))
+    return SliceRegion(tuple(shapes))
+
+
+def test_slice_components_match_flood_fill():
+    rng = SplitMix64(61)
+    counts = set()
+    for _ in range(120):
+        step = rng.uniform(0.007, 0.02)
+        region = _random_union(rng, step)
+        want = _reference_components(region, step)
+        assert _slice_components(region, step) == want, (region, step)
+        counts.add(want)
+    assert {1, 2, 3} <= counts
+
+
+class _Skewed:
+    """A shape whose chord is off by ``skew`` at both ends."""
+
+    __slots__ = ()
+
+    def chord(self, x):
+        lo, hi, c = super().chord(x) or (0.0, 0.0, None)
+        return None if c is None else (lo + self.skew, hi - self.skew, c)
+
+
+class _SkewedDisc(_Skewed, Disc):
+    __slots__ = ("skew",)
+
+
+class _SkewedRect(_Skewed, Rect):
+    __slots__ = ("skew",)
+
+
+def test_column_run_is_exact_whatever_the_chord():
+    # each end moves from its seed until contains agrees, so a chord off by
+    # up to ten steps either way still gives the cells a scan finds
+    rng = SplitMix64(62)
+    step, ylo, ny = 0.01, -0.61, 123
+    for _ in range(300):
+        skew = rng.uniform(-0.1, 0.1)
+        r = rng.uniform(0.003, 0.3)
+        cx, cy = rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)
+        shape = (_SkewedDisc(cx, cy, r, skew) if rng.uniform() < 0.5
+                 else _SkewedRect(cx - r, cx + r, cy - r, cy + rng.uniform(-r, r), skew))
+        x = cx + rng.uniform(-1.1, 1.1) * r
+        cells = [iy for iy in range(ny) if shape.contains(x, ylo + iy * step)]
+        want = (cells[0], cells[-1]) if cells else None
+        assert not cells or cells == list(range(cells[0], cells[-1] + 1))  # one run
+        assert _column_run(shape, x, ylo, step, ny) == want, (shape, x)

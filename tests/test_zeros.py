@@ -33,8 +33,9 @@ from sliceregular.zeros import (
     ABERTH_TOL,
     CLASSIFY_TOL,
     _poly_val_der,
-    _refine_spherical_candidate,
+    _refine,
     _symm_complex_coeffs,
+    _with_derivatives,
     kernel_vs_recip_residual,
 )
 
@@ -362,7 +363,8 @@ def test_poly_roots_scale_invariant():
 
 def test_refine_spherical_candidate_recovers_sphere():
     # (q^2 - 2xq + x^2 + y^2) * g vanishes on all of x + y*S; a candidate
-    # 1e-6 off refines to the sphere at every scale of the coefficients.
+    # 1e-6 off refines to the sphere, where the stem is zero, at every scale
+    # of the coefficients.
     rng = SplitMix64(46)
     for _ in range(40):
         x, y = rng.sphere()
@@ -370,9 +372,9 @@ def test_refine_spherical_candidate_recovers_sphere():
         for scale in SCALES:
             g = f.right_scaled(Quaternion(scale))
             tol = CLASSIFY_TOL * g.majorant(Quaternion(x, y))
-            got = _refine_spherical_candidate(g, x + 1e-6, y - 1e-6, tol)
-            assert got is not None
-            assert abs(got[0] - x) <= 1e-12 and abs(got[1] - y) <= 1e-12
+            z = _refine(_with_derivatives(g), complex(x + 1e-6, y - 1e-6))
+            assert math.hypot(*map(abs, g.stem(z))) < tol
+            assert abs(z.real - x) <= 1e-12 and abs(abs(z.imag) - y) <= 1e-12
 
 
 def test_star_zero_check():
