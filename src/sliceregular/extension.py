@@ -10,7 +10,7 @@ from .errors import (
 )
 from .expr import Ext, SliceExpr, StemFunction, _pair, evaluate
 from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, from_slice
-from .representation import DEGENERATE_UNIT_TOL, symmetric_completion
+from .representation import DEFAULT_GRID_STEP, DEGENERATE_UNIT_TOL, symmetric_completion
 
 REAL_TRACE_TOL = 1e-9
 REAL_TRACE_SAMPLES = 32
@@ -62,17 +62,18 @@ def extend(r: StemFunction, s: StemFunction, j: ImaginaryUnit, k: ImaginaryUnit)
     return Ext(r=r, s=s, j=j, k=k, domain=domain)
 
 
-def ext_from_holomorphic(f: StemFunction) -> SliceExpr:
+def ext_from_holomorphic(f: StemFunction, grid_step: float = DEFAULT_GRID_STEP) -> SliceExpr:
     """Unique regular extension of data on a single slice L_J.
 
     The stem domain must be symmetric with respect to the real axis and meet
-    it.  Realized as a two-slice extension with K = -J and the mirrored stem
+    it; its symmetric completion is classified at ``grid_step``.  Realized
+    as a two-slice extension with K = -J and the mirrored stem
     s(x + yK) = f(x - yJ), which reproduces the single-slice formula
       f~(x+yI) = 1/2 [f(x+yJ) + f(x-yJ)] + I 1/2 [J (f(x-yJ) - f(x+yJ))].
     """
     if f.region is not None and not f.region.is_axis_symmetric():
         raise DomainNotSymmetric("single-slice extension needs a domain symmetric in the real axis")
-    domain = symmetric_completion(f.region) if f.region is not None else None
+    domain = symmetric_completion(f.region, grid_step) if f.region is not None else None
     if domain is not None and not domain.contains_real:
         raise NoRealTrace("the slice domain does not meet the real axis")
     mirror = StemFunction(

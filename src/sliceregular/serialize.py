@@ -40,14 +40,18 @@ MAX_RASTER_CELLS = 10 ** 6
 # the shapes) take time in proportion to it.
 MAX_SHAPES = 256
 
+# Bound on the degree of a decoded polynomial: roots of a degree-64
+# polynomial iterates on f^s of degree 128, for up to 6 * 128 sweeps.
+MAX_DEGREE = 64
+
 # Longest echo of a rejected value in a decode error message.
 MAX_ECHO = 200
 
 
 class DecodeError(ValueError):
     """Malformed JSON payload (wrong shape, missing key, non-finite number,
-    a domain size that is not positive, or a domain over MAX_SHAPES shapes
-    or with a raster over MAX_RASTER_CELLS)."""
+    a domain size that is not positive, a polynomial over MAX_DEGREE, or a
+    domain over MAX_SHAPES shapes or with a raster over MAX_RASTER_CELLS)."""
 
 
 def _echo(value) -> str:
@@ -89,25 +93,30 @@ def poly_from_json(data) -> SlicePolynomial:
     coeffs = data["coeffs"]
     if not isinstance(coeffs, list) or not coeffs:
         raise DecodeError("polynomial 'coeffs' must be a non-empty array")
+    if len(coeffs) > MAX_DEGREE + 1:
+        raise DecodeError(f"polynomial of {len(coeffs)} coefficients exceeds degree {MAX_DEGREE}")
     center = _finite(data.get("center", 0.0), "polynomial center")
     return SlicePolynomial(center, tuple(quaternion_from_json(c) for c in coeffs))
 
 
 def domain_from_json(data, grid_step: float = DEFAULT_GRID_STEP) -> AxialDomain:
     """The domain's own "grid_step" key, if any, overrides ``grid_step``."""
+    region, grid_step = _bounded_region(data, grid_step)
+    return symmetric_completion(region, grid_step=grid_step)
+
+
+def _bounded_region(data, grid_step: float) -> tuple[SliceRegion, float]:
+    """The region of a domain and the step to classify it at: the domain's
+    "grid_step" key if any, else ``grid_step``; its raster there is bounded."""
     region = region_from_json(data)
-    grid_step = _finite(data.get("grid_step", grid_step), "grid step")
-    if grid_step <= 0.0:
-        raise DecodeError(f"grid step must be positive, got {grid_step!r}")
-    return symmetric_completion(_bounded_raster(region, grid_step), grid_step=grid_step)
-
-
-def _bounded_raster(region: SliceRegion, step: float) -> SliceRegion:
+    step = _finite(data.get("grid_step", grid_step), "grid step")
+    if step <= 0.0:
+        raise DecodeError(f"grid step must be positive, got {step!r}")
     cells = raster_cells(region, step)
     if cells > MAX_RASTER_CELLS:
         raise DecodeError(f"domain raster of {cells:.3g} cells at grid step {step!r} "
                           f"exceeds {MAX_RASTER_CELLS}")
-    return region
+    return region, step
 
 
 def region_from_json(data) -> SliceRegion:
@@ -204,10 +213,10 @@ def expr_from_json(data, depth: int = 1) -> SliceExpr:
             unit = ImaginaryUnit(unit_q)
         except Exception as exc:
             raise DecodeError(f"'slice' is not an imaginary unit: {exc}") from exc
-        region = None
+        region, step = None, DEFAULT_GRID_STEP
         if "domain" in data:
-            region = _bounded_raster(region_from_json(data["domain"]), DEFAULT_GRID_STEP)
-        f = ext_from_holomorphic(restriction_stem(Poly(poly), unit, region=region))
+            region, step = _bounded_region(data["domain"], step)
+        f = ext_from_holomorphic(restriction_stem(Poly(poly), unit, region=region), grid_step=step)
     else:
         raise DecodeError(f"unknown expression op {_echo(op)}")
     if depth == 1 and _eval_cost(f) > MAX_EVAL_COST:

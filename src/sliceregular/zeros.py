@@ -17,7 +17,7 @@ import math
 from .errors import NonConvergence, SingularPoint
 from .expr import Poly, SliceExpr, Star, _eval, evaluate, recip_eval
 from .extension import sphere_affine_coeffs
-from .polynomial import SlicePolynomial, backward_bound, symm_poly
+from .polynomial import SlicePolynomial, backward_bound
 from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, ZERO, Value, quat_inv, slice_coords
 
 CLASSIFY_TOL = 1e-8
@@ -98,9 +98,17 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
     a fixed angular offset.  Raises NonConvergence (with partial results)
     after ``max_iter`` sweeps.
 
-    A root that meets the backward-error stop (or hits p == 0) is left out
-    of every later sweep: it is not moved, so its p and its stop test come
-    out the same each time.  It still enters the other roots' corrections.
+    A root stops when |p(z)| <= 1e-14 * sum |a_k| |z|^k, the backward-error
+    bound of its own evaluation (or when p == 0).  Two closed-form bounds on
+    the sum, max(|a_0|, |a_n| r^n) <= sum <= (sum |a_k|) max(1, r)^n with
+    r = |z|, settle that test where they can, with a factor 2 to spare for
+    the rounding of the sum; only in between, or where r^n or the bounds
+    leave the floating-point range, is the sum formed.  Either way the
+    decision is the one the sum gives, so the iterates do not depend on it.
+
+    A stopped root is left out of every later sweep: it is not moved, so its
+    p and its stop test come out the same each time.  It still enters the
+    other roots' corrections.
 
     ``conjugate_pairs=True`` states that the roots come in conjugate pairs:
     the coefficients must be real and n even (else ValueError), and a real
@@ -125,6 +133,8 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
     coeffs = [c / lead for c in coeffs]
     abs_coeffs = [abs(c) for c in coeffs]
     radius = 1.0 + max(abs_coeffs[:-1])
+    top, rest = coeffs[-1], coeffs[-2::-1]  # Horner order, as in _poly_val_der
+    abs_sum = sum(abs_coeffs)
     if conjugate_pairs:
         half = n // 2
         z = [radius * _cis(math.pi * (m + 0.5) / half) for m in range(half)]
@@ -139,19 +149,17 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
         mirror = [zl.conjugate() for zl in z] if conjugate_pairs else ()
         for m in active:
             zm = z[m]
-            p, dp = _poly_val_der(coeffs, zm)
+            p, dp = top, 0j
+            for c in rest:
+                dp = dp * zm + p
+                p = p * zm + c
             if p == 0:
                 continue
             # Backward-error stop: at multiple roots the Newton correction
             # stalls at eps^(1/multiplicity), so a step-size test alone never
             # fires.  |p| at rounding level of its own evaluation is as
             # converged as the coefficients allow; poly_roots refines further.
-            r, pw = abs(zm), 1.0
-            backward = 0.0
-            for a in abs_coeffs:
-                backward += a * pw
-                pw *= r
-            if abs(p) <= 1e-14 * backward:
+            if _settled(abs(p), abs(zm), n, abs_coeffs, abs_sum):
                 continue
             moving.append(m)
             if dp == 0:
@@ -180,6 +188,38 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
     if not done:
         raise NonConvergence("Aberth iteration did not converge", partial=z)
     return z
+
+
+# Where the bounds of _settled stand in for the sum.  Below _HUGE neither the
+# sum nor a power r^k (k <= n) that it forms overflows; above _TINY those
+# powers are normal doubles.  There each bound and the terms it stands for
+# differ by at most a factor (1 + 2^-53)^(2n + 2), which the factors 2 and
+# 1/2 of the tests cover.
+_HUGE = 2.0 ** 1000
+_TINY = 2.0 ** -1000
+
+
+def _settled(ap: float, r: float, n: int, abs_coeffs: list[float], abs_sum: float) -> bool:
+    """ap <= 1e-14 * sum_k |a_k| r^k, with the sum formed in index order,
+    decided from bounds on the sum where they settle it (aberth_roots);
+    abs_sum is sum_k |a_k|."""
+    try:
+        rn = r ** n
+    except OverflowError:
+        rn = math.inf
+    hi = abs_sum * rn if r > 1.0 else abs_sum
+    if hi < _HUGE and ap > 2e-14 * hi:
+        return False
+    lo = abs_coeffs[-1] * rn
+    if lo < abs_coeffs[0]:
+        lo = abs_coeffs[0]
+    if _TINY < lo < _HUGE and ap <= 5e-15 * lo:  # False for NaN
+        return True
+    pw, backward = 1.0, 0.0
+    for a in abs_coeffs:
+        backward += a * pw
+        pw *= r
+    return ap <= 1e-14 * backward
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +265,18 @@ def _refine(fs: tuple[SlicePolynomial, ...], z: complex) -> complex:
 def _symm_complex_coeffs(f: SlicePolynomial) -> list[complex]:
     """Coefficients of f^s restricted to L_i.
 
-    f^s has real coefficients; the imaginary parts of the computed ones are
-    rounding residue (a few eps relative), so only the real parts are kept.
+    f^s has real coefficients c_k = sum_{r+t=k} <a_r, a_t>, and only those
+    are formed: each is the real part of the coefficient symm_poly(f) gives,
+    bit for bit, as star_poly sums it (r outer, t inner, from 0.0) and as
+    Re(a_r * conj(a_t)) = a0 b0 + a1 b1 + a2 b2 + a3 b3 rounds.  The list
+    has 2 deg f + 1 entries; its last one is 0 only where |a_n|^2 underflowed.
     """
-    return [complex(c.x0) for c in symm_poly(f).coeffs]
+    cs = [(c.x0, c.x1, c.x2, c.x3) for c in f.coeffs]
+    out = [0.0] * (2 * len(cs) - 1)
+    for r, (a0, a1, a2, a3) in enumerate(cs):
+        for k, (b0, b1, b2, b3) in enumerate(cs, r):  # k = r + t
+            out[k] += a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+    return [complex(c) for c in out]
 
 
 def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
@@ -254,7 +302,7 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     if f.degree < 1:
         raise ValueError("root finding requires degree >= 1")
     coeffs = _symm_complex_coeffs(f)
-    lead = coeffs[-1] if len(coeffs) > 2 * f.degree else math.nan  # NaN: it underflowed
+    lead = coeffs[-1] if coeffs[-1] != 0 else math.nan  # NaN: it underflowed
     coeffs = [c / lead for c in coeffs]
     finite = all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs)
     if not finite or (coeffs[0] == 0 and f.coeffs[0] != ZERO):

@@ -10,7 +10,8 @@ import time
 import pytest
 
 from sliceregular.cli import build_parser, main
-from sliceregular.serialize import MAX_EXPR_DEPTH, DecodeError, expr_from_json
+from sliceregular.serialize import MAX_DEGREE, MAX_EXPR_DEPTH, DecodeError, expr_from_json
+from sliceregular.verify import SplitMix64
 
 
 @pytest.fixture
@@ -104,10 +105,12 @@ def test_roots_degree_zero_exits_2(run):
     [[1e160, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]],  # f^s coefficients overflow
     [[1, 0, 0, 0], [0, 0, 0, 0], [1e-170, 0, 0, 0]],  # f^s leading coefficient underflows
     [[1e-160, 0, 0, 0], [1e150, 0, 0, 0]],  # monic f^s constant 1e-320 / 1e300 underflows
+    [[1, 0, 0, 0], [3e-170, 7e-171, -5e-170, 2.3e-170]],  # a non-real lead's square underflows
 ])
 def test_roots_out_of_range_symmetrization_exits_3(run, coeffs):
     code, out, err = run(["roots"], {"coeffs": coeffs})
     assert code == 3 and out == "" and err.startswith("error:")
+    assert "out of floating-point range" in err and "internal error" not in err
 
 
 @pytest.mark.parametrize("scale", [1e-100, 1e100])
@@ -234,6 +237,29 @@ def test_extend_rejects_non_object_domain(run):
 
 def test_extend_rejects_non_array_boxes(run):
     _assert_decode_error(run(["extend"], {"domain": {"boxes": 3}}))
+
+
+def _ext_eval(domain):
+    return {"expr": {"op": "ext", **_STEM, "domain": domain}, "points": [[0.5, 0, 0, 0]]}
+
+
+@pytest.mark.parametrize("step", ["-1", "0", "NaN", "Infinity"])
+def test_ext_domain_rejects_bad_grid_step(run, step):
+    # as extend does for the same domain
+    domain = {"discs": [{"r": 1}], "grid_step": "STEP"}
+    for argv, payload in ((["eval"], _ext_eval(domain)), (["extend"], {"domain": domain})):
+        code, out, err = run(argv, json.dumps(payload).replace('"STEP"', step))
+        assert code == 2 and out == ""
+        assert err.startswith("error: grid step must be") and err.count("\n") == 1
+
+
+def test_ext_domain_is_bounded_and_classified_at_its_grid_step(run):
+    disc = {"discs": [{"r": 1}]}
+    code, out, _ = run(["eval"], _ext_eval({**disc, "grid_step": 0.05}))
+    assert code == 0 and json.loads(out) == json.loads(run(["eval"], _ext_eval(disc))[1])
+    assert expr_from_json(_ext_eval({**disc, "grid_step": 0.05})["expr"]).domain.grid_step == 0.05
+    # 4e8 cells at this step, 4e4 at the default one
+    _assert_decode_error(run(["eval"], _ext_eval({**disc, "grid_step": 1e-4})))
 
 
 def test_domain_raster_is_bounded_at_decode(run):
@@ -442,6 +468,12 @@ def _lattice(n):
                       for i in range(n) for j in range(n)]}
 
 
+def _dense(degree):
+    """A monic polynomial with non-lead coefficients in [-1/2, 1/2]."""
+    rng = SplitMix64(degree)
+    return [[rng.uniform(-0.5, 0.5) for _ in range(4)] for _ in range(degree)] + [[1, 0, 0, 0]]
+
+
 def _ext_over(domain):
     return {"expr": {"op": "ext", "stem": {"coeffs": [[1, 0, 0, 0]]}, "slice": [0, 1, 0, 0],
                      "domain": domain}, "points": [[1, 0, 0, 0]]}
@@ -515,6 +547,12 @@ def _ext_over(domain):
     (["extend"], {"domain": _lattice(16)}, None),
     (["eval"], _ext_over({"discs": [{"cx": k * 1e-3, "r": 0.5} for k in range(2000)]}), None),
     (["eval"], _ext_over({"discs": [{"cx": k * 1e-3, "r": 0.5} for k in range(256)]}), None),
+    (["eval"], _ext_over({"discs": [{"r": 1}], "grid_step": -1}), None),
+    # the leading coefficient of f^s underflows to 0 although that of f is not real
+    (["roots"], {"coeffs": [[1, 0, 0, 0], [3e-170, 7e-171, -5e-170, 2.3e-170]]}, None),
+    # the degree cap: refused just above it, answered at it
+    (["roots"], {"coeffs": _dense(MAX_DEGREE + 1)}, None),
+    (["roots"], {"coeffs": _dense(MAX_DEGREE)}, None),
 ])
 def test_hostile_payload_is_answered_or_refused(run, monkeypatch, argv, payload, seed):
     # strict JSON with exit 0 or 1, or one error: line with exit 2 or 3, in

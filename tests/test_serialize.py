@@ -7,6 +7,7 @@ import pytest
 from sliceregular import Quaternion, Star, UNIT_I, UNIT_J, evaluate, monomial_minus, polynomial
 from sliceregular.expr import Conj, Poly, Recip, RightScalar, Sum, Symm
 from sliceregular.serialize import (
+    MAX_DEGREE,
     DecodeError,
     domain_from_json,
     expr_from_json,
@@ -41,6 +42,12 @@ def test_poly_rejects_missing_coeffs():
         poly_from_json({"center": 0.0})
     with pytest.raises(DecodeError):
         poly_from_json({"coeffs": []})
+
+
+def test_poly_degree_is_bounded_at_decode():
+    assert poly_from_json({"coeffs": [[1, 0, 0, 0]] * (MAX_DEGREE + 1)}).degree == MAX_DEGREE
+    with pytest.raises(DecodeError, match=f"exceeds degree {MAX_DEGREE}"):
+        poly_from_json({"coeffs": [[1, 0, 0, 0]] * (MAX_DEGREE + 2)})
 
 
 def test_expr_round_trip():

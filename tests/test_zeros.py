@@ -26,6 +26,7 @@ from sliceregular import (
     sphere_zero_classify,
     star_poly,
     star_zero_check,
+    symm_poly,
 )
 from sliceregular.verify import SplitMix64
 from sliceregular.zeros import (
@@ -107,6 +108,63 @@ def _reference_aberth(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
     raise NonConvergence("Aberth iteration did not converge", partial=z)
 
 
+def _reference_aberth_pairs(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
+    """Conjugate-pair Aberth sweep that re-examines every iterated root on
+    every sweep and forms its backward-error sum each time.
+
+    This is the plain form of ``aberth_roots(..., conjugate_pairs=True)``,
+    which leaves settled roots out of later sweeps and settles the stop test
+    from bounds on that sum where they allow; it must agree bit for bit.
+    """
+    n = len(coeffs) - 1
+    while n > 0 and abs(coeffs[n]) == 0.0:
+        n -= 1
+    coeffs = list(coeffs[: n + 1])
+    lead = coeffs[-1]
+    coeffs = [c / lead for c in coeffs]
+    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
+    half = n // 2
+    z = [radius * cmath.exp(1j * (math.pi * (m + 0.5) / half)) for m in range(half)]
+    done = False
+    for _ in range(max_iter):
+        done = True
+        new = list(z)
+        for m in range(half):
+            p, dp = _poly_val_der(coeffs, z[m])
+            if p == 0:
+                continue
+            r, pw = abs(z[m]), 1.0
+            backward = 0.0
+            for c in coeffs:
+                backward += abs(c) * pw
+                pw *= r
+            if abs(p) <= 1e-14 * backward:
+                continue
+            if dp == 0:
+                new[m] = z[m] * (1.0 + 1e-6) + 1e-6
+                done = False
+                continue
+            newton = p / dp
+            s = 0j
+            for l in range(half):
+                if l != m:
+                    s += 1.0 / (z[m] - z[l])
+            for l in range(half):
+                s += 1.0 / (z[m] - z[l].conjugate())
+            denom = 1.0 - newton * s
+            w = newton if denom == 0 else newton / denom
+            new[m] = z[m] - w
+            if abs(w) > tol * max(1.0, abs(z[m])):
+                done = False
+        z = new
+        if done:
+            break
+    z += [zl.conjugate() for zl in z]
+    if not done:
+        raise NonConvergence("Aberth iteration did not converge", partial=z)
+    return z
+
+
 def _outcome(solver, coeffs):
     """repr of the roots, or of the partial roots on NonConvergence.
 
@@ -144,10 +202,72 @@ def test_aberth_matches_all_roots_sweep_on_spherical_factor():
 def _bit_identity_symm_coeffs(degree):
     """f^s coefficients of the polynomial that
     test_aberth_matches_all_roots_sweep_exactly draws for this degree."""
+    return _symm_complex_coeffs(_bit_identity_poly(degree))
+
+
+def _bit_identity_poly(degree):
+    """The polynomial whose f^s _bit_identity_symm_coeffs gives."""
     rng = SplitMix64(degree)
     for _ in range(2 * (degree + 1)):
         rng.uniform(-1, 1)
-    return _symm_complex_coeffs(polynomial([rng.quaternion() for _ in range(degree + 1)]))
+    return polynomial([rng.quaternion() for _ in range(degree + 1)])
+
+
+def _spherical_factor_polys():
+    """The products of test_aberth_matches_all_roots_sweep_on_spherical_factor."""
+    rng = SplitMix64(77)
+    return [star_poly(polynomial([x * x + y * y, -2.0 * x, 1.0]),
+                      polynomial([rng.quaternion() for _ in range(4)]))
+            for x, y in ((0.0, 1.0), (-0.5, 0.75), (1.25, 2.0))]
+
+
+def _pair_sweep_inputs():
+    cases = [(f"random-{d}", _bit_identity_poly(d)) for d in (5, 20, 40)]
+    cases += [(f"spherical-{k}", f) for k, f in enumerate(_spherical_factor_polys())]
+    # a zero at the center (f^s = z^2 g^s), iterates at which f^s overflows,
+    # and f scaled far from 1
+    cases += [("zero-at-center",
+               star_poly(polynomial([0.0, 1.0]), SplitMix64(79).polynomial(max_degree=6))),
+              ("overflow-1e153+q", polynomial([1e153, 1.0])),
+              ("overflow-q^2+1e40", polynomial([1e40, 0.0, 1.0]))]
+    cases += [(f"random-{d}-times-2^{e}", _bit_identity_poly(d).right_scaled(Quaternion(2.0 ** e)))
+              for d in (5, 20) for e in (-400, 400)]
+    return [pytest.param(_symm_complex_coeffs(f), id=name) for name, f in cases]
+
+
+@pytest.mark.parametrize("max_iter", [5, ABERTH_MAX_ITER])  # 5: NonConvergence.partial
+@pytest.mark.parametrize("coeffs", _pair_sweep_inputs())
+def test_aberth_matches_plain_pair_sweep_exactly(coeffs, max_iter):
+    def pairs(c):
+        return aberth_roots(c, max_iter, conjugate_pairs=True)
+
+    def plain(c):
+        return _reference_aberth_pairs(c, max_iter)
+
+    assert _outcome(pairs, coeffs) == _outcome(plain, coeffs)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -500, 1.0, 2.0 ** 500])
+def test_symm_complex_coeffs_are_the_real_parts_of_symm_poly(scale):
+    # Each non-lead coefficient is scaled by a further 2^e, |e| <= 40, so
+    # products overflow to inf and underflow to subnormals or 0; the lead's
+    # square stays nonzero.
+    rng = SplitMix64(80)
+    for degree in range(1, 51):
+        coeffs = [rng.quaternion() * (scale * 2.0 ** (rng.next_u64() % 81 - 40))
+                  for _ in range(degree)]
+        f = polynomial(coeffs + [rng.quaternion() * scale])
+        want = [complex(c.x0) for c in symm_poly(f).coeffs]
+        assert repr(_symm_complex_coeffs(f)) == repr(want)
+
+
+def test_poly_roots_tiny_non_real_lead_is_out_of_range():
+    # |a_1|^2 underflows to 0 although a_1 is not real: the leading
+    # coefficient of f^s is 0, which is an error, never a divisor.
+    f = polynomial([1.0, Quaternion(3e-170, 7e-171, -5e-170, 2.3e-170)])
+    assert _symm_complex_coeffs(f)[-1] == 0
+    with pytest.raises(NonConvergence, match="out of floating-point range"):
+        poly_roots(f)
 
 
 @pytest.mark.parametrize("degree", [5, 20, 40])
