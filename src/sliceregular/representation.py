@@ -40,14 +40,35 @@ def general_representation(v_j: Quaternion, v_k: Quaternion, j: ImaginaryUnit,
 
     f(x+yI) = (J-K)^{-1} [J f(x+yJ) - K f(x+yK)]
             + I (J-K)^{-1} [f(x+yJ) - f(x+yK)]
+
+    Formed on the components, each product, difference and sum in the
+    order Quaternion's operators give it, so the result is theirs bit for bit.
     """
     d = j.u - k.u
     if d.norm() <= DEGENERATE_UNIT_TOL:
         raise DegenerateUnits("the two imaginary units must differ")
-    dinv = quat_inv(d)
-    b = dinv * (j.u * v_j - k.u * v_k)
-    c = dinv * (v_j - v_k)
-    return b + target.unit.u * c
+    n0, n1, n2, n3 = quat_inv(d).components()
+    j0, j1, j2, j3 = j.u.components()
+    k0, k1, k2, k3 = k.u.components()
+    i0, i1, i2, i3 = target.unit.u.components()
+    a0, a1, a2, a3 = v_j.components()
+    b0, b1, b2, b3 = v_k.components()
+    # s = J v_J - K v_K and t = v_J - v_K; the value is (J-K)^{-1} s + I c, c = (J-K)^{-1} t
+    s0 = (j0 * a0 - j1 * a1 - j2 * a2 - j3 * a3) - (k0 * b0 - k1 * b1 - k2 * b2 - k3 * b3)
+    s1 = (j0 * a1 + j1 * a0 + j2 * a3 - j3 * a2) - (k0 * b1 + k1 * b0 + k2 * b3 - k3 * b2)
+    s2 = (j0 * a2 - j1 * a3 + j2 * a0 + j3 * a1) - (k0 * b2 - k1 * b3 + k2 * b0 + k3 * b1)
+    s3 = (j0 * a3 + j1 * a2 - j2 * a1 + j3 * a0) - (k0 * b3 + k1 * b2 - k2 * b1 + k3 * b0)
+    t0, t1, t2, t3 = a0 - b0, a1 - b1, a2 - b2, a3 - b3
+    c0 = n0 * t0 - n1 * t1 - n2 * t2 - n3 * t3
+    c1 = n0 * t1 + n1 * t0 + n2 * t3 - n3 * t2
+    c2 = n0 * t2 - n1 * t3 + n2 * t0 + n3 * t1
+    c3 = n0 * t3 + n1 * t2 - n2 * t1 + n3 * t0
+    return Quaternion(
+        (n0 * s0 - n1 * s1 - n2 * s2 - n3 * s3) + (i0 * c0 - i1 * c1 - i2 * c2 - i3 * c3),
+        (n0 * s1 + n1 * s0 + n2 * s3 - n3 * s2) + (i0 * c1 + i1 * c0 + i2 * c3 - i3 * c2),
+        (n0 * s2 - n1 * s3 + n2 * s0 + n3 * s1) + (i0 * c2 - i1 * c3 + i2 * c0 + i3 * c1),
+        (n0 * s3 + n1 * s2 - n2 * s1 + n3 * s0) + (i0 * c3 + i1 * c2 - i2 * c1 + i3 * c0),
+    )
 
 
 # ---------------------------------------------------------------------------

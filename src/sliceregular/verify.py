@@ -138,8 +138,10 @@ def check_grf_invariance(f: SliceExpr, spheres: int = 20, unit_pairs: int = 20,
     affinely on the unit, f(x + y*I) = b + I*c), not regularity: every slice
     function passes, regular or not, and q -> conj(q) passes with a spread
     at rounding level.  Regularity is measured by ``regularity_residual``
-    (the slice Cauchy-Riemann residual).
+    (the slice Cauchy-Riemann residual).  A spread needs ``unit_pairs`` >= 2.
     """
+    if unit_pairs < 2:
+        raise ValueError(f"unit_pairs must be at least 2 to measure a spread, got {unit_pairs}")
     rng = SplitMix64(seed)
     residuals = []
     for _ in range(spheres):
@@ -150,9 +152,12 @@ def check_grf_invariance(f: SliceExpr, spheres: int = 20, unit_pairs: int = 20,
             j, k = rng.unit_pair()
             (v_j, m_j), (v_k, m_k) = _eval(f, from_slice(x, y, j)), _eval(f, from_slice(x, y, k))
             m = max(m, m_j, m_k)
-            values.append(general_representation(v_j, v_k, j, k, target))
+            v = general_representation(v_j, v_k, j, k, target)
+            values.append(v.components())
+        # max |a - b| over the pairs, as Quaternion.norm forms it
         spread = max(
-            (a - b).norm() for ai, a in enumerate(values) for b in values[ai + 1:]
+            math.hypot(a0 - b0, a1 - b1, a2 - b2, a3 - b3)
+            for ai, (a0, a1, a2, a3) in enumerate(values) for b0, b1, b2, b3 in values[ai + 1:]
         )
         residuals.append((f"sphere x={x:.6g} y={y:.6g}", _relative(spread, m)))
     return _report(name, spheres, residuals)
@@ -174,18 +179,21 @@ def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
     left_recip, right_recip, slice_pres = [], [], []
     fg = Star(f, g)
     recip_f = Recip(f)
+    conj_fg, star_conj = Conj(fg), Star(Conj(g), Conj(f))
+    symms = Symm(fg), Symm(f), Symm(g)
+    left, right = Star(recip_f, f), Star(f, recip_f)
     for _ in range(points):
         q = rng.point()
         tag = f"q=({q.x0:.4g},{q.x1:.4g},{q.x2:.4g},{q.x3:.4g})"
 
-        (lhs, m_lhs), (rhs, m_rhs) = _eval(Conj(fg), q), _eval(Star(Conj(g), Conj(f)), q)
+        (lhs, m_lhs), (rhs, m_rhs) = _eval(conj_fg, q), _eval(star_conj, q)
         antihom.append((tag, _relative((lhs - rhs).norm(), m_lhs + m_rhs)))
 
         (star, m_star), (fq, m_f) = _eval(fg, q), _eval(f, q)
         if fq.norm() > 1e-6 * m_f:
             compose.append((tag, _relative((star_via_composition(f, g, q) - star).norm(), m_star)))
 
-        (sfg, m_fg), (sf, m_sf), (sg, m_sg) = (_eval(Symm(h), q) for h in (fg, f, g))
+        (sfg, m_fg), (sf, m_sf), (sg, m_sg) = (_eval(h, q) for h in symms)
         multiplicative.append((tag, _relative((sfg - sf * sg).norm(), m_fg + m_sf * m_sg)))
         commute.append((tag, _relative((sf * sg - sg * sf).norm(), m_sf * m_sg)))
 
@@ -195,7 +203,7 @@ def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
             slice_pres.append((tag, _relative(abs(split(sf, sp.unit, j).g), m_sf)))
 
         try:
-            (vl, ml), (vr, mr) = _eval(Star(recip_f, f), q), _eval(Star(f, recip_f), q)
+            (vl, ml), (vr, mr) = _eval(left, q), _eval(right, q)
         except SingularPoint:
             continue
         left_recip.append((tag, _relative((vl - Quaternion(1.0)).norm(), ml)))

@@ -294,6 +294,10 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     at most CLASSIFY_TOL times backward_bound(|a_n|, |(x - center) + iy|),
     the majorant of f there.
 
+    When a_0 = ... = a_{j-1} are exactly 0, where Aberth's stop is never met,
+    f = (q - center)^j g has one isolated zero at the center, classified as
+    every other, and g's zeros (a NonConvergence for g carries g's alone).
+
     Raises NonConvergence with an empty ``partial`` when the monic f^s is out
     of floating-point range: a coefficient is not finite, the leading one of
     f^s underflowed to 0 (deg f^s < 2 deg f), the constant one is 0 while
@@ -301,11 +305,18 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     """
     if f.degree < 1:
         raise ValueError("root finding requires degree >= 1")
+    j = next(n for n, c in enumerate(f.coeffs) if c != ZERO)
+    if j:
+        tol = CLASSIFY_TOL * f.majorant(Quaternion(f.center))
+        zero = sphere_zero_classify(Poly(f), f.center, 0.0, tol=tol)
+        g = SlicePolynomial(f.center, f.coeffs[j:])
+        rest = poly_roots(g) if g.degree else []
+        return sorted([zero, *rest], key=lambda z: (z.x, z.y))
     coeffs = _symm_complex_coeffs(f)
     lead = coeffs[-1] if coeffs[-1] != 0 else math.nan  # NaN: it underflowed
     coeffs = [c / lead for c in coeffs]
     finite = all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs)
-    if not finite or (coeffs[0] == 0 and f.coeffs[0] != ZERO):
+    if not finite or coeffs[0] == 0:
         raise NonConvergence("symmetrization out of floating-point range (a coefficient "
                              "overflowed, or the leading or constant one underflowed)")
     converged = True

@@ -553,6 +553,8 @@ def _ext_over(domain):
     # the degree cap: refused just above it, answered at it
     (["roots"], {"coeffs": _dense(MAX_DEGREE + 1)}, None),
     (["roots"], {"coeffs": _dense(MAX_DEGREE)}, None),
+    # q^64: the isolated zero at the center, at the degree cap
+    (["roots"], {"coeffs": [[0, 0, 0, 0]] * MAX_DEGREE + [[1, 0, 0, 0]]}, None),
 ])
 def test_hostile_payload_is_answered_or_refused(run, monkeypatch, argv, payload, seed):
     # strict JSON with exit 0 or 1, or one error: line with exit 2 or 3, in

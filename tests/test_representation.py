@@ -21,6 +21,7 @@ from sliceregular import (
     from_slice,
     general_representation,
     polynomial,
+    quat_inv,
     representation,
     symmetric_completion,
 )
@@ -80,6 +81,41 @@ def test_general_representation_specializes_to_representation():
         a = representation(v_plus, v_minus, j, target)
         b = general_representation(v_plus, v_minus, j, -j, target)
         assert_close(a, b, tol=1e-13)
+
+
+def _operator_general_representation(v_j, v_k, j, k, target):
+    """The general representation formula in Quaternion operators."""
+    dinv = quat_inv(j.u - k.u)
+    b = dinv * (j.u * v_j - k.u * v_k)
+    c = dinv * (v_j - v_k)
+    return b + target.unit.u * c
+
+
+def test_general_representation_is_the_operator_form_bit_for_bit():
+    # the component kernel keeps every operation of the operator form, in
+    # its order: the same bits, signed zeros included
+    rng = SplitMix64(24)
+    cases = []
+    for n in range(300):
+        x, y = rng.sphere()
+        j, k = rng.unit_pair()
+        if n % 3 == 1:
+            k = -j  # as an ext node of one slice builds it
+        target = SlicePoint(x, y, j if n % 5 == 2 else rng.unit())
+        scale = (1.0, 2.0 ** 500, 2.0 ** -500)[n % 3]
+        cases.append((rng.quaternion() * scale, rng.quaternion() * scale, j, k, target))
+    axes = [UNIT_I, UNIT_J, UNIT_K, -UNIT_I, -UNIT_J, -UNIT_K]
+    signed = [Quaternion(), Quaternion(-0.0, -0.0, -0.0, -0.0),
+              Quaternion(-0.0, 1.0, 0.0, -0.0), Quaternion(0.0, -0.0, -2.0, 0.0)]
+    for j in axes:
+        for k in axes:
+            if j != k:
+                for v_j in signed:
+                    for v_k in signed:
+                        cases.append((v_j, v_k, j, k, SlicePoint(0.5, 1.0, j)))
+                        cases.append((v_j, v_k, j, k, SlicePoint(0.5, 1.0, axes[0])))
+    for case in cases:
+        assert repr(general_representation(*case)) == repr(_operator_general_representation(*case))
 
 
 def test_general_representation_rejects_equal_units():

@@ -1,5 +1,7 @@
 """The verification harness: determinism, pass behavior, falsifiability."""
 
+import pytest
+
 from sliceregular import (
     Poly,
     Quaternion,
@@ -57,6 +59,14 @@ def test_grf_invariance_report_is_reproducible():
     assert a == b
     c = check_grf_invariance(f, seed=6)
     assert a.worst_case != c.worst_case
+
+
+@pytest.mark.parametrize("unit_pairs", [-1, 0, 1])
+def test_grf_invariance_needs_two_unit_pairs(unit_pairs):
+    # a spread compares at least two rebuilt values
+    with pytest.raises(ValueError, match="unit_pairs must be at least 2"):
+        check_grf_invariance(Poly(polynomial([1.0, 1.0])), unit_pairs=unit_pairs)
+    assert check_grf_invariance(Poly(polynomial([1.0, 1.0])), unit_pairs=2).passed
 
 
 def test_grf_invariance_fails_for_non_slice_map():

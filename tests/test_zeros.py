@@ -11,6 +11,7 @@ from sliceregular import (
     Poly,
     Quaternion,
     SingularPoint,
+    SlicePolynomial,
     Star,
     UNIT_I,
     UNIT_J,
@@ -458,6 +459,33 @@ def test_poly_roots_iterates_out_of_range(coeffs):
     # not zeros at NaN
     with pytest.raises(NonConvergence, match="out of floating-point range"):
         poly_roots(polynomial(coeffs))
+
+
+@pytest.mark.parametrize("center, lead", [(0.0, ONE), (-1.5, Quaternion(0.5, -2.0, 0.25, 1.0))])
+def test_poly_roots_power_of_the_center_is_one_isolated_zero(center, lead):
+    # (q - c)^n a: f^s = (z - c)^2n |a|^2 never meets Aberth's backward-error
+    # stop, so the factor is taken out and its zero reported once, exactly
+    for n in range(1, 65):
+        zeros = poly_roots(SlicePolynomial(center, [Quaternion()] * n + [lead]))
+        assert [(z.x, z.y, z.kind, z.residual) for z in zeros] == [(center, 0.0, ISO, 0.0)]
+        assert zeros[0].unit_is_arbitrary and zeros[0].converged
+
+
+def test_poly_roots_center_factor_keeps_the_other_zeros():
+    # (q - c)^j g with c the center, c != 0: the zero at c, then g's own zeros
+    # w^3 (w^2 + 1)(w - 2), w = q - 1.5
+    zeros = poly_roots(SlicePolynomial(1.5, [0.0] * 3 + [-2.0, 1.0, -2.0, 1.0]))
+    near = pytest.approx
+    assert [(z.kind, z.x, z.y) for z in zeros] == [
+        (ISO, 1.5, 0.0), (SPH, near(1.5, abs=1e-12), near(1.0, abs=1e-12)), (ISO, near(3.5), 0.0)]
+    rng = SplitMix64(95)
+    for j in (1, 2, 5):
+        for _ in range(5):
+            g = rng.polynomial(max_degree=6, center=1.5)
+            zeros = poly_roots(SlicePolynomial(1.5, (Quaternion(),) * j + g.coeffs))
+            assert [(z.x, z.y, z.kind) for z in zeros if z.x == 1.5 and z.y == 0.0] == [
+                (1.5, 0.0, ISO)]
+            assert [z for z in zeros if (z.x, z.y) != (1.5, 0.0)] == poly_roots(g)
 
 
 def test_poly_roots_requires_positive_degree():
