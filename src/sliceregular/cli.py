@@ -296,14 +296,8 @@ def build_parser() -> _Parser:
     return _Parser()
 
 
-_parser = None  # built by the first main() call, reused by later ones
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DecodeError as exc:

@@ -97,10 +97,10 @@ class Poly(SliceExpr):
 
 
 class Ext(SliceExpr):
-    """Extension of two slice data r (on L_J) and s (on L_K) with J != K."""
+    """Extension of two slice data r (on L_J) and s (on L_K) with J != K,
+    defined where both are: a stem raises DomainError outside its region."""
 
-    __slots__ = ("r", "s", "j", "k", "domain")
-    _defaults = {"domain": None}
+    __slots__ = ("r", "s", "j", "k")
 
 
 class Star(SliceExpr):
@@ -190,8 +190,6 @@ def _eval(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, float]:
         v = f.func(q)
     elif isinstance(f, Ext):
         p = slice_coords(q)
-        if f.domain is not None and not f.domain.contains_xy(p.x, p.y):
-            raise DomainError(f"point {q!r} outside the extension's domain")
         v = general_representation(f.r(p.x, p.y), f.s(p.x, p.y), f.j, f.k, p)
     else:
         raise TypeError(f"not a SliceExpr node: {f!r}")

@@ -10,7 +10,7 @@ from .errors import (
 )
 from .expr import Ext, SliceExpr, StemFunction, _pair, evaluate
 from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, from_slice
-from .representation import DEFAULT_GRID_STEP, DEGENERATE_UNIT_TOL, symmetric_completion
+from .representation import DEGENERATE_UNIT_TOL
 
 REAL_TRACE_TOL = 1e-9
 REAL_TRACE_SAMPLES = 32
@@ -43,7 +43,9 @@ def extend(r: StemFunction, s: StemFunction, j: ImaginaryUnit, k: ImaginaryUnit)
 
     The two data must agree on the real trace of their (mirror) domains:
     at evenly spaced real points, the largest |r - s| is at most
-    REAL_TRACE_TOL times the largest |r| or |s| there.
+    REAL_TRACE_TOL times the largest |r| or |s| there.  The extension is
+    defined where both data are: r and s raise DomainError outside their
+    regions.
     """
     if (j.u - k.u).norm() <= DEGENERATE_UNIT_TOL:
         raise DegenerateUnits("extension needs two distinct imaginary units")
@@ -56,32 +58,30 @@ def extend(r: StemFunction, s: StemFunction, j: ImaginaryUnit, k: ImaginaryUnit)
     if gap > REAL_TRACE_TOL * scale:
         raise RealTraceMismatch(f"slice data disagree on the real axis at x={x} "
                                 f"(|r-s| = {gap:.3e} where |r|, |s| reach {scale:.3e})")
-    domain = None
-    if r.region is not None:
-        domain = symmetric_completion(r.region)
-    return Ext(r=r, s=s, j=j, k=k, domain=domain)
+    return Ext(r=r, s=s, j=j, k=k)
 
 
-def ext_from_holomorphic(f: StemFunction, grid_step: float = DEFAULT_GRID_STEP) -> SliceExpr:
+def ext_from_holomorphic(f: StemFunction) -> SliceExpr:
     """Unique regular extension of data on a single slice L_J.
 
     The stem domain must be symmetric with respect to the real axis and meet
-    it; its symmetric completion is classified at ``grid_step``.  Realized
-    as a two-slice extension with K = -J and the mirrored stem
-    s(x + yK) = f(x - yJ), which reproduces the single-slice formula
+    it; its connectivity is not asked.  Realized as a two-slice extension
+    with K = -J and the mirrored stem s(x + yK) = f(x - yJ), which reproduces
+    the single-slice formula
       f~(x+yI) = 1/2 [f(x+yJ) + f(x-yJ)] + I 1/2 [J (f(x-yJ) - f(x+yJ))].
+    Both stems check the same symmetric region, so the extension is defined
+    exactly on the spheres through it.
     """
     if f.region is not None and not f.region.is_axis_symmetric():
         raise DomainNotSymmetric("single-slice extension needs a domain symmetric in the real axis")
-    domain = symmetric_completion(f.region, grid_step) if f.region is not None else None
-    if domain is not None and not domain.contains_real:
+    if f.region is not None and not f.region.meets_real_axis():
         raise NoRealTrace("the slice domain does not meet the real axis")
     mirror = StemFunction(
         func=lambda x, y, _f=f.func: _f(x, -y),
         unit=-f.unit,
         region=f.region.mirrored() if f.region is not None else None,
     )
-    return Ext(r=f, s=mirror, j=f.unit, k=-f.unit, domain=domain)
+    return Ext(r=f, s=mirror, j=f.unit, k=-f.unit)
 
 
 def restriction_stem(f: SliceExpr, unit: ImaginaryUnit, region=None) -> StemFunction:

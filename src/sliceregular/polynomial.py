@@ -14,8 +14,6 @@ from collections.abc import Iterable, Sequence
 from .errors import CenterMismatch
 from .quaternion import ONE, Quaternion, Value, ZERO, _coerce
 
-_CENTER_TOL = 1e-12
-
 
 def _as_quaternion(c) -> Quaternion:
     q = _coerce(c)
@@ -127,7 +125,7 @@ class SlicePolynomial(Value):
 
 
 def _require_same_center(f: SlicePolynomial, g: SlicePolynomial):
-    if abs(f.center - g.center) > _CENTER_TOL:
+    if f.center != g.center:  # exact: a center is decoded or copied, never computed
         raise CenterMismatch(
             f"polynomial centers differ: {f.center} vs {g.center} (re-centering is not supported)"
         )

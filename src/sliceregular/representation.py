@@ -150,6 +150,10 @@ class SliceRegion(Value):
     def mirrored(self) -> "SliceRegion":
         return SliceRegion(tuple(s.mirrored() for s in self.shapes))
 
+    def meets_real_axis(self) -> bool:
+        """Exact: some shape crosses the real axis (its real_interval)."""
+        return any(s.real_interval() for s in self.shapes)
+
     def is_axis_symmetric(self) -> bool:
         """Exact, conservative test that (x, y) in region iff (x, -y) in region:
         true when each shape's mirror lies inside one shape of the region.
@@ -188,8 +192,7 @@ class AxialDomain(Value):
     iff the generating region contains (x, y) or (x, -y) for y = |Im(q)|.
     """
 
-    __slots__ = ("region", "contains_real", "is_s_domain", "grid_step")
-    _defaults = {"grid_step": DEFAULT_GRID_STEP}
+    __slots__ = ("region", "contains_real", "is_s_domain")
 
     # A union of whole spheres x + y*S is axially symmetric by construction.
     axially_symmetric = True
@@ -197,10 +200,6 @@ class AxialDomain(Value):
     def contains(self, q: Quaternion) -> bool:
         p = slice_coords(q)
         return self.region.contains(p.x, p.y) or self.region.contains(p.x, -p.y)
-
-    def contains_xy(self, x: float, y: float) -> bool:
-        y = abs(y)
-        return self.region.contains(x, y) or self.region.contains(x, -y)
 
 
 def raster_cells(region: SliceRegion, step: float) -> float:
@@ -314,7 +313,7 @@ def symmetric_completion(region: SliceRegion, grid_step: float = DEFAULT_GRID_ST
     intersection with one (hence every) slice is connected, decided by a
     flood fill on a rasterized picture of the slice set.
     """
-    contains_real = any(s.real_interval() for s in region.shapes)
+    contains_real = region.meets_real_axis()
     # Rastered on the axis or off it, so that the cost follows the region's size alone.
     is_s = bool(region.shapes) and _slice_components(region, grid_step) == 1 and contains_real
-    return AxialDomain(region, contains_real=contains_real, is_s_domain=is_s, grid_step=grid_step)
+    return AxialDomain(region, contains_real=contains_real, is_s_domain=is_s)

@@ -29,10 +29,10 @@ MAX_EVAL_COST = 4096
 _UNARY_OPS = {"conj": Conj, "symm": Symm, "recip": Recip}
 _BINARY_OPS = {"star": Star, "sum": Sum}
 
-# Bound on the raster that classifies a decoded domain at its grid step
-# (representation.raster_cells).  symmetric_completion sweeps its columns,
-# so its time grows with the columns times the shapes and its memory with
-# the runs of cells it finds, never with the cells themselves.
+# Bound on the raster that classifies an extend domain (not an ext node's,
+# which is never classified) at its grid step (representation.raster_cells).
+# The sweep's time grows with the columns times the shapes and its memory
+# with the runs of cells it finds, never with the cells themselves.
 MAX_RASTER_CELLS = 10 ** 6
 
 # Bound on the shapes of a decoded domain: classification and the symmetry
@@ -50,8 +50,9 @@ MAX_ECHO = 200
 
 class DecodeError(ValueError):
     """Malformed JSON payload (wrong shape, missing key, non-finite number,
-    a domain size that is not positive, a polynomial over MAX_DEGREE, or a
-    domain over MAX_SHAPES shapes or with a raster over MAX_RASTER_CELLS)."""
+    a domain size that is not positive, a polynomial over MAX_DEGREE, a
+    domain over MAX_SHAPES shapes, or an extend domain with a raster over
+    MAX_RASTER_CELLS)."""
 
 
 def _echo(value) -> str:
@@ -100,23 +101,23 @@ def poly_from_json(data) -> SlicePolynomial:
 
 
 def domain_from_json(data, grid_step: float = DEFAULT_GRID_STEP) -> AxialDomain:
-    """The domain's own "grid_step" key, if any, overrides ``grid_step``."""
-    region, grid_step = _bounded_region(data, grid_step)
-    return symmetric_completion(region, grid_step=grid_step)
-
-
-def _bounded_region(data, grid_step: float) -> tuple[SliceRegion, float]:
-    """The region of a domain and the step to classify it at: the domain's
-    "grid_step" key if any, else ``grid_step``; its raster there is bounded."""
+    """The domain, classified by symmetric_completion at its own "grid_step"
+    key if any, else at ``grid_step``; its raster there is bounded."""
     region = region_from_json(data)
-    step = _finite(data.get("grid_step", grid_step), "grid step")
-    if step <= 0.0:
-        raise DecodeError(f"grid step must be positive, got {step!r}")
+    step = _grid_step(data, grid_step)
     cells = raster_cells(region, step)
     if cells > MAX_RASTER_CELLS:
         raise DecodeError(f"domain raster of {cells:.3g} cells at grid step {step!r} "
                           f"exceeds {MAX_RASTER_CELLS}")
-    return region, step
+    return symmetric_completion(region, grid_step=step)
+
+
+def _grid_step(data: dict, default: float) -> float:
+    """The domain's "grid_step" key if any, else ``default``; finite and > 0."""
+    step = _finite(data.get("grid_step", default), "grid step")
+    if step <= 0.0:
+        raise DecodeError(f"grid step must be positive, got {step!r}")
+    return step
 
 
 def region_from_json(data) -> SliceRegion:
@@ -213,10 +214,12 @@ def expr_from_json(data, depth: int = 1) -> SliceExpr:
             unit = ImaginaryUnit(unit_q)
         except Exception as exc:
             raise DecodeError(f"'slice' is not an imaginary unit: {exc}") from exc
-        region, step = None, DEFAULT_GRID_STEP
+        region = None
         if "domain" in data:
-            region, step = _bounded_region(data["domain"], step)
-        f = ext_from_holomorphic(restriction_stem(Poly(poly), unit, region=region), grid_step=step)
+            # the stems' regions decide membership, so the step is only validated
+            region = region_from_json(data["domain"])
+            _grid_step(data["domain"], DEFAULT_GRID_STEP)
+        f = ext_from_holomorphic(restriction_stem(Poly(poly), unit, region=region))
     else:
         raise DecodeError(f"unknown expression op {_echo(op)}")
     if depth == 1 and _eval_cost(f) > MAX_EVAL_COST:

@@ -90,8 +90,8 @@ def _cis(t: float) -> complex:
     return complex(math.cos(t), math.sin(t))
 
 
-def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
-                 tol: float = ABERTH_TOL, *, conjugate_pairs: bool = False) -> list[complex]:
+def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
+                 conjugate_pairs: bool = False) -> list[complex]:
     """All roots of a complex polynomial (a_0 + a_1 z + ... + a_n z^n).
 
     Deterministic initialization on a circle of radius 1 + max|a_k/a_n| with
@@ -177,7 +177,7 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER,
             denom = 1.0 - newton * s
             w = newton if denom == 0 else newton / denom
             new[m] = zm - w
-            if abs(w) > tol * max(1.0, abs(zm)):
+            if abs(w) > ABERTH_TOL * max(1.0, abs(zm)):
                 done = False
         active = moving
         z = new

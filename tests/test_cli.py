@@ -253,21 +253,30 @@ def test_ext_domain_rejects_bad_grid_step(run, step):
         assert err.startswith("error: grid step must be") and err.count("\n") == 1
 
 
-def test_ext_domain_is_bounded_and_classified_at_its_grid_step(run):
+def test_ext_domain_grid_step_is_validated_but_inert(run):
+    # an ext node's domain is never classified: its stems' regions decide
+    # membership, so every valid step gives the same answers, also one at
+    # which extend's raster would have 4e8 cells
     disc = {"discs": [{"r": 1}]}
-    code, out, _ = run(["eval"], _ext_eval({**disc, "grid_step": 0.05}))
-    assert code == 0 and json.loads(out) == json.loads(run(["eval"], _ext_eval(disc))[1])
-    assert expr_from_json(_ext_eval({**disc, "grid_step": 0.05})["expr"]).domain.grid_step == 0.05
-    # 4e8 cells at this step, 4e4 at the default one
-    _assert_decode_error(run(["eval"], _ext_eval({**disc, "grid_step": 1e-4})))
+    payload = {"expr": {"op": "ext", **_STEM, "domain": disc},
+               "points": [[0.5, 0, 0, 0], [0, 0, 2, 0]]}
+    code, out, err = run(["eval"], payload)
+    assert code == 0 and err == ""
+    inside, outside = json.loads(out)["values"]
+    assert inside == [0.5, 0.0, 0.0, 0.0] and "outside its declared domain" in outside["error"]
+    for step in (0.05, 1e-4):
+        payload["expr"]["domain"] = {**disc, "grid_step": step}
+        assert run(["eval"], payload) == (code, out, err)
+    _assert_decode_error(run(["extend"], {"domain": {**disc, "grid_step": 1e-4}}))
 
 
 def test_domain_raster_is_bounded_at_decode(run):
     # a radius-6 disc needs 1.44e6 cells at the default grid step
     disc = {"discs": [{"cx": 0.0, "cy": 0.0, "r": 6.0}]}
     _assert_decode_error(run(["extend"], {"domain": disc}))
-    _assert_decode_error(run(["eval"], {"expr": {"op": "ext", **_STEM, "domain": disc},
-                                        "points": [[0, 0, 0, 0]]}))
+    # an ext node's domain is not rasterized, so eval answers over it
+    payload = {"expr": {"op": "ext", **_STEM, "domain": disc}, "points": [[0, 0, 0, 0]]}
+    assert run(["eval"], payload) == (0, '{"values": [[0.0, 0.0, 0.0, 0.0]]}\n', "")
 
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -383,7 +392,8 @@ def test_check_seed_from_environment(run):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
-def test_main_builds_one_parser_per_process(run, monkeypatch):
+def test_main_builds_a_parser_per_call(run, monkeypatch):
+    # the parser is stateless and cheap, so main keeps none between calls
     import sliceregular.cli as cli
     built = []
 
@@ -391,13 +401,13 @@ def test_main_builds_one_parser_per_process(run, monkeypatch):
         built.append(1)
         return build_parser()
 
-    monkeypatch.setattr(cli, "_parser", None, raising=False)
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
     payload = {"expr": _LINEAR, "points": [[1, 0, 0, 0]]}
     for _ in range(5):
         assert run(["eval"], payload) == (0, '{"values": [[1.0, 0.0, 0.0, 0.0]]}\n', "")
     assert run(["check", "--suite", "identities", "--samples", "10"])[0] == 0
-    assert len(built) == 1
+    assert len(built) == 6
+    assert not hasattr(cli, "_parser")
     assert build_parser() is not build_parser()
 
 
@@ -555,6 +565,10 @@ def _ext_over(domain):
     (["roots"], {"coeffs": _dense(MAX_DEGREE)}, None),
     # q^64: the isolated zero at the center, at the degree cap
     (["roots"], {"coeffs": [[0, 0, 0, 0]] * MAX_DEGREE + [[1, 0, 0, 0]]}, None),
+    # an ext domain is never rasterized, whatever its size or grid step
+    (["eval"], _ext_over({"discs": [{"r": 6}]}), None),
+    (["eval"], _ext_over({"discs": [{"r": 1}], "grid_step": 1e-6}), None),
+    (["eval"], _ext_over({"discs": [{"r": 1e300}]}), None),
 ])
 def test_hostile_payload_is_answered_or_refused(run, monkeypatch, argv, payload, seed):
     # strict JSON with exit 0 or 1, or one error: line with exit 2 or 3, in

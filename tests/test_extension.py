@@ -94,6 +94,18 @@ def test_two_slice_extension_agrees_with_single():
         assert_close(evaluate(ext, q), p.evaluate(q), tol=1e-10)
 
 
+def test_two_slice_extension_is_defined_where_its_stems_are():
+    # no domain is classified: r's and s's own region checks decide membership
+    p = polynomial([UNIT_K.u, 1.0, UNIT_I.u])
+    r = restriction_stem(Poly(p), UNIT_J, region=SliceRegion((Disc(0.0, 0.0, 1.0),)))
+    s = restriction_stem(Poly(p), UNIT_K, region=SliceRegion((Disc(0.0, 0.0, 2.0),)))
+    ext = extend(r, s, UNIT_J, UNIT_K)
+    q = from_slice(0.2, 0.5, UNIT_I)
+    assert_close(evaluate(ext, q), p.evaluate(q), tol=1e-10)
+    with pytest.raises(DomainError):
+        evaluate(ext, from_slice(0.2, 1.5, UNIT_I))  # in s's region, outside r's
+
+
 def test_extend_rejects_equal_units():
     r = restriction_stem(Poly(polynomial([0.0, 1.0])), UNIT_J)
     with pytest.raises(DegenerateUnits):

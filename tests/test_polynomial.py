@@ -98,6 +98,17 @@ def test_center_mismatch_rejected():
         SlicePolynomial(0.0, (ONE,)) + SlicePolynomial(2.0, (ONE,))
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 50])
+def test_centers_compare_exactly_at_any_scale(scale):
+    # centers 1e-14 and 2e-14 differ as much, relatively, as 11.26 and 22.5
+    f = SlicePolynomial(1e-14 * scale, (ONE, ONE))
+    g = SlicePolynomial(2e-14 * scale, (ONE, ONE))
+    with pytest.raises(CenterMismatch):
+        star_poly(f, g)
+    with pytest.raises(CenterMismatch):
+        f + g
+
+
 def test_sum_neg_and_right_scale():
     p = polynomial([1.0, 1.0])
     q = polynomial([0.0, 2.0])

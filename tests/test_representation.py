@@ -190,9 +190,9 @@ def test_axial_membership_folds_the_sphere():
     for unit in (UNIT_I, UNIT_J, UNIT_K, -UNIT_K):
         assert domain.contains(from_slice(0.0, 1.0, unit))
     assert not domain.contains(Quaternion(5.0))
-    assert domain.contains_xy(0.0, -1.0)
+    assert domain.contains(from_slice(0.0, -1.0, UNIT_I))
     # the box is open at y0 = 0, so it does not meet the real axis
-    assert not domain.contains_xy(0.0, 0.0)
+    assert not domain.contains(from_slice(0.0, 0.0, UNIT_I))
     assert not domain.contains_real and not domain.is_s_domain
 
 

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from sliceregular import Quaternion, Star, UNIT_I, UNIT_J, evaluate, monomial_minus, polynomial
+from sliceregular import (
+    DomainError, Quaternion, Star, UNIT_I, UNIT_J, evaluate, monomial_minus, polynomial,
+)
 from sliceregular.expr import Conj, Poly, Recip, RightScalar, Sum, Symm
 from sliceregular.serialize import (
     MAX_DEGREE,
@@ -84,6 +86,25 @@ def test_ext_expr_rejects_real_slice():
     data = {"op": "ext", "stem": {"coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]]}, "slice": [1, 0, 0, 0]}
     with pytest.raises(DecodeError):
         expr_from_json(data)
+
+
+def test_ext_domain_is_never_rasterized(monkeypatch):
+    # the stems' regions decide membership in an ext node's domain, so
+    # decoding and evaluating one never classifies its connectivity
+    import sys
+
+    def no_raster(region, step):
+        raise AssertionError("an ext domain was rasterized")
+
+    monkeypatch.setattr(sys.modules["sliceregular.representation"], "_slice_components",
+                        no_raster)
+    data = {"op": "ext", "stem": {"coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]]}, "slice": [0, 0, 1, 0],
+            "domain": {"discs": [{"r": 1.0}, {"cx": 3.0, "r": 1.0}], "grid_step": 0.05}}
+    expr = expr_from_json(data)
+    for q in (Quaternion(0.1, 0.2, 0.3, 0.4), Quaternion(3.1, 0.2, 0.3, 0.4)):
+        assert_close(evaluate(expr, q), q, tol=1e-12)
+    with pytest.raises(DomainError):
+        evaluate(expr, Quaternion(1.5, 0.5))
 
 
 def test_domain_from_json():

@@ -50,12 +50,14 @@ def test_value_types_keep_their_semantics(monkeypatch):
     stem = StemFunction(func=lambda x, y: Quaternion(x, y), unit=UNIT_J)
     assert stem.region is None
     ext = Ext(r=stem, s=stem, j=UNIT_J, k=UNIT_I)
-    assert ext.domain is None and ext == Ext(stem, stem, UNIT_J, UNIT_I, None)
+    assert ext == Ext(stem, stem, UNIT_J, UNIT_I) and Ext._fields == ("r", "s", "j", "k")
+    with pytest.raises(TypeError):
+        Ext(stem, stem, UNIT_J, UNIT_I, None)  # the stems' regions are its domain
     region = SliceRegion((Disc(0.0, 0.0, 1.0),))
     domain = AxialDomain(region, contains_real=True, is_s_domain=True)
-    assert domain.grid_step == 1e-2 and domain.axially_symmetric is True
-    assert domain == AxialDomain(region=region, contains_real=True, is_s_domain=True,
-                                 grid_step=1e-2)
+    assert domain.axially_symmetric is True
+    assert domain == AxialDomain(region=region, contains_real=True, is_s_domain=True)
+    assert AxialDomain._fields == ("region", "contains_real", "is_s_domain")
     zero = SphereZero(0.0, 1.0, ZeroKind.SPHERICAL)
     assert (zero.unit, zero.residual, zero.unit_is_arbitrary, zero.converged) == (
         None, 0.0, False, True)
