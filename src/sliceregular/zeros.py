@@ -94,9 +94,14 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
                  conjugate_pairs: bool = False) -> list[complex]:
     """All roots of a complex polynomial (a_0 + a_1 z + ... + a_n z^n).
 
-    Deterministic initialization on a circle of radius 1 + max|a_k/a_n| with
-    a fixed angular offset.  Raises NonConvergence (with partial results)
-    after ``max_iter`` sweeps.
+    Deterministic start with a fixed angular offset on the circle of radius
+    2^(1 + max_k ceil(e_k / k)), 2^e_k the power of two just above a nonzero
+    |a_{n-k}/a_n|: above Fujiwara's bound 2 max_k |a_{n-k}/a_n|^(1/k) on the
+    roots, and made of exponents alone.  With the step stop |w| <= ABERTH_TOL
+    * |z| every decision is relative, so a polynomial in 2^j z has exactly
+    2^-j times the roots.  Exactly zero a_0, ..., a_{j-1} give j roots 0,
+    which are not iterated: a relative step never settles there.  Raises
+    NonConvergence (with partial results) after ``max_iter`` sweeps.
 
     A root stops when |p(z)| <= 1e-14 * sum |a_k| |z|^k, the backward-error
     bound of its own evaluation (or when p == 0).  Two closed-form bounds on
@@ -111,28 +116,34 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
     other roots' corrections.
 
     ``conjugate_pairs=True`` states that the roots come in conjugate pairs:
-    the coefficients must be real and n even (else ValueError), and a real
-    root must have even multiplicity, as for a polynomial that is
-    nonnegative on the real axis.  Then only n/2 roots are iterated, started
-    on the upper half of the circle at angles pi*(m + 1/2)/(n/2), and each
-    one's correction also sums 1/(z_m - conj(z_l)) over every iterate l, its
-    own conjugate included, so the set {z, conj(z)} moves as the full root
-    set would.  The iterated half comes first in the result, then its
-    conjugates in the same order; ``NonConvergence.partial`` has the same
-    layout.
+    the coefficients must be real and n and the number of zero roots even
+    (else ValueError), and a real root must have even multiplicity, as for a
+    polynomial that is nonnegative on the real axis.  Then only n/2 roots
+    are iterated, started on the upper half of the circle at angles
+    pi*(m + 1/2)/(n/2), and each one's correction also sums
+    1/(z_m - conj(z_l)) over every iterate l, its own conjugate included, so
+    the set {z, conj(z)} moves as the full root set would.  The iterated half, after half the zero roots, comes first in
+    the result, then its conjugates in the same order;
+    ``NonConvergence.partial`` has the same layout.
     """
     n = len(coeffs) - 1
     while n > 0 and abs(coeffs[n]) == 0.0:
         n -= 1
-    coeffs = list(coeffs[: n + 1])
-    if conjugate_pairs and (n % 2 or any(complex(c).imag != 0.0 for c in coeffs)):
-        raise ValueError("conjugate_pairs requires real coefficients and even degree")
+    j = 0
+    while j < n and coeffs[j] == 0:
+        j += 1
+    coeffs = list(coeffs[j: n + 1])
+    if conjugate_pairs and (n % 2 or j % 2 or any(complex(c).imag != 0.0 for c in coeffs)):
+        raise ValueError("conjugate_pairs requires real coefficients, even degree and zeros")
+    n -= j
+    zeros = [0j] * (j // 2 if conjugate_pairs else j)
     if n < 1:
-        return []
+        return zeros + [zl.conjugate() for zl in zeros] if conjugate_pairs else zeros
     lead = coeffs[-1]
     coeffs = [c / lead for c in coeffs]
     abs_coeffs = [abs(c) for c in coeffs]
-    radius = 1.0 + max(abs_coeffs[:-1])
+    radius = math.ldexp(2.0, max(-(-math.frexp(abs_coeffs[n - k])[1] // k)
+                                 for k in range(1, n + 1) if abs_coeffs[n - k]))
     top, rest = coeffs[-1], coeffs[-2::-1]  # Horner order, as in _poly_val_der
     abs_sum = sum(abs_coeffs)
     if conjugate_pairs:
@@ -177,12 +188,13 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
             denom = 1.0 - newton * s
             w = newton if denom == 0 else newton / denom
             new[m] = zm - w
-            if abs(w) > ABERTH_TOL * max(1.0, abs(zm)):
+            if abs(w) > ABERTH_TOL * abs(zm):
                 done = False
         active = moving
         z = new
         if done:
             break
+    z = zeros + z
     if conjugate_pairs:
         z += [zl.conjugate() for zl in z]
     if not done:
@@ -292,7 +304,9 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     the larger modulus: each test is at the scale of the roots it compares, so
     small zeros survive beside large ones.  A value on a sphere is zero when
     at most CLASSIFY_TOL times backward_bound(|a_n|, |(x - center) + iy|),
-    the majorant of f there.
+    the majorant of f there.  Aberth's start and stops are relative too, so
+    with center 0, f(2^k q) has exactly 2^-k times the zeros of f wherever
+    f^s and its terms at the roots are normal doubles.
 
     When a_0 = ... = a_{j-1} are exactly 0, where Aberth's stop is never met,
     f = (q - center)^j g has one isolated zero at the center, classified as

@@ -58,6 +58,22 @@ def test_aberth_handles_multiple_roots():
     assert all(abs(z - 1.0) <= 1e-3 for z in roots)
 
 
+def _exact_zero_roots(coeffs):
+    """0j for each low-order coefficient that is exactly 0, below the last."""
+    j = 0
+    while j < len(coeffs) - 1 and coeffs[j] == 0:
+        j += 1
+    return [0j] * j
+
+
+def _start_radius(monic):
+    """2^(1 + max ceil(e_k / k)) over the nonzero |monic[n - k]| < 2^e_k,
+    k = 1..n: a power of two above Fujiwara's bound on the roots."""
+    n = len(monic) - 1
+    return 2.0 ** (1 + max(math.ceil(math.frexp(abs(monic[n - k]))[1] / k)
+                           for k in range(1, n + 1) if monic[n - k] != 0))
+
+
 def _reference_aberth(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
     """Aberth sweep that re-examines every root on every sweep.
 
@@ -68,12 +84,14 @@ def _reference_aberth(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
     n = len(coeffs) - 1
     while n > 0 and abs(coeffs[n]) == 0.0:
         n -= 1
-    coeffs = list(coeffs[: n + 1])
+    zeros = _exact_zero_roots(coeffs[: n + 1])
+    coeffs = list(coeffs[len(zeros): n + 1])
+    n -= len(zeros)
     if n < 1:
-        return []
+        return zeros
     lead = coeffs[-1]
     coeffs = [c / lead for c in coeffs]
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
+    radius = _start_radius(coeffs)
     z = [radius * cmath.exp(1j * (2.0 * math.pi * m / n + 0.4)) for m in range(n)]
     for _ in range(max_iter):
         done = True
@@ -101,12 +119,12 @@ def _reference_aberth(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
             denom = 1.0 - newton * s
             w = newton if denom == 0 else newton / denom
             new[m] = z[m] - w
-            if abs(w) > tol * max(1.0, abs(z[m])):
+            if abs(w) > tol * abs(z[m]):
                 done = False
         z = new
         if done:
-            return z
-    raise NonConvergence("Aberth iteration did not converge", partial=z)
+            return zeros + z
+    raise NonConvergence("Aberth iteration did not converge", partial=zeros + z)
 
 
 def _reference_aberth_pairs(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
@@ -120,10 +138,13 @@ def _reference_aberth_pairs(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
     n = len(coeffs) - 1
     while n > 0 and abs(coeffs[n]) == 0.0:
         n -= 1
-    coeffs = list(coeffs[: n + 1])
+    zeros = _exact_zero_roots(coeffs[: n + 1])
+    coeffs = list(coeffs[len(zeros): n + 1])
+    n -= len(zeros)
+    zeros = zeros[: len(zeros) // 2]  # half of them lead each half of the result
     lead = coeffs[-1]
     coeffs = [c / lead for c in coeffs]
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
+    radius = _start_radius(coeffs) if n else 0.0
     half = n // 2
     z = [radius * cmath.exp(1j * (math.pi * (m + 0.5) / half)) for m in range(half)]
     done = False
@@ -155,11 +176,12 @@ def _reference_aberth_pairs(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
             denom = 1.0 - newton * s
             w = newton if denom == 0 else newton / denom
             new[m] = z[m] - w
-            if abs(w) > tol * max(1.0, abs(z[m])):
+            if abs(w) > tol * abs(z[m]):
                 done = False
         z = new
         if done:
             break
+    z = zeros + z
     z += [zl.conjugate() for zl in z]
     if not done:
         raise NonConvergence("Aberth iteration did not converge", partial=z)
@@ -288,6 +310,19 @@ def test_aberth_conjugate_pairs_rejects_other_input():
         aberth_roots([1.0, 0.5j, 1.0], conjugate_pairs=True)
     with pytest.raises(ValueError):
         aberth_roots([-6, 11, -6, 1], conjugate_pairs=True)
+    with pytest.raises(ValueError):  # an odd number of zero roots
+        aberth_roots([0.0, 1.0, 1.0], conjugate_pairs=True)
+
+
+def test_aberth_exact_zero_roots():
+    # A relative step stop is never met by an iterate that converges to 0,
+    # so exactly zero low-order coefficients give exact zero roots, half of
+    # them in each half of the conjugate-pair layout.
+    assert aberth_roots([0, 0, 1, 1]) == [0j, 0j, -1 + 0j]
+    assert aberth_roots([0.0, 0.0, 0.0, 1.0]) == [0j] * 3
+    roots = aberth_roots([0.0, 0.0, 1.0, 0.0, 1.0], conjugate_pairs=True)
+    assert roots[0] == roots[2] == 0 and abs(roots[1] - 1j) <= 1e-15
+    assert roots[2:] == [z.conjugate() for z in roots[:2]]
 
 
 def _weight(zeros):
@@ -418,6 +453,13 @@ ISO, SPH = ZeroKind.ISOLATED, ZeroKind.SPHERICAL
     ([288.0, 36.0, 1.0], [(-24.0, 0.0, ISO), (-12.0, 0.0, ISO)]),
     ([3e-7, -3.0000001, 1.0], [(1e-7, 0.0, ISO), (3.0, 0.0, ISO)]),
     ([1.0, 0.0, 2.0, 0.0, 1.0], [(0.0, 1.0, SPH)]),
+    # Aberth's start circle and step stop are relative to the roots:
+    # q^2 + 1e-32, q^8 + 1e-100 (four spheres of modulus 10^-12.5), q^2 + 1e60
+    ([1e-32, 0.0, 1.0], [(0.0, 1e-16, SPH)]),
+    ([1e-100] + [0.0] * 7 + [1.0],
+     [(10 ** -12.5 * math.cos(t), 10 ** -12.5 * math.sin(t), SPH)
+      for t in (7 * math.pi / 8, 5 * math.pi / 8, 3 * math.pi / 8, math.pi / 8)]),
+    ([1e60, 0.0, 1.0], [(0.0, 1e30, SPH)]),
 ])
 def test_poly_roots_fold_and_merge_at_the_roots_scale(coeffs, want):
     zeros = poly_roots(polynomial(coeffs))
@@ -455,10 +497,29 @@ def test_poly_roots_small_real_pair_to_the_last_bits():
 
 @pytest.mark.parametrize("coeffs", [[1e153, 1.0], [1e40, 0.0, 1.0]])
 def test_poly_roots_iterates_out_of_range(coeffs):
-    # f^s is in range, but at the iterates its terms overflow: an error,
-    # not zeros at NaN
-    with pytest.raises(NonConvergence, match="out of floating-point range"):
-        poly_roots(polynomial(coeffs))
+    # f^s is in range, and so are its terms on Aberth's start circle, at
+    # most twice Fujiwara's bound: 1e153 + q has the isolated zero -1e153,
+    # q^2 + 1e40 the spherical zero (0, 1e20).
+    zeros = poly_roots(polynomial(coeffs))
+    assert len(zeros) == 1
+    z = zeros[0]
+    if len(coeffs) == 2:
+        assert (z.kind, z.x, z.y) == (ISO, -1e153, 0.0)
+    else:
+        assert (z.kind, z.y) == (SPH, 1e20) and abs(z.x) <= 1e-15 * z.y
+
+
+def test_poly_roots_exactly_covariant_under_scaling_of_the_variable():
+    # f(2^k q) has coefficients a_n 2^(kn) and exactly 2^-k times the zeros
+    # of f: the start circle, the stops, the refinement and the fold, merge
+    # and classify decisions all scale with the roots.
+    for seed in range(1, 16):
+        f = SplitMix64(seed).polynomial(max_degree=8)
+        want = [(z.kind, z.x, z.y) for z in poly_roots(f)]
+        for k in range(-40, 41):
+            g = polynomial([c * Quaternion(2.0 ** (k * n)) for n, c in enumerate(f.coeffs)])
+            got = [(z.kind, z.x, z.y) for z in poly_roots(g)]
+            assert got == [(kind, math.ldexp(x, -k), math.ldexp(y, -k)) for kind, x, y in want]
 
 
 @pytest.mark.parametrize("center, lead", [(0.0, ONE), (-1.5, Quaternion(0.5, -2.0, 0.25, 1.0))])
