@@ -95,13 +95,16 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
     """All roots of a complex polynomial (a_0 + a_1 z + ... + a_n z^n).
 
     Deterministic start with a fixed angular offset on the circle of radius
-    2^(1 + max_k ceil(e_k / k)), 2^e_k the power of two just above a nonzero
-    |a_{n-k}/a_n|: above Fujiwara's bound 2 max_k |a_{n-k}/a_n|^(1/k) on the
-    roots, and made of exponents alone.  With the step stop |w| <= ABERTH_TOL
-    * |z| every decision is relative, so a polynomial in 2^j z has exactly
-    2^-j times the roots.  Exactly zero a_0, ..., a_{j-1} give j roots 0,
-    which are not iterated: a relative step never settles there.  Raises
-    NonConvergence (with partial results) after ``max_iter`` sweeps.
+    2^e, the smallest power of two at or above Cauchy's radius (the positive
+    root of z^n - sum_{k<n} |c_k| z^k, c = a/a_n), which holds every root: e
+    comes down from Fujiwara's 1 + max_k ceil(e_k / k), 2^e_k just above a
+    nonzero |c_{n-k}|, while sum_{k<n} |c_k| 2^((e-1)(k-n)) <= 1.  Those
+    terms scale alike, and the step stop |w| <= ABERTH_TOL * |z| is relative,
+    so a polynomial in 2^j z has exactly 2^-j times the roots.  Exactly zero
+    a_0, ..., a_{j-1} give j roots 0, which are not iterated: a relative
+    step never settles there.  Raises NonConvergence (with partial results)
+    after ``max_iter`` sweeps, or with the zero roots alone when 2^e is not
+    a double.
 
     A root stops when |p(z)| <= 1e-14 * sum |a_k| |z|^k, the backward-error
     bound of its own evaluation (or when p == 0).  Two closed-form bounds on
@@ -142,8 +145,20 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
     lead = coeffs[-1]
     coeffs = [c / lead for c in coeffs]
     abs_coeffs = [abs(c) for c in coeffs]
-    radius = math.ldexp(2.0, max(-(-math.frexp(abs_coeffs[n - k])[1] // k)
-                                 for k in range(1, n + 1) if abs_coeffs[n - k]))
+    e = 1 + max(-(-math.frexp(abs_coeffs[n - k])[1] // k)
+                for k in range(1, n + 1) if abs_coeffs[n - k])
+    while e > -1023:  # halve while 2^(e-1) holds Cauchy's radius and 2^(1-e) is a double
+        inv, acc = math.ldexp(1.0, 1 - e), 0.0
+        for a in abs_coeffs[:-1]:
+            acc = (acc + a) * inv
+        if not acc <= 1.0:
+            break
+        e -= 1
+    if e > 1023:
+        zeros += [zl.conjugate() for zl in zeros] if conjugate_pairs else []
+        raise NonConvergence("Aberth's start circle is out of floating-point range",
+                             partial=zeros)
+    radius = math.ldexp(1.0, e)
     top, rest = coeffs[-1], coeffs[-2::-1]  # Horner order, as in _poly_val_der
     abs_sum = sum(abs_coeffs)
     if conjugate_pairs:

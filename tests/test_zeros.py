@@ -1,6 +1,7 @@
 """Zero sets, polynomial roots and the Cauchy kernel."""
 
 import cmath
+from fractions import Fraction
 import math
 
 import pytest
@@ -67,11 +68,24 @@ def _exact_zero_roots(coeffs):
 
 
 def _start_radius(monic):
-    """2^(1 + max ceil(e_k / k)) over the nonzero |monic[n - k]| < 2^e_k,
-    k = 1..n: a power of two above Fujiwara's bound on the roots."""
+    """The smallest power of two 2^e at or above Cauchy's radius, the
+    positive root of z^n - sum_{k<n} |monic[k]| z^k.
+
+    e starts at 1 + max ceil(e_k / k) over the nonzero |monic[n - k]| <
+    2^e_k, k = 1..n (a power of two above Fujiwara's bound), and is lowered
+    while sum_{k<n} |monic[k]| 2^((e - 1)(k - n)) <= 1, the sum formed by
+    Horner in powers of 2^(1 - e).
+    """
     n = len(monic) - 1
-    return 2.0 ** (1 + max(math.ceil(math.frexp(abs(monic[n - k]))[1] / k)
-                           for k in range(1, n + 1) if monic[n - k] != 0))
+    e = 1 + max(math.ceil(math.frexp(abs(monic[n - k]))[1] / k)
+                for k in range(1, n + 1) if monic[n - k] != 0)
+    while True:
+        x, total = 2.0 ** (1 - e), 0.0
+        for c in monic[:n]:
+            total = (total + abs(c)) * x
+        if total > 1.0:
+            return 2.0 ** e
+        e -= 1
 
 
 def _reference_aberth(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
@@ -325,6 +339,60 @@ def test_aberth_exact_zero_roots():
     assert roots[2:] == [z.conjugate() for z in roots[:2]]
 
 
+def _start_modulus(coeffs, conjugate_pairs=False):
+    """max |z| over the start iterates, which NonConvergence carries when
+    no sweep is allowed."""
+    with pytest.raises(NonConvergence) as exc:
+        aberth_roots(coeffs, max_iter=0, conjugate_pairs=conjugate_pairs)
+    return max(abs(z) for z in exc.value.partial)
+
+
+def test_aberth_starts_on_the_smallest_power_of_two_above_cauchys_radius():
+    assert _start_modulus([1.0, 0.0, 1.0]) == 1.0
+    assert _start_modulus([-3.0, 0.0, 1.0]) == 2.0
+    for n in range(1, 9):
+        assert _start_modulus([-1.0] + [0.0] * (n - 1) + [1.0]) == 1.0
+
+
+def test_aberth_start_circle_holds_cauchys_radius_exactly():
+    # Cauchy's radius rho is the positive root of z^n - sum_{k<n} |c_k| z^k,
+    # and sum_{k<n} |c_k| R^(k-n) <= 1 exactly when R >= rho.  So the start
+    # R holds rho and R/2 does not, each sum formed exactly in Fractions from
+    # the float |c_k| that the iteration uses.
+    near, skipped = Fraction(1, 2 ** 40), 0
+    for seed in range(1, 21):
+        coeffs = _symm_complex_coeffs(SplitMix64(seed).polynomial(max_degree=8))
+        start = _start_modulus(coeffs, conjugate_pairs=True)
+        radius = 2.0 ** round(math.log2(start))
+        assert abs(start / radius - 1.0) <= 2.0 ** -50  # the angles' rounding
+        monic = [abs(c / coeffs[-1]) for c in coeffs]
+        n = len(monic) - 1
+        sums = [sum(Fraction(a) * Fraction(r) ** (k - n) for k, a in enumerate(monic[:n]))
+                for r in (radius, radius / 2)]
+        if any(abs(s - 1) <= near for s in sums):
+            skipped += 1
+            continue
+        assert sums[0] <= 1 < sums[1]
+        assert max(abs(z) for z in aberth_roots(coeffs, conjugate_pairs=True)) \
+            <= radius * (1.0 + 2.0 ** -40)
+    assert skipped <= 2, f"{skipped} of 20 sums within 2^-40 of 1"
+
+
+def test_aberth_start_circle_out_of_range():
+    # The circle 2^1023 is a double and holds the root; 2^1024 is not, so
+    # NonConvergence carries the exact zero roots alone.
+    assert aberth_roots([1.5 * 2.0 ** 1022, 1.0]) == [-1.5 * 2.0 ** 1022 + 0j]
+    # Halving stops where 2^(1 - e) would leave the range: 2^-1072 stays.
+    assert aberth_roots([5e-324, 1.0]) == [-5e-324 + 0j]
+    for coeffs, partial in (([1e308, 1.0], ()), ([0.0, 1e308, 1.0], (0j,))):
+        with pytest.raises(NonConvergence) as exc:
+            aberth_roots(coeffs)
+        assert exc.value.partial == partial
+    with pytest.raises(NonConvergence) as exc:
+        aberth_roots([0.0, 0.0, 1.0, 1e308, 1.0], conjugate_pairs=True)
+    assert [repr(z) for z in exc.value.partial] == ["0j", "-0j"]
+
+
 def _weight(zeros):
     return sum({ZeroKind.ISOLATED: 1, ZeroKind.SPHERICAL: 2}.get(z.kind, 0) for z in zeros)
 
@@ -497,9 +565,9 @@ def test_poly_roots_small_real_pair_to_the_last_bits():
 
 @pytest.mark.parametrize("coeffs", [[1e153, 1.0], [1e40, 0.0, 1.0]])
 def test_poly_roots_iterates_out_of_range(coeffs):
-    # f^s is in range, and so are its terms on Aberth's start circle, at
-    # most twice Fujiwara's bound: 1e153 + q has the isolated zero -1e153,
-    # q^2 + 1e40 the spherical zero (0, 1e20).
+    # f^s is in range, and so are its terms on Aberth's start circle, the
+    # smallest power of two at or above Cauchy's radius: 1e153 + q has the
+    # isolated zero -1e153, q^2 + 1e40 the spherical zero (0, 1e20).
     zeros = poly_roots(polynomial(coeffs))
     assert len(zeros) == 1
     z = zeros[0]
