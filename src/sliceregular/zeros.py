@@ -94,17 +94,20 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
                  conjugate_pairs: bool = False) -> list[complex]:
     """All roots of a complex polynomial (a_0 + a_1 z + ... + a_n z^n).
 
-    Deterministic start with a fixed angular offset on the circle of radius
-    2^e, the smallest power of two at or above Cauchy's radius (the positive
-    root of z^n - sum_{k<n} |c_k| z^k, c = a/a_n), which holds every root: e
-    comes down from Fujiwara's 1 + max_k ceil(e_k / k), 2^e_k just above a
-    nonzero |c_{n-k}|, while sum_{k<n} |c_k| 2^((e-1)(k-n)) <= 1.  Those
-    terms scale alike, and the step stop |w| <= ABERTH_TOL * |z| is relative,
-    so a polynomial in 2^j z has exactly 2^-j times the roots.  Exactly zero
-    a_0, ..., a_{j-1} give j roots 0, which are not iterated: a relative
-    step never settles there.  Raises NonConvergence (with partial results)
-    after ``max_iter`` sweeps, or with the zero roots alone when 2^e is not
-    a double.
+    Deterministic start with a fixed angular offset on a circle that holds
+    Cauchy's radius (the positive root of z^n - sum_{k<n} |c_k| z^k,
+    c = a/a_n), and so every root.  2^e is the smallest power of two that
+    holds it: e comes down from Fujiwara's 1 + max_k ceil(e_k / k), 2^e_k
+    just above a nonzero |c_{n-k}|, while sum_{k<n} |c_k| 2^((e-1)(k-n))
+    <= 1.  For -1021 <= e <= 1022 ten bisections of t in [1/2, 1] by the
+    same test at 2^e * t, summed by Horner in powers of 1/(2^e * t), leave
+    the radius 2^e * t within 2^(e-10) above Cauchy's radius; elsewhere it
+    is 2^e.  Those terms scale alike, and the step stop |w| <= ABERTH_TOL *
+    |z| is relative, so a polynomial in 2^j z has exactly 2^-j times the
+    roots.  Exactly zero a_0, ..., a_{j-1} give j roots 0, which are not
+    iterated: a relative step never settles there.  Raises NonConvergence
+    (with partial results) after ``max_iter`` sweeps, or with the zero
+    roots alone when 2^e is not a double.
 
     A root stops when |p(z)| <= 1e-14 * sum |a_k| |z|^k, the backward-error
     bound of its own evaluation (or when p == 0).  Two closed-form bounds on
@@ -125,8 +128,9 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
     are iterated, started on the upper half of the circle at angles
     pi*(m + 1/2)/(n/2), and each one's correction also sums
     1/(z_m - conj(z_l)) over every iterate l, its own conjugate included, so
-    the set {z, conj(z)} moves as the full root set would.  The iterated half, after half the zero roots, comes first in
-    the result, then its conjugates in the same order;
+    the set {z, conj(z)} moves as the full root set would.  The iterated
+    half, after half the zero roots, comes first in the result, then its
+    conjugates in the same order;
     ``NonConvergence.partial`` has the same layout.
     """
     n = len(coeffs) - 1
@@ -158,7 +162,18 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
         zeros += [zl.conjugate() for zl in zeros] if conjugate_pairs else []
         raise NonConvergence("Aberth's start circle is out of floating-point range",
                              partial=zeros)
-    radius = math.ldexp(1.0, e)
+    lo, hi = 0.5, 1.0  # 2^e * hi holds Cauchy's radius, 2^e * lo does not
+    if -1021 <= e <= 1022:  # 2^e * mid and its reciprocal are normal doubles
+        for _ in range(10):
+            mid = 0.5 * (lo + hi)
+            inv, acc = 1.0 / math.ldexp(mid, e), 0.0
+            for a in abs_coeffs[:-1]:
+                acc = (acc + a) * inv
+            if acc <= 1.0:
+                hi = mid
+            else:
+                lo = mid
+    radius = math.ldexp(hi, e)
     top, rest = coeffs[-1], coeffs[-2::-1]  # Horner order, as in _poly_val_der
     abs_sum = sum(abs_coeffs)
     if conjugate_pairs:
@@ -313,7 +328,8 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     f^s has real coefficients and equals |f|^2 on the real axis, so its roots
     come in conjugate pairs and Aberth iteration runs on one root of each
     pair.  Each iterated root is refined on f's own stem (_refine), folded to
-    a sphere (x, |y|), merged with the spheres before it and classified.  A
+    a sphere (x, |y|), merged with the spheres before it and classified, all
+    in the offset w = q - center; x = center + Re w is formed last.  A
     root z about the center folds to the axis when |Im z| < SPHERE_DEDUP_TOL
     * |z|, and two spheres are one when they are within SPHERE_DEDUP_TOL times
     the larger modulus: each test is at the scale of the roots it compares, so
@@ -361,21 +377,21 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     abs_coeffs = [abs(c) for c in coeffs]
     if not all(math.isfinite(backward_bound(abs_coeffs, abs(z))) for z in roots):
         raise NonConvergence("symmetrization out of floating-point range at an iterate")
+    w = SlicePolynomial(0.0, f.coeffs)  # f in the offset w = q - center
     seen: list[complex] = []  # refined candidate spheres x + iy about the center
-    fs = _with_derivatives(f)
+    fs = _with_derivatives(w)
     for z in roots:
-        z = _refine(fs, z + f.center) - f.center
+        z = _refine(fs, z)
         z = complex(z.real, abs(z.imag) if abs(z.imag) >= SPHERE_DEDUP_TOL * abs(z) else 0.0)
         if all(abs(z - s) > SPHERE_DEDUP_TOL * max(abs(z), abs(s)) for s in seen):
             seen.append(z)
     out = []
-    expr = Poly(f)
-    for x, y in sorted((z.real + f.center, z.imag) for z in seen):
-        zero = sphere_zero_classify(expr, x, y, tol=CLASSIFY_TOL * f.majorant(Quaternion(x, y)))
-        if not converged:
-            zero = SphereZero(zero.x, zero.y, zero.kind, zero.unit, zero.residual,
-                              zero.unit_is_arbitrary, converged=False)
-        out.append(zero)
+    expr = Poly(w)
+    for z in sorted(seen, key=lambda z: (z.real + f.center, z.imag)):
+        u, y = z.real, z.imag
+        zero = sphere_zero_classify(expr, u, y, tol=CLASSIFY_TOL * w.majorant(Quaternion(u, y)))
+        out.append(SphereZero(u + f.center, y, zero.kind, zero.unit, zero.residual,
+                              zero.unit_is_arbitrary, converged))
     if not converged:
         raise NonConvergence("root iteration did not converge", partial=out)
     return out

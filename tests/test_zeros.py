@@ -68,13 +68,15 @@ def _exact_zero_roots(coeffs):
 
 
 def _start_radius(monic):
-    """The smallest power of two 2^e at or above Cauchy's radius, the
-    positive root of z^n - sum_{k<n} |monic[k]| z^k.
+    """The start radius 2^e * hi, within 2^(e - 10) above Cauchy's radius,
+    the positive root of z^n - sum_{k<n} |monic[k]| z^k.
 
     e starts at 1 + max ceil(e_k / k) over the nonzero |monic[n - k]| <
     2^e_k, k = 1..n (a power of two above Fujiwara's bound), and is lowered
     while sum_{k<n} |monic[k]| 2^((e - 1)(k - n)) <= 1, the sum formed by
-    Horner in powers of 2^(1 - e).
+    Horner in powers of 2^(1 - e).  Then, for -1021 <= e <= 1022, ten
+    bisections of t in [1/2, 1] keep 2^e * hi holding Cauchy's radius by
+    the same Horner test in powers of 1 / (2^e * mid).
     """
     n = len(monic) - 1
     e = 1 + max(math.ceil(math.frexp(abs(monic[n - k]))[1] / k)
@@ -84,8 +86,20 @@ def _start_radius(monic):
         for c in monic[:n]:
             total = (total + abs(c)) * x
         if total > 1.0:
-            return 2.0 ** e
+            break
         e -= 1
+    lo, hi = 0.5, 1.0
+    if -1021 <= e <= 1022:
+        for _ in range(10):
+            mid = (lo + hi) / 2
+            x, total = 1.0 / (mid * 2.0 ** e), 0.0
+            for c in monic[:n]:
+                total = (total + abs(c)) * x
+            if total > 1.0:
+                lo = mid
+            else:
+                hi = mid
+    return hi * 2.0 ** e
 
 
 def _reference_aberth(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
@@ -347,9 +361,19 @@ def _start_modulus(coeffs, conjugate_pairs=False):
     return max(abs(z) for z in exc.value.partial)
 
 
-def test_aberth_starts_on_the_smallest_power_of_two_above_cauchys_radius():
+def _start_circle(start):
+    """(R, 2^e) from a start modulus: R = 2^e * hi with hi in (1/2, 1] a
+    multiple of 2^-10, rounded back from the angles' last bits."""
+    m, ex = math.frexp(start)
+    radius = math.ldexp(round(m * 2048) / 2048, ex)
+    assert abs(start / radius - 1.0) <= 2.0 ** -50  # the angles' rounding
+    return radius, 2.0 ** math.ceil(math.log2(radius))
+
+
+def test_aberth_starts_just_above_cauchys_radius():
     assert _start_modulus([1.0, 0.0, 1.0]) == 1.0
-    assert _start_modulus([-3.0, 0.0, 1.0]) == 2.0
+    radius, power = _start_circle(_start_modulus([-3.0, 0.0, 1.0]))
+    assert power == 2.0 and math.sqrt(3.0) < radius <= math.sqrt(3.0) + 2.0 ** -9
     for n in range(1, 9):
         assert _start_modulus([-1.0] + [0.0] * (n - 1) + [1.0]) == 1.0
 
@@ -357,18 +381,16 @@ def test_aberth_starts_on_the_smallest_power_of_two_above_cauchys_radius():
 def test_aberth_start_circle_holds_cauchys_radius_exactly():
     # Cauchy's radius rho is the positive root of z^n - sum_{k<n} |c_k| z^k,
     # and sum_{k<n} |c_k| R^(k-n) <= 1 exactly when R >= rho.  So the start
-    # R holds rho and R/2 does not, each sum formed exactly in Fractions from
-    # the float |c_k| that the iteration uses.
+    # R = 2^e * hi holds rho and R - 2^(e-10) does not, each sum formed
+    # exactly in Fractions from the float |c_k| that the iteration uses.
     near, skipped = Fraction(1, 2 ** 40), 0
     for seed in range(1, 21):
         coeffs = _symm_complex_coeffs(SplitMix64(seed).polynomial(max_degree=8))
-        start = _start_modulus(coeffs, conjugate_pairs=True)
-        radius = 2.0 ** round(math.log2(start))
-        assert abs(start / radius - 1.0) <= 2.0 ** -50  # the angles' rounding
+        radius, power = _start_circle(_start_modulus(coeffs, conjugate_pairs=True))
         monic = [abs(c / coeffs[-1]) for c in coeffs]
         n = len(monic) - 1
         sums = [sum(Fraction(a) * Fraction(r) ** (k - n) for k, a in enumerate(monic[:n]))
-                for r in (radius, radius / 2)]
+                for r in (radius, radius - power / 1024)]
         if any(abs(s - 1) <= near for s in sums):
             skipped += 1
             continue
@@ -588,6 +610,24 @@ def test_poly_roots_exactly_covariant_under_scaling_of_the_variable():
             g = polynomial([c * Quaternion(2.0 ** (k * n)) for n, c in enumerate(f.coeffs)])
             got = [(z.kind, z.x, z.y) for z in poly_roots(g)]
             assert got == [(kind, math.ldexp(x, -k), math.ldexp(y, -k)) for kind, x, y in want]
+
+
+def test_poly_roots_about_a_nonzero_center_covariant_in_the_offset():
+    # f(c + 2^k (q - c)) has coefficients a_n 2^(kn) about c and its zeros at
+    # offsets 2^-k times those of f: refined and classified in w = q - c,
+    # kinds and y are exact, and only x = c + Re w rounds at c's scale.
+    center = 1.5
+    for seed in range(1, 16):
+        f = SplitMix64(seed).polynomial(max_degree=8, center=center)
+        want = poly_roots(f)
+        for k in range(-40, 41, 4):
+            g = SlicePolynomial(center, [c * Quaternion(2.0 ** (k * n))
+                                         for n, c in enumerate(f.coeffs)])
+            got = poly_roots(g)
+            assert [(z.kind, z.y) for z in got] == [(z.kind, math.ldexp(z.y, -k)) for z in want]
+            for a, b in zip(got, want):  # each x rounded once, b.x's error scaled by 2^-k
+                error = abs((a.x - center) - math.ldexp(b.x - center, -k))
+                assert error <= 2.0 ** -51 * (abs(a.x) + math.ldexp(abs(b.x), -k))
 
 
 @pytest.mark.parametrize("center, lead", [(0.0, ONE), (-1.5, Quaternion(0.5, -2.0, 0.25, 1.0))])
