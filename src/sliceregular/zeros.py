@@ -117,7 +117,11 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
     leave the floating-point range, is the sum formed.  Either way the
     decision is the one the sum gives, so the iterates do not depend on it.
 
-    A stopped root is left out of every later sweep: it is not moved, so its
+    Sweeps run in Gauss-Seidel order (Bini, Numer. Algorithms 13, 1996):
+    each corrected iterate is written back at once, so each correction sums
+    over the current iterates, those before it already updated in this
+    sweep.  The step stop compares the step with the iterate before it.  A
+    stopped root is left out of every later sweep: it is not moved, so its
     p and its stop test come out the same each time.  It still enters the
     other roots' corrections.
 
@@ -127,10 +131,10 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
     polynomial that is nonnegative on the real axis.  Then only n/2 roots
     are iterated, started on the upper half of the circle at angles
     pi*(m + 1/2)/(n/2), and each one's correction also sums
-    1/(z_m - conj(z_l)) over every iterate l, its own conjugate included, so
-    the set {z, conj(z)} moves as the full root set would.  The iterated
-    half, after half the zero roots, comes first in the result, then its
-    conjugates in the same order;
+    1/(z_m - conj(z_l)) over the current iterates l, its own conjugate
+    included, with the conjugates of those before it already updated in
+    this sweep.  The iterated half, after half the zero roots, comes first
+    in the result, then its conjugates in the same order;
     ``NonConvergence.partial`` has the same layout.
     """
     n = len(coeffs) - 1
@@ -182,12 +186,11 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
     else:
         z = [radius * _cis(2.0 * math.pi * m / n + 0.4) for m in range(n)]
     active = list(range(len(z)))
+    mirror = [zl.conjugate() for zl in z] if conjugate_pairs else ()
     done = False
     for _ in range(max_iter):
         done = True
-        new = list(z)
         moving = []
-        mirror = [zl.conjugate() for zl in z] if conjugate_pairs else ()
         for m in active:
             zm = z[m]
             p, dp = top, 0j
@@ -204,24 +207,25 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
                 continue
             moving.append(m)
             if dp == 0:
-                new[m] = zm * (1.0 + 1e-6) + 1e-6
+                z[m] = zm * (1.0 + 1e-6) + 1e-6
                 done = False
-                continue
-            newton = p / dp
-            s = 0j
-            for zl in z[:m]:
-                s += 1.0 / (zm - zl)
-            for zl in z[m + 1:]:
-                s += 1.0 / (zm - zl)
-            for zl in mirror:
-                s += 1.0 / (zm - zl)
-            denom = 1.0 - newton * s
-            w = newton if denom == 0 else newton / denom
-            new[m] = zm - w
-            if abs(w) > ABERTH_TOL * abs(zm):
-                done = False
+            else:
+                newton = p / dp
+                s = 0j
+                for zl in z[:m]:
+                    s += 1.0 / (zm - zl)
+                for zl in z[m + 1:]:
+                    s += 1.0 / (zm - zl)
+                for zl in mirror:
+                    s += 1.0 / (zm - zl)
+                denom = 1.0 - newton * s
+                w = newton if denom == 0 else newton / denom
+                z[m] = zm - w
+                if abs(w) > ABERTH_TOL * abs(zm):
+                    done = False
+            if conjugate_pairs:
+                mirror[m] = z[m].conjugate()
         active = moving
-        z = new
         if done:
             break
     z = zeros + z
