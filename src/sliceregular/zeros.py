@@ -1,12 +1,11 @@
 """Zero sets: per-sphere classification, polynomial roots, Cauchy kernel.
 
-Polynomial zero finding goes through the symmetrization: f^s has real
-coefficients and equals |f|^2 on the real axis, so the roots of its
-restriction to L_i come in conjugate pairs (real ones with even
-multiplicity).  Aberth simultaneous iteration follows one root of each pair,
-each is refined on f's own stem b + i*c (f(x + y*I) = b + I*c, whose
-components are polynomials in x + iy), folded to a candidate sphere (x, |y|)
-and classified through that affine structure.
+Polynomial zero finding runs on f's own stem b + i*c (f(x + y*I) = b + I*c,
+whose components p_k are polynomials in x + iy): f vanishes on x + yS only
+where s = sum_k p_k^2, f^s on L_i, has a root, and those come in conjugate
+pairs (real ones with even multiplicity).  Aberth simultaneous iteration
+follows one root of each pair, each is refined on the stem, folded to a
+candidate sphere (x, |y|) and classified through that affine structure.
 """
 
 from __future__ import annotations
@@ -90,8 +89,8 @@ def _cis(t: float) -> complex:
     return complex(math.cos(t), math.sin(t))
 
 
-def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
-                 conjugate_pairs: bool = False) -> list[complex]:
+def aberth_roots(coeffs: list[complex] | None, max_iter: int = ABERTH_MAX_ITER, *,
+                 conjugate_pairs: bool = False, evaluator=None, starts=None) -> list[complex]:
     """All roots of a complex polynomial (a_0 + a_1 z + ... + a_n z^n).
 
     Deterministic start with a fixed angular offset on a circle that holds
@@ -110,12 +109,7 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
     roots alone when 2^e is not a double.
 
     A root stops when |p(z)| <= 1e-14 * sum |a_k| |z|^k, the backward-error
-    bound of its own evaluation (or when p == 0).  Two closed-form bounds on
-    the sum, max(|a_0|, |a_n| r^n) <= sum <= (sum |a_k|) max(1, r)^n with
-    r = |z|, settle that test where they can, with a factor 2 to spare for
-    the rounding of the sum; only in between, or where r^n or the bounds
-    leave the floating-point range, is the sum formed.  Either way the
-    decision is the one the sum gives, so the iterates do not depend on it.
+    bound of its own evaluation, summed in index order (or when p == 0).
 
     Sweeps run in Gauss-Seidel order (Bini, Numer. Algorithms 13, 1996):
     each corrected iterate is written back at once, so each correction sums
@@ -136,55 +130,75 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
     this sweep.  The iterated half, after half the zero roots, comes first
     in the result, then its conjugates in the same order;
     ``NonConvergence.partial`` has the same layout.
+
+    ``evaluator`` and ``starts`` (one of each pair) come together and replace
+    ``coeffs``: evaluator(z) gives p(z), p'(z) and its backward-error stop.
     """
-    n = len(coeffs) - 1
-    while n > 0 and abs(coeffs[n]) == 0.0:
-        n -= 1
-    j = 0
-    while j < n and coeffs[j] == 0:
-        j += 1
-    coeffs = list(coeffs[j: n + 1])
-    if conjugate_pairs and (n % 2 or j % 2 or any(complex(c).imag != 0.0 for c in coeffs)):
-        raise ValueError("conjugate_pairs requires real coefficients, even degree and zeros")
-    n -= j
-    zeros = [0j] * (j // 2 if conjugate_pairs else j)
-    if n < 1:
-        return zeros + [zl.conjugate() for zl in zeros] if conjugate_pairs else zeros
-    lead = coeffs[-1]
-    coeffs = [c / lead for c in coeffs]
-    abs_coeffs = [abs(c) for c in coeffs]
-    e = 1 + max(-(-math.frexp(abs_coeffs[n - k])[1] // k)
-                for k in range(1, n + 1) if abs_coeffs[n - k])
-    while e > -1023:  # halve while 2^(e-1) holds Cauchy's radius and 2^(1-e) is a double
-        inv, acc = math.ldexp(1.0, 1 - e), 0.0
-        for a in abs_coeffs[:-1]:
-            acc = (acc + a) * inv
-        if not acc <= 1.0:
-            break
-        e -= 1
-    if e > 1023:
-        zeros += [zl.conjugate() for zl in zeros] if conjugate_pairs else []
-        raise NonConvergence("Aberth's start circle is out of floating-point range",
-                             partial=zeros)
-    lo, hi = 0.5, 1.0  # 2^e * hi holds Cauchy's radius, 2^e * lo does not
-    if -1021 <= e <= 1022:  # 2^e * mid and its reciprocal are normal doubles
-        for _ in range(10):
-            mid = 0.5 * (lo + hi)
-            inv, acc = 1.0 / math.ldexp(mid, e), 0.0
+    zeros: list[complex] = []
+    if evaluator is None:
+        n = len(coeffs) - 1
+        while n > 0 and abs(coeffs[n]) == 0.0:
+            n -= 1
+        j = 0
+        while j < n and coeffs[j] == 0:
+            j += 1
+        coeffs = list(coeffs[j: n + 1])
+        if conjugate_pairs and (n % 2 or j % 2 or any(complex(c).imag != 0.0 for c in coeffs)):
+            raise ValueError("conjugate_pairs requires real coefficients, even degree and zeros")
+        n -= j
+        zeros = [0j] * (j // 2 if conjugate_pairs else j)
+        if n < 1:
+            return zeros + [zl.conjugate() for zl in zeros] if conjugate_pairs else zeros
+        lead = coeffs[-1]
+        coeffs = [c / lead for c in coeffs]
+        abs_coeffs = [abs(c) for c in coeffs]
+        e = 1 + max(-(-math.frexp(abs_coeffs[n - k])[1] // k)
+                    for k in range(1, n + 1) if abs_coeffs[n - k])
+        while e > -1023:  # halve while 2^(e-1) holds Cauchy's radius and 2^(1-e) is a double
+            inv, acc = math.ldexp(1.0, 1 - e), 0.0
             for a in abs_coeffs[:-1]:
                 acc = (acc + a) * inv
-            if acc <= 1.0:
-                hi = mid
-            else:
-                lo = mid
-    radius = math.ldexp(hi, e)
-    top, rest = coeffs[-1], coeffs[-2::-1]  # Horner order, as in _poly_val_der
-    abs_sum = sum(abs_coeffs)
-    if conjugate_pairs:
-        half = n // 2
-        z = [radius * _cis(math.pi * (m + 0.5) / half) for m in range(half)]
-    else:
-        z = [radius * _cis(2.0 * math.pi * m / n + 0.4) for m in range(n)]
+            if not acc <= 1.0:
+                break
+            e -= 1
+        if e > 1023:
+            zeros += [zl.conjugate() for zl in zeros] if conjugate_pairs else []
+            raise NonConvergence("Aberth's start circle is out of floating-point range",
+                                 partial=zeros)
+        lo, hi = 0.5, 1.0  # 2^e * hi holds Cauchy's radius, 2^e * lo does not
+        if -1021 <= e <= 1022:  # 2^e * mid and its reciprocal are normal doubles
+            for _ in range(10):
+                mid = 0.5 * (lo + hi)
+                inv, acc = 1.0 / math.ldexp(mid, e), 0.0
+                for a in abs_coeffs[:-1]:
+                    acc = (acc + a) * inv
+                if acc <= 1.0:
+                    hi = mid
+                else:
+                    lo = mid
+        radius = math.ldexp(hi, e)
+        top, rest = coeffs[-1], coeffs[-2::-1]  # Horner order, as in _poly_val_der
+        if conjugate_pairs:
+            half = n // 2
+            starts = [radius * _cis(math.pi * (m + 0.5) / half) for m in range(half)]
+        else:
+            starts = [radius * _cis(2.0 * math.pi * m / n + 0.4) for m in range(n)]
+
+        def evaluator(zm: complex) -> tuple[complex, complex, bool]:
+            p, dp = top, 0j
+            for c in rest:
+                dp = dp * zm + p
+                p = p * zm + c
+            # Backward-error stop: at multiple roots the Newton correction
+            # stalls at eps^(1/multiplicity), so a step-size test alone never
+            # fires.  |p| at rounding level of its own evaluation is as
+            # converged as the coefficients allow; poly_roots refines further.
+            r, pw, backward = abs(zm), 1.0, 0.0
+            for a in abs_coeffs:  # in index order
+                backward += a * pw
+                pw *= r
+            return p, dp, p == 0 or abs(p) <= 1e-14 * backward
+    z = list(starts)
     active = list(range(len(z)))
     mirror = [zl.conjugate() for zl in z] if conjugate_pairs else ()
     done = False
@@ -193,17 +207,8 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
         moving = []
         for m in active:
             zm = z[m]
-            p, dp = top, 0j
-            for c in rest:
-                dp = dp * zm + p
-                p = p * zm + c
-            if p == 0:
-                continue
-            # Backward-error stop: at multiple roots the Newton correction
-            # stalls at eps^(1/multiplicity), so a step-size test alone never
-            # fires.  |p| at rounding level of its own evaluation is as
-            # converged as the coefficients allow; poly_roots refines further.
-            if _settled(abs(p), abs(zm), n, abs_coeffs, abs_sum):
+            p, dp, stop = evaluator(zm)
+            if stop:
                 continue
             moving.append(m)
             if dp == 0:
@@ -236,41 +241,74 @@ def aberth_roots(coeffs: list[complex], max_iter: int = ABERTH_MAX_ITER, *,
     return z
 
 
-# Where the bounds of _settled stand in for the sum.  Below _HUGE neither the
-# sum nor a power r^k (k <= n) that it forms overflows; above _TINY those
-# powers are normal doubles.  There each bound and the terms it stands for
-# differ by at most a factor (1 + 2^-53)^(2n + 2), which the factors 2 and
-# 1/2 of the tests cover.
-_HUGE = 2.0 ** 1000
-_TINY = 2.0 ** -1000
-
-
-def _settled(ap: float, r: float, n: int, abs_coeffs: list[float], abs_sum: float) -> bool:
-    """ap <= 1e-14 * sum_k |a_k| r^k, with the sum formed in index order,
-    decided from bounds on the sum where they settle it (aberth_roots);
-    abs_sum is sum_k |a_k|."""
-    try:
-        rn = r ** n
-    except OverflowError:
-        rn = math.inf
-    hi = abs_sum * rn if r > 1.0 else abs_sum
-    if hi < _HUGE and ap > 2e-14 * hi:
-        return False
-    lo = abs_coeffs[-1] * rn
-    if lo < abs_coeffs[0]:
-        lo = abs_coeffs[0]
-    if _TINY < lo < _HUGE and ap <= 5e-15 * lo:  # False for NaN
-        return True
-    pw, backward = 1.0, 0.0
-    for a in abs_coeffs:
-        backward += a * pw
-        pw *= r
-    return ap <= 1e-14 * backward
-
-
 # ---------------------------------------------------------------------------
 # Polynomial zero pipeline
 # ---------------------------------------------------------------------------
+
+_NORMAL = 2.0 ** -1022  # the smallest normal double
+
+
+def _newton_polygon_starts(abs_coeffs: tuple[float, ...]) -> list[complex]:
+    """poly_roots' Aberth starts, one per conjugate pair of roots of f^s, from
+    the upper hull of (k, frexp(|a_k|)[1]) over the nonzero |a_k| (Bini,
+    Numer. Algorithms 13, 1996): an edge of width w and exponent drop p gets
+    w starts of radius ldexp(2^((p % w)/w), p // w) at angles pi*(m + 1/2)/w
+    + 0.4, so f(2^k q) starts at exactly 2^-k times them.  Raises
+    NonConvergence unless every norm is finite and every radius normal."""
+    if not all(map(math.isfinite, abs_coeffs)):
+        raise NonConvergence("a coefficient's norm is out of floating-point range")
+    hull: list[tuple[int, int]] = []
+    for k, e in ((k, math.frexp(a)[1]) for k, a in enumerate(abs_coeffs) if a):
+        while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
+                                 <= (e - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()  # on or below the chord from hull[-2] to (k, e)
+        hull.append((k, e))
+    starts = []
+    for (i, ei), (j, ej) in zip(hull, hull[1:]):
+        w, p = j - i, ei - ej
+        if not -1022 <= p // w <= 1023:
+            raise NonConvergence("a zero is out of floating-point range at Aberth's start")
+        radius = math.ldexp(2.0 ** ((p % w) / w), p // w)
+        starts += [radius * _cis(math.pi * (m + 0.5) / w + 0.4) for m in range(w)]
+    return starts
+
+
+def _stem_evaluator(f: SlicePolynomial):
+    """aberth_roots' evaluator for s = sum_k p_k^2 from the stem p_k of f
+    (center 0): one Horner pass gives p_k, p_k' and f's majorant m at |z|.
+    s carries a rounding error of about eps * m * ||F||, ||F||^2 = sum_k
+    |p_k|^2, so z stops when |s| <= 1e-14 * m * ||F||.  Where m leaves
+    [2^-400, 2^400], p and p' are scaled by the power of two that brings m
+    near 1, so the squares stay doubles; that is exact, so the iterates do
+    not depend on it."""
+    (p0, p1, p2, p3, top_abs), *rest = [(c.x0, c.x1, c.x2, c.x3, a) for c, a in
+                                         zip(reversed(f.coeffs), reversed(f.abs_coeffs))]
+    top = p0, p1, p2, p3
+
+    def evaluator(z: complex) -> tuple[complex, complex, bool]:
+        r = math.hypot(z.real, z.imag)
+        (p0, p1, p2, p3), m = top, top_abs
+        d0 = d1 = d2 = d3 = 0.0
+        for c0, c1, c2, c3, a in rest:  # one statement each: no tuples built
+            d0 = d0 * z + p0
+            d1 = d1 * z + p1
+            d2 = d2 * z + p2
+            d3 = d3 * z + p3
+            p0 = p0 * z + c0
+            p1 = p1 * z + c1
+            p2 = p2 * z + c2
+            p3 = p3 * z + c3
+            m = m * r + a
+        if not 2.0 ** -400 <= m <= 2.0 ** 400:
+            t = math.ldexp(1.0, -max(math.frexp(m)[1], -1021))
+            p0, p1, p2, p3, d0, d1, d2, d3, m = (
+                v * t for v in (p0, p1, p2, p3, d0, d1, d2, d3, m))
+        s = p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
+        norm = math.hypot(p0.real, p0.imag, p1.real, p1.imag, p2.real, p2.imag, p3.real, p3.imag)
+        stop = s == 0 or math.hypot(s.real, s.imag) <= 1e-14 * m * norm
+        return s, 2.0 * (p0 * d0 + p1 * d1 + p2 * d2 + p3 * d3), stop
+    return evaluator
+
 
 def _with_derivatives(f: SlicePolynomial) -> tuple[SlicePolynomial, ...]:
     df = f.derivative()
@@ -328,29 +366,27 @@ def _symm_complex_coeffs(f: SlicePolynomial) -> list[complex]:
 def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     """Candidate zero spheres of a quaternionic polynomial, classified.
 
-    Pipeline: form f^s by coefficient convolution and restrict it to L_i.
-    f^s has real coefficients and equals |f|^2 on the real axis, so its roots
-    come in conjugate pairs and Aberth iteration runs on one root of each
-    pair.  Each iterated root is refined on f's own stem (_refine), folded to
-    a sphere (x, |y|), merged with the spheres before it and classified, all
-    in the offset w = q - center; x = center + Re w is formed last.  A
-    root z about the center folds to the axis when |Im z| < SPHERE_DEDUP_TOL
-    * |z|, and two spheres are one when they are within SPHERE_DEDUP_TOL times
-    the larger modulus: each test is at the scale of the roots it compares, so
-    small zeros survive beside large ones.  A value on a sphere is zero when
-    at most CLASSIFY_TOL times backward_bound(|a_n|, |(x - center) + iy|),
-    the majorant of f there.  Aberth's start and stops are relative too, so
-    with center 0, f(2^k q) has exactly 2^-k times the zeros of f wherever
-    f^s and its terms at the roots are normal doubles.
+    Pipeline: in the offset w = q - center, Aberth iteration follows one
+    root of each conjugate pair of s = sum_k p_k^2, evaluated from f's stem
+    (_stem_evaluator) and started on f's Newton polygon
+    (_newton_polygon_starts).  Each root is refined on the stem (_refine),
+    folded to a sphere (x, |y|), merged with the spheres before it and
+    classified; x = center + Re w is formed last.  A root z folds to the
+    axis when |Im z| < SPHERE_DEDUP_TOL * |z|, and two spheres are one when
+    they are within SPHERE_DEDUP_TOL times the larger modulus: each test is
+    at the scale of the roots it compares, so small zeros survive beside
+    large ones.  A value on a sphere is zero when at most CLASSIFY_TOL times
+    backward_bound(|a_n|, |(x - center) + iy|), the majorant of f there.
+    The starts and stops are relative too, so with center 0, f(2^k q) has
+    exactly 2^-k times the zeros of f wherever its coefficients are normal.
 
     When a_0 = ... = a_{j-1} are exactly 0, where Aberth's stop is never met,
     f = (q - center)^j g has one isolated zero at the center, classified as
     every other, and g's zeros (a NonConvergence for g carries g's alone).
 
-    Raises NonConvergence with an empty ``partial`` when the monic f^s is out
-    of floating-point range: a coefficient is not finite, the leading one of
-    f^s underflowed to 0 (deg f^s < 2 deg f), the constant one is 0 while
-    f(center) is not, or its majorant is not finite at an iterate.
+    Raises NonConvergence with an empty ``partial`` when a zero is out of
+    floating-point range: a coefficient's norm or a start, or a refined zero
+    or CLASSIFY_TOL times f's majorant there, is not a normal double.
     """
     if f.degree < 1:
         raise ValueError("root finding requires degree >= 1")
@@ -361,31 +397,22 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
         g = SlicePolynomial(f.center, f.coeffs[j:])
         rest = poly_roots(g) if g.degree else []
         return sorted([zero, *rest], key=lambda z: (z.x, z.y))
-    coeffs = _symm_complex_coeffs(f)
-    lead = coeffs[-1] if coeffs[-1] != 0 else math.nan  # NaN: it underflowed
-    coeffs = [c / lead for c in coeffs]
-    finite = all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs)
-    if not finite or coeffs[0] == 0:
-        raise NonConvergence("symmetrization out of floating-point range (a coefficient "
-                             "overflowed, or the leading or constant one underflowed)")
-    converged = True
+    w = SlicePolynomial(0.0, f.coeffs)  # f in the offset w = q - center
+    starts, converged = _newton_polygon_starts(w.abs_coeffs), True
     try:
-        cap = max(ABERTH_MAX_ITER, 6 * (len(coeffs) - 1))  # grows with deg f^s
-        roots = aberth_roots(coeffs, cap, conjugate_pairs=True)
+        roots = aberth_roots(None, max(ABERTH_MAX_ITER, 12 * f.degree), conjugate_pairs=True,
+                             evaluator=_stem_evaluator(w), starts=starts)
     except NonConvergence as exc:
         roots = list(exc.partial)
         converged = False
-    roots = roots[: f.degree]
-    # Aberth's backward-error stop takes inf <= inf: an iterate whose f^s
-    # overflowed stops on its start circle.
-    abs_coeffs = [abs(c) for c in coeffs]
-    if not all(math.isfinite(backward_bound(abs_coeffs, abs(z))) for z in roots):
-        raise NonConvergence("symmetrization out of floating-point range at an iterate")
-    w = SlicePolynomial(0.0, f.coeffs)  # f in the offset w = q - center
     seen: list[complex] = []  # refined candidate spheres x + iy about the center
     fs = _with_derivatives(w)
-    for z in roots:
+    for z in roots[: f.degree]:
         z = _refine(fs, z)
+        r = math.hypot(z.real, z.imag)  # the zero and its zero test are normal doubles
+        tol = CLASSIFY_TOL * backward_bound(w.abs_coeffs, r)
+        if not (r >= _NORMAL and _NORMAL <= tol < math.inf):
+            raise NonConvergence("a zero is out of floating-point range")
         z = complex(z.real, abs(z.imag) if abs(z.imag) >= SPHERE_DEDUP_TOL * abs(z) else 0.0)
         if all(abs(z - s) > SPHERE_DEDUP_TOL * max(abs(z), abs(s)) for s in seen):
             seen.append(z)

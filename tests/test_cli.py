@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -101,16 +102,39 @@ def test_roots_degree_zero_exits_2(run):
     assert code == 2 and err.startswith("error:")
 
 
-@pytest.mark.parametrize("coeffs", [
-    [[1e160, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]],  # f^s coefficients overflow
-    [[1, 0, 0, 0], [0, 0, 0, 0], [1e-170, 0, 0, 0]],  # f^s leading coefficient underflows
-    [[1e-160, 0, 0, 0], [1e150, 0, 0, 0]],  # monic f^s constant 1e-320 / 1e300 underflows
-    [[1, 0, 0, 0], [3e-170, 7e-171, -5e-170, 2.3e-170]],  # a non-real lead's square underflows
+_IM = math.hypot(0.7, -5.0, 2.3)  # 1e170 |Im a| for a = (3e-170, 7e-171, -5e-170, 2.3e-170)
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    # f^s coefficients overflow: the sphere (0, 1e80)
+    pytest.param([[1e160, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]], ("spherical", 0.0, 1e80),
+                 id="coeffs0"),
+    # f^s leading coefficient underflows: the sphere (0, 1e85)
+    pytest.param([[1, 0, 0, 0], [0, 0, 0, 0], [1e-170, 0, 0, 0]], ("spherical", 0.0, 1e85),
+                 id="coeffs1"),
+    # monic f^s constant 1e-320 / 1e300 underflows: the subnormal zero -1e-310
+    pytest.param([[1e-160, 0, 0, 0], [1e150, 0, 0, 0]], ("isolated", -1e-310, 0.0),
+                 id="coeffs2"),
+    # a non-real lead's square underflows: the zero -a^-1 = (-3 + Im a') 1e170 / |a'|^2
+    pytest.param([[1, 0, 0, 0], [3e-170, 7e-171, -5e-170, 2.3e-170]],
+                 ("isolated", -3e170 / (9.0 + _IM ** 2), _IM * 1e170 / (9.0 + _IM ** 2)),
+                 id="coeffs3"),
 ])
-def test_roots_out_of_range_symmetrization_exits_3(run, coeffs):
+def test_roots_out_of_range_symmetrization_exits_3(run, coeffs, want):
+    # These f^s leave the floating-point range (the name is from when that
+    # meant exit 3).  roots never forms f^s, so each true zero comes back
+    # with exit 0; a subnormal zero may instead exit 3 with one error: line.
+    kind, x, y = want
     code, out, err = run(["roots"], {"coeffs": coeffs})
-    assert code == 3 and out == "" and err.startswith("error:")
-    assert "out of floating-point range" in err and "internal error" not in err
+    if code == 3 and abs(x) < 2.0 ** -1022:
+        assert out == "" and err.startswith("error:") and "internal error" not in err
+        assert "out of floating-point range" in err
+        return
+    assert code == 0 and err == ""
+    zeros = _strict_json(out)["zeros"]
+    assert [z["kind"] for z in zeros] == [kind]
+    assert abs(zeros[0]["x"] - x) <= 1e-14 * abs(complex(x, y))
+    assert abs(zeros[0]["y"] - y) <= 1e-14 * abs(complex(x, y))
 
 
 @pytest.mark.parametrize("scale", [1e-100, 1e100])
@@ -149,7 +173,7 @@ def test_eval_reports_overflowed_values_inline(run, op, constant):
 
 
 def test_roots_output_is_strict_json(run):
-    # f^s is in range but its monic form is not, so the iteration yields NaN
+    # f^s is in range but its monic form is not
     code, out, err = run(["roots"], {"coeffs": [[1e150, 0, 0, 0], [0, 0, 0, 0],
                                                 [1e-150, 0, 0, 0]]})
     assert (code == 0 and _strict_json(out)) or (

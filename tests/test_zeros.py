@@ -30,6 +30,7 @@ from sliceregular import (
     star_zero_check,
     symm_poly,
 )
+from sliceregular import zeros as zeros_module
 from sliceregular.verify import SplitMix64
 from sliceregular.zeros import (
     ABERTH_MAX_ITER,
@@ -316,11 +317,17 @@ def test_symm_complex_coeffs_are_the_real_parts_of_symm_poly(scale):
 
 def test_poly_roots_tiny_non_real_lead_is_out_of_range():
     # |a_1|^2 underflows to 0 although a_1 is not real: the leading
-    # coefficient of f^s is 0, which is an error, never a divisor.
-    f = polynomial([1.0, Quaternion(3e-170, 7e-171, -5e-170, 2.3e-170)])
+    # coefficient of f^s is 0.  The iteration runs on f's stem and never
+    # forms f^s, so it finds the true zero -a_1^-1 of 1 + q a_1, an isolated
+    # one of modulus about 1.6e169.
+    a = Quaternion(3e-170, 7e-171, -5e-170, 2.3e-170)
+    f = polynomial([1.0, a])
     assert _symm_complex_coeffs(f)[-1] == 0
-    with pytest.raises(NonConvergence, match="out of floating-point range"):
-        poly_roots(f)
+    b = a * Quaternion(1e170)  # a's direction, its squares normal
+    want = -(b.conjugate() * Quaternion(1e170 / b.norm_sq()))
+    [zero] = poly_roots(f)
+    assert zero.kind is ZeroKind.ISOLATED and zero.converged
+    assert_close(from_slice(zero.x, zero.y, zero.unit), want, tol=1e-14 * want.norm())
 
 
 @pytest.mark.parametrize("degree", [5, 20, 40])
@@ -630,14 +637,25 @@ def test_poly_roots_iterates_out_of_range(coeffs):
         assert (z.kind, z.y) == (SPH, 1e20) and abs(z.x) <= 1e-15 * z.y
 
 
+def _scaled_coeffs_stay_normal(f, k):
+    """Is every nonzero component of a_n 2^(kn), and 2^(kn), a normal double?"""
+    return abs(k) * f.degree <= 1022 and all(
+        v == 0.0 or -1021 <= math.frexp(v)[1] + k * n <= 1024
+        for n, c in enumerate(f.coeffs) for v in (c.x0, c.x1, c.x2, c.x3))
+
+
 def test_poly_roots_exactly_covariant_under_scaling_of_the_variable():
     # f(2^k q) has coefficients a_n 2^(kn) and exactly 2^-k times the zeros
-    # of f: the start circle, the stops, the refinement and the fold, merge
-    # and classify decisions all scale with the roots.
+    # of f: the starts, the stops, the refinement and the fold, merge and
+    # classify decisions all scale with the roots.  Every k in -40..40, and
+    # every eighth k out to +-200 where the coefficients stay normal.
+    ks = [*range(-200, -40, 8), *range(-40, 41), *range(48, 201, 8)]
     for seed in range(1, 16):
         f = SplitMix64(seed).polynomial(max_degree=8)
         want = [(z.kind, z.x, z.y) for z in poly_roots(f)]
-        for k in range(-40, 41):
+        for k in ks:
+            if abs(k) > 40 and not _scaled_coeffs_stay_normal(f, k):
+                continue
             g = polynomial([c * Quaternion(2.0 ** (k * n)) for n, c in enumerate(f.coeffs)])
             got = [(z.kind, z.x, z.y) for z in poly_roots(g)]
             assert got == [(kind, math.ldexp(x, -k), math.ldexp(y, -k)) for kind, x, y in want]
@@ -686,6 +704,53 @@ def test_poly_roots_center_factor_keeps_the_other_zeros():
             assert [(z.x, z.y, z.kind) for z in zeros if z.x == 1.5 and z.y == 0.0] == [
                 (1.5, 0.0, ISO)]
             assert [z for z in zeros if (z.x, z.y) != (1.5, 0.0)] == poly_roots(g)
+
+
+def _product_of_linear_factors(roots):
+    f = polynomial([1.0])
+    for r in roots:
+        f = star_poly(f, polynomial([-r, 1.0]))
+    return f
+
+
+def test_poly_roots_finds_each_zero_of_close_real_clusters():
+    # Products of q - r over r = +-(c + g i), i < k: 54 polynomials, 162
+    # simple real zeros in clusters g apart, and the close triple at -23.
+    # A zero is found when an isolated zero lies within 1e-6 |r| of it.
+    cases = [[s * (c + g * i) for i in range(k) for s in (1, -1)]
+             for c in (1, 5, 20) for g in (0.01, 0.1, 0.5) for k in (2, 3, 4)]
+    cases.append([-23.19, -22.98, -22.93])
+    for roots in cases:
+        found = [complex(z.x, z.y) for z in poly_roots(_product_of_linear_factors(roots))
+                 if z.kind is ZeroKind.ISOLATED]
+        assert len(found) == len(roots), roots
+        for r in roots:
+            assert min(abs(z - r) for z in found) <= 1e-6 * abs(r), (roots, r)
+
+
+def test_poly_roots_stop_test_count_on_seeded_polynomials(monkeypatch):
+    # A count, not a time: the stop tests (evaluations of s at an unstopped
+    # iterate) over 30 seeded dense polynomials of degree 10, 20 and 33.  The
+    # stem iteration from Newton-polygon starts makes 5625 of them; the
+    # iteration on f^s from Cauchy's radius made 11556.
+    calls = 0
+    stem_evaluator = zeros_module._stem_evaluator
+
+    def counted(f):
+        evaluator = stem_evaluator(f)
+
+        def count(z):
+            nonlocal calls
+            calls += 1
+            return evaluator(z)
+        return count
+
+    monkeypatch.setattr(zeros_module, "_stem_evaluator", counted)
+    for d in (10, 20, 33):
+        for seed in range(1, 11):
+            rng = SplitMix64(1000 * d + seed)
+            poly_roots(polynomial([rng.quaternion() for _ in range(d + 1)]))
+    assert calls <= 5800
 
 
 def test_poly_roots_requires_positive_degree():
