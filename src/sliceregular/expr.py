@@ -202,12 +202,18 @@ def _pair(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, Quaternion, Quaterni
     f(q) and f(conj(q)), with m the larger majorant of the two values."""
     p = slice_coords(q)
     if isinstance(f, Poly):
-        v = f.poly.stem(complex(p.x, p.y))
-        b, c = Quaternion(*(w.real for w in v)), Quaternion(*(w.imag for w in v))
+        b, c = _stem_pair(f.poly, p.x, p.y)
         return p.unit.u, b, c, f.poly.majorant(q)
     (vp, mp), (vm, mm) = _eval(f, q), _eval(f, q.conjugate())
     b, c = affine_coeffs(vp, vm, p.unit)
     return p.unit.u, b, c, max(mp, mm)
+
+
+def _stem_pair(poly: SlicePolynomial, x: float, y: float) -> tuple[Quaternion, Quaternion]:
+    """(b, c), the real and imaginary parts of poly's stem at x + iy."""
+    p0, p1, p2, p3 = poly.stem(complex(x, y))
+    return (Quaternion(p0.real, p1.real, p2.real, p3.real),
+            Quaternion(p0.imag, p1.imag, p2.imag, p3.imag))
 
 
 def _conj(i: Quaternion, b: Quaternion, c: Quaternion) -> Quaternion:

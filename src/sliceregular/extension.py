@@ -8,7 +8,7 @@ from .errors import (
     NoRealTrace,
     RealTraceMismatch,
 )
-from .expr import Ext, SliceExpr, StemFunction, _pair, evaluate
+from .expr import Ext, Poly, SliceExpr, StemFunction, _pair, _stem_pair, evaluate
 from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, from_slice
 from .representation import DEGENERATE_UNIT_TOL
 
@@ -21,9 +21,12 @@ _DEFAULT_TRACE = (-1.0, 1.0)
 def sphere_affine_coeffs(f: SliceExpr, x: float, y: float) -> tuple[Quaternion, Quaternion]:
     """(b, c) with f(x + y*I) = b + I*c for every I on the sphere x + y*S, y >= 0.
 
-    Computed with the canonical unit i; independence of that choice is a
-    tested property of regular functions, not an input degree of freedom.
+    A polynomial's is read off its stem at x + iy, any other node's computed
+    with the canonical unit i; independence of that choice is a tested
+    property of regular functions, not an input degree of freedom.
     """
+    if isinstance(f, Poly):
+        return _stem_pair(f.poly, x, y)
     return _pair(f, from_slice(x, y, UNIT_I))[1:3]
 
 

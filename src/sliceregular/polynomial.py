@@ -89,8 +89,11 @@ class SlicePolynomial(Value):
         f(x + y*I) = b + I*c for every I in S (the stem function of f)."""
         w = z - self.center
         a0 = a1 = a2 = a3 = 0j
-        for c in reversed(self.coeffs):
-            a0, a1, a2, a3 = a0 * w + c.x0, a1 * w + c.x1, a2 * w + c.x2, a3 * w + c.x3
+        for c in reversed(self.coeffs):  # one statement each: no tuples built
+            a0 = a0 * w + c.x0
+            a1 = a1 * w + c.x1
+            a2 = a2 * w + c.x2
+            a3 = a3 * w + c.x3
         return a0, a1, a2, a3
 
     def derivative(self) -> "SlicePolynomial":

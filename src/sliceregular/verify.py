@@ -10,7 +10,8 @@ import math
 
 from .errors import SingularPoint
 from .expr import (
-    Conj, Poly, Recip, SliceExpr, Star, Symm, _eval, evaluate, split, star_via_composition,
+    Conj, Poly, Recip, SliceExpr, Star, _eval, _pair, _symm, evaluate, split,
+    star_via_composition,
 )
 from .extension import ext_from_holomorphic, restriction_stem
 from .polynomial import SlicePolynomial
@@ -163,6 +164,12 @@ def check_grf_invariance(f: SliceExpr, spheres: int = 20, unit_pairs: int = 20,
     return _report(name, spheres, residuals)
 
 
+def _scaled_symm(pair, t: float) -> tuple[Quaternion, float]:
+    """(h^s t^2, m^2 t^2) from h's pair (I, b, c, m) and a power of two t."""
+    i, b, c, m = pair
+    return _symm(i, b * t, c * t), (m * t) * (m * t)
+
+
 def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
                          seed: int = 7) -> list[CheckReport]:
     """Pointwise identities of the star calculus over sampled points.
@@ -180,7 +187,6 @@ def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
     fg = Star(f, g)
     recip_f = Recip(f)
     conj_fg, star_conj = Conj(fg), Star(Conj(g), Conj(f))
-    symms = Symm(fg), Symm(f), Symm(g)
     left, right = Star(recip_f, f), Star(f, recip_f)
     for _ in range(points):
         q = rng.point()
@@ -193,7 +199,12 @@ def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
         if fq.norm() > 1e-6 * m_f:
             compose.append((tag, _relative((star_via_composition(f, g, q) - star).norm(), m_star)))
 
-        (sfg, m_fg), (sf, m_sf), (sg, m_sg) = (_eval(h, q) for h in symms)
+        # pairs scaled by powers of two near 1/m_f, 1/m_g and their product:
+        # exact, and f^s g^s stays a double at any scale of f and g
+        pf, pg = _pair(f, q), _pair(g, q)
+        tf, tg = (math.ldexp(1.0, -max(math.frexp(p[3])[1], -1021)) for p in (pf, pg))
+        (sfg, m_fg), (sf, m_sf), (sg, m_sg) = (
+            _scaled_symm(p, t) for p, t in ((_pair(fg, q), tf * tg), (pf, tf), (pg, tg)))
         multiplicative.append((tag, _relative((sfg - sf * sg).norm(), m_fg + m_sf * m_sg)))
         commute.append((tag, _relative((sf * sg - sg * sf).norm(), m_sf * m_sg)))
 

@@ -14,7 +14,7 @@ import enum
 import math
 
 from .errors import NonConvergence, SingularPoint
-from .expr import Poly, SliceExpr, Star, _eval, evaluate, recip_eval
+from .expr import Poly, SliceExpr, Star, _eval, recip_eval
 from .extension import sphere_affine_coeffs
 from .polynomial import SlicePolynomial, backward_bound
 from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, ZERO, Value, quat_inv, slice_coords
@@ -37,7 +37,11 @@ class SphereZero(Value):
     """Classification of the zero set of a regular function on x + y*S."""
 
     __slots__ = ("x", "y", "kind", "unit", "residual", "unit_is_arbitrary", "converged")
-    _defaults = {"unit": None, "residual": 0.0, "unit_is_arbitrary": False, "converged": True}
+
+    def __init__(self, x, y, kind, unit=None, residual=0.0, unit_is_arbitrary=False,
+                 converged=True):  # explicit: Value's generic __init__ is several times slower
+        self.x, self.y, self.kind, self.unit, self.residual = x, y, kind, unit, residual
+        self.unit_is_arbitrary, self.converged = unit_is_arbitrary, converged
 
 
 def sphere_zero_classify(f: SliceExpr, x: float, y: float,
@@ -47,18 +51,19 @@ def sphere_zero_classify(f: SliceExpr, x: float, y: float,
     Spherical iff |b| and |c| are at most ``tol``, which carries the scale of
     f; otherwise b + I*c = 0 is solved for I and accepted only when I lies
     on S to CLASSIFY_TOL and the residual |b + I*c| is at most ``tol`` (so 0
-    is zero even at tol = 0).  For y = 0 the sphere is a single real point.
+    is zero even at tol = 0).  For y = 0 the sphere is a single real point,
+    where c = 0 and the residual is |b| = |f(x)|.  A polynomial's (b, c) is
+    read off its stem at x + iy (sphere_affine_coeffs).
     """
     if y < 0:
         raise ValueError("sphere radius y must be nonnegative")
-    if y == 0.0:
-        r = evaluate(f, Quaternion(x)).norm()
-        if r <= tol:
-            return SphereZero(x, 0.0, ZeroKind.ISOLATED, unit=UNIT_I,
-                              residual=r, unit_is_arbitrary=True)
-        return SphereZero(x, 0.0, ZeroKind.NONE, residual=r)
     b, c = sphere_affine_coeffs(f, x, y)
     nb, nc = b.norm(), c.norm()
+    if y == 0.0:
+        if nb <= tol:
+            return SphereZero(x, 0.0, ZeroKind.ISOLATED, unit=UNIT_I,
+                              residual=nb, unit_is_arbitrary=True)
+        return SphereZero(x, 0.0, ZeroKind.NONE, residual=nb)
     if nb <= tol and nc <= tol:
         return SphereZero(x, y, ZeroKind.SPHERICAL, residual=max(nb, nc))
     if nc > tol:
@@ -310,6 +315,45 @@ def _stem_evaluator(f: SlicePolynomial):
     return evaluator
 
 
+def _stem_jet(f: SlicePolynomial, z: complex) -> tuple[complex, complex, complex, float]:
+    """_refine's step at z from one Horner pass over f's coefficients (center
+    0): the stem p_k, p_k', p_k''/2 and f's majorant m at |z|.  With rho the
+    power of two just above |z| and t the one that brings m near 1, it
+    returns rho and (s, s', s'') for s = sum_k P_k^2, P = p t, P' = (p' rho) t
+    and P'' = (p'' rho^2) t: u = s/s' and its Newton step come out divided
+    by rho, exactly, and |P| <= 1, |P'| <= 2n, |P''| <= 4n^2, so no square
+    leaves the double range at tiny or huge zeros."""
+    cs, top = f.coeffs, f.coeffs[-1]
+    r = math.hypot(z.real, z.imag)
+    p0, p1, p2, p3, m = top.x0, top.x1, top.x2, top.x3, f.abs_coeffs[-1]
+    d0 = d1 = d2 = d3 = e0 = e1 = e2 = e3 = 0.0
+    for c, a in zip(cs[-2::-1], f.abs_coeffs[-2::-1]):  # one statement each: no tuples built
+        e0 = e0 * z + d0
+        e1 = e1 * z + d1
+        e2 = e2 * z + d2
+        e3 = e3 * z + d3
+        d0 = d0 * z + p0
+        d1 = d1 * z + p1
+        d2 = d2 * z + p2
+        d3 = d3 * z + p3
+        p0 = p0 * z + c.x0
+        p1 = p1 * z + c.x1
+        p2 = p2 * z + c.x2
+        p3 = p3 * z + c.x3
+        m = m * r + a
+    rho = math.ldexp(1.0, max(math.frexp(r)[1], -1021))
+    t = math.ldexp(1.0, -max(math.frexp(m)[1], -1021))
+    p0, p1, p2, p3 = p0 * t, p1 * t, p2 * t, p3 * t
+    d0, d1, d2, d3 = (d0 * rho) * t, (d1 * rho) * t, (d2 * rho) * t, (d3 * rho) * t
+    t *= 2.0  # e = p''/2
+    e0, e1, e2, e3 = (((e0 * rho) * rho) * t, ((e1 * rho) * rho) * t,
+                      ((e2 * rho) * rho) * t, ((e3 * rho) * rho) * t)
+    s = p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
+    s1 = 2.0 * (p0 * d0 + p1 * d1 + p2 * d2 + p3 * d3)
+    s2 = 2.0 * (d0 * d0 + p0 * e0 + d1 * d1 + p1 * e1 + d2 * d2 + p2 * e2 + d3 * d3 + p3 * e3)
+    return s, s1, s2, rho
+
+
 def _with_derivatives(f: SlicePolynomial) -> tuple[SlicePolynomial, ...]:
     df = f.derivative()
     return f, df, df.derivative()
@@ -317,29 +361,25 @@ def _with_derivatives(f: SlicePolynomial) -> tuple[SlicePolynomial, ...]:
 
 def _refine(fs: tuple[SlicePolynomial, ...], z: complex) -> complex:
     """Newton on u = s/s' from z, where s = sum_k p_k^2 is f^s on L_i, from
-    the stem p_k of f (f.stem) and the stems p_k', p_k'' of its derivatives;
-    fs is (f, f', f''), as _with_derivatives gives it.
+    the stem p_k of f = fs[0] (center 0) and its first two derivatives, all
+    from one Horner pass over f's coefficients per step (_stem_jet).  fs is
+    (f, f', f'') as _with_derivatives gives it, or (f,): only f is read.
 
     u has a simple zero at every root of s, so the real and spherical zeros
-    of f, double roots of s, converge quadratically too.  p, p' and p'' are
-    scaled by the power of two that brings f's majorant at z near 1, so the
-    squares stay normal doubles and the step does not depend on f's scale.
+    of f, double roots of s, converge quadratically too.  The jet is scaled
+    by powers of two, exactly, so its squares stay doubles at any normal
+    zero and the step does not depend on f's scale.
     """
     f = fs[0]
     for _ in range(REFINE_STEPS):
-        m = f.majorant(Quaternion(z.real, z.imag))
-        t = math.ldexp(1.0, -max(math.frexp(m)[1], -1021))
-        p, d, d2 = ([v * t for v in g.stem(z)] for g in fs)
-        s = sum(v * v for v in p)
-        s1 = 2.0 * sum(v * w for v, w in zip(p, d))
-        s2 = 2.0 * sum(w * w + v * e for v, w, e in zip(p, d, d2))
+        s, s1, s2, rho = _stem_jet(f, z)
         if s == 0 or s1 == 0:
             break
         u = s / s1
         du = 1.0 - u * (s2 / s1)
         if du == 0:
             break
-        step = u / du
+        step = rho * (u / du)
         z -= step
         if abs(step) <= 1e-15 * abs(z):
             break
@@ -366,19 +406,23 @@ def _symm_complex_coeffs(f: SlicePolynomial) -> list[complex]:
 def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     """Candidate zero spheres of a quaternionic polynomial, classified.
 
-    Pipeline: in the offset w = q - center, Aberth iteration follows one
-    root of each conjugate pair of s = sum_k p_k^2, evaluated from f's stem
-    (_stem_evaluator) and started on f's Newton polygon
-    (_newton_polygon_starts).  Each root is refined on the stem (_refine),
-    folded to a sphere (x, |y|), merged with the spheres before it and
-    classified; x = center + Re w is formed last.  A root z folds to the
-    axis when |Im z| < SPHERE_DEDUP_TOL * |z|, and two spheres are one when
-    they are within SPHERE_DEDUP_TOL times the larger modulus: each test is
-    at the scale of the roots it compares, so small zeros survive beside
-    large ones.  A value on a sphere is zero when at most CLASSIFY_TOL times
+    Pipeline: f is scaled up (never down, so nothing rounds) by the power
+    of two t that brings its largest |a_n| into [1/2, 1), so its zero tests
+    are normal doubles; the residuals are f's own.  In the offset w = q -
+    center, Aberth iteration follows one root of each conjugate pair of s =
+    sum_k p_k^2, evaluated from f's stem (_stem_evaluator) and started on
+    f's Newton polygon (_newton_polygon_starts).  Each root is refined on
+    the stem (_refine), folded to a sphere (x, |y|), merged with the spheres
+    before it and classified from one stem pass at x + iy; x = center + Re w
+    is formed last.  A root z folds to the axis when |Im z| <
+    SPHERE_DEDUP_TOL * |z|, and two spheres are one when they are within
+    SPHERE_DEDUP_TOL times the larger modulus: each test is at the scale of
+    the roots it compares, so small zeros survive beside large ones.  A
+    value on a sphere is zero when at most CLASSIFY_TOL times
     backward_bound(|a_n|, |(x - center) + iy|), the majorant of f there.
     The starts and stops are relative too, so with center 0, f(2^k q) has
-    exactly 2^-k times the zeros of f wherever its coefficients are normal.
+    exactly 2^-k times the zeros of f wherever its coefficients are normal,
+    and 2^k f (k <= 0) exactly the zeros of f.
 
     When a_0 = ... = a_{j-1} are exactly 0, where Aberth's stop is never met,
     f = (q - center)^j g has one isolated zero at the center, classified as
@@ -397,7 +441,8 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
         g = SlicePolynomial(f.center, f.coeffs[j:])
         rest = poly_roots(g) if g.degree else []
         return sorted([zero, *rest], key=lambda z: (z.x, z.y))
-    w = SlicePolynomial(0.0, f.coeffs)  # f in the offset w = q - center
+    t = math.ldexp(1.0, min(max(-math.frexp(max(f.abs_coeffs))[1], 0), 1021))
+    w = SlicePolynomial(0.0, [c * t for c in f.coeffs] if t > 1 else f.coeffs)  # t f in q - center
     starts, converged = _newton_polygon_starts(w.abs_coeffs), True
     try:
         roots = aberth_roots(None, max(ABERTH_MAX_ITER, 12 * f.degree), conjugate_pairs=True,
@@ -405,23 +450,21 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     except NonConvergence as exc:
         roots = list(exc.partial)
         converged = False
-    seen: list[complex] = []  # refined candidate spheres x + iy about the center
-    fs = _with_derivatives(w)
+    seen: list[tuple[complex, float, float]] = []  # spheres x + iy about the center, |x + iy|, tol
     for z in roots[: f.degree]:
-        z = _refine(fs, z)
-        r = math.hypot(z.real, z.imag)  # the zero and its zero test are normal doubles
+        z = _refine((w,), z)
+        z = complex(z.real, abs(z.imag) if abs(z.imag) >= SPHERE_DEDUP_TOL * abs(z) else 0.0)
+        r, a = math.hypot(z.real, z.imag), abs(z)  # the zero and its zero test are normal doubles
         tol = CLASSIFY_TOL * backward_bound(w.abs_coeffs, r)
         if not (r >= _NORMAL and _NORMAL <= tol < math.inf):
             raise NonConvergence("a zero is out of floating-point range")
-        z = complex(z.real, abs(z.imag) if abs(z.imag) >= SPHERE_DEDUP_TOL * abs(z) else 0.0)
-        if all(abs(z - s) > SPHERE_DEDUP_TOL * max(abs(z), abs(s)) for s in seen):
-            seen.append(z)
+        if all(abs(z - s) > SPHERE_DEDUP_TOL * max(a, b) for s, b, _ in seen):
+            seen.append((z, a, tol))
     out = []
     expr = Poly(w)
-    for z in sorted(seen, key=lambda z: (z.real + f.center, z.imag)):
-        u, y = z.real, z.imag
-        zero = sphere_zero_classify(expr, u, y, tol=CLASSIFY_TOL * w.majorant(Quaternion(u, y)))
-        out.append(SphereZero(u + f.center, y, zero.kind, zero.unit, zero.residual,
+    for z, _, tol in sorted(seen, key=lambda e: (e[0].real + f.center, e[0].imag)):
+        zero = sphere_zero_classify(expr, z.real, z.imag, tol=tol)
+        out.append(SphereZero(z.real + f.center, z.imag, zero.kind, zero.unit, zero.residual / t,
                               zero.unit_is_arbitrary, converged))
     if not converged:
         raise NonConvergence("root iteration did not converge", partial=out)

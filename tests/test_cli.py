@@ -137,6 +137,20 @@ def test_roots_out_of_range_symmetrization_exits_3(run, coeffs, want):
     assert abs(zeros[0]["y"] - y) <= 1e-14 * abs(complex(x, y))
 
 
+@pytest.mark.parametrize("coeffs, want", [
+    # the zero -1e-280, far below 1e-154 in modulus, where squares underflow
+    pytest.param([[1e-280, 0, 0, 0], [1, 0, 0, 0]], ("isolated", -1e-280, 0.0), id="tiny-zero"),
+    # 1e-305 (q^2 + 1): f's zero test 1e-8 m would be subnormal
+    pytest.param([[1e-305, 0, 0, 0], [0, 0, 0, 0], [1e-305, 0, 0, 0]], ("spherical", 0.0, 1.0),
+                 id="tiny-scale"),
+])
+def test_roots_at_the_bottom_of_the_double_range(run, coeffs, want):
+    code, out, err = run(["roots"], {"coeffs": coeffs})
+    assert code == 0 and err == ""
+    [zero] = _strict_json(out)["zeros"]
+    assert (zero["kind"], zero["x"], zero["y"]) == want
+
+
 @pytest.mark.parametrize("scale", [1e-100, 1e100])
 def test_roots_of_scaled_polynomial(run, scale):
     # scale * (1 + q^2): f^s is in range, its derivative squared is not.

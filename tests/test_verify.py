@@ -1,5 +1,7 @@
 """The verification harness: determinism, pass behavior, falsifiability."""
 
+import math
+
 import pytest
 
 from sliceregular import (
@@ -110,6 +112,17 @@ def test_reports_do_not_depend_on_the_scale_of_f():
         assert _nine_reports(2.0 ** j) == base, j
     for scale in (1e12, 1e-12):
         assert [r.passed for r in _nine_reports(scale)] == [r.passed for r in base], scale
+
+
+def test_reports_keep_their_verdicts_at_the_ends_of_the_double_range():
+    # f^s g^s and its majorant grow as the fourth power of the scale: formed
+    # from pairs scaled by powers of two, they stay doubles from 2^-300 to
+    # 2^300, and every report gives the verdict it gives at scale 1
+    base = [r.passed for r in _nine_reports(1.0)]
+    for j in range(-300, 301, 50):
+        reports = _nine_reports(2.0 ** j)
+        assert [r.passed for r in reports] == base, j
+        assert all(math.isfinite(r.max_residual) for r in reports), j
 
 
 def test_extension_roundtrip_check():

@@ -3,6 +3,7 @@
 import cmath
 from fractions import Fraction
 import math
+import sys
 
 import pytest
 
@@ -753,6 +754,44 @@ def test_poly_roots_stop_test_count_on_seeded_polynomials(monkeypatch):
     assert calls <= 5800
 
 
+def test_poly_roots_per_zero_work_count_on_seeded_polynomials(monkeypatch):
+    # A count, not a time: on the polynomials of the stop-test count, each
+    # zero costs its refinement steps (one Horner pass of _stem_jet each) and
+    # one stem pass to classify its sphere, 678 + 630 passes.  Refining on
+    # the stems of f, f' and f'' and classifying through the quaternion
+    # pipeline took 2664 stem and 1938 majorant passes.  Nothing on the path
+    # evaluates f in quaternions, forms a majorant apart from the stem jet's
+    # or splits a point into slice coordinates.
+    passes = 0
+    stem_jet, stem = zeros_module._stem_jet, SlicePolynomial.stem
+
+    def counted(horner):
+        def count(f, z):
+            nonlocal passes
+            passes += 1
+            return horner(f, z)
+        return count
+
+    def refused(*args):
+        raise AssertionError("not on the per-zero path")
+
+    monkeypatch.setattr(zeros_module, "_stem_jet", counted(stem_jet))
+    monkeypatch.setattr(SlicePolynomial, "stem", counted(stem))
+    monkeypatch.setattr(SlicePolynomial, "evaluate", refused)
+    monkeypatch.setattr(SlicePolynomial, "majorant", refused)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("sliceregular") and hasattr(module, "slice_coords"):
+            monkeypatch.setattr(module, "slice_coords", refused)
+    zeros = 0
+    for d in (10, 20, 33):
+        for seed in range(1, 11):
+            rng = SplitMix64(1000 * d + seed)
+            f = polynomial([rng.quaternion() for _ in range(d + 1)])
+            assert f.coeffs[0] != Quaternion()
+            zeros += len(poly_roots(f))
+    assert zeros == 630 and passes <= 1350
+
+
 def test_poly_roots_requires_positive_degree():
     with pytest.raises(ValueError):
         poly_roots(polynomial([1.0]))
@@ -772,6 +811,26 @@ def test_poly_roots_scale_invariant():
             assert [z.kind for z in got] == [z.kind for z in want]
             for a, b in zip(got, want):
                 assert abs(a.x - b.x) <= 1e-12 and abs(a.y - b.y) <= 1e-12
+
+
+def test_poly_roots_of_f_scaled_down_to_the_bottom_of_the_double_range():
+    # 2^k f for k = -1000..0 (every k from -40, every eighth below), wherever
+    # its coefficients stay normal: f is scaled up by the power of two that
+    # brings its largest |a_n| into [1/2, 1) before its roots are found, so
+    # kinds, spheres and units are those of f, and each residual is f's
+    # times 2^k, exactly, where a zero test 1e-8 m would be subnormal.
+    ks = [*range(-1000, -40, 8), *range(-40, 1)]
+    for seed in range(1, 11):
+        f = SplitMix64(seed).polynomial(max_degree=8)
+        want = poly_roots(f)
+        for k in ks:
+            g = f.right_scaled(Quaternion(2.0 ** k))
+            if not _scaled_coeffs_stay_normal(g, 0):
+                continue
+            got = poly_roots(g)
+            assert [(z.kind, z.x, z.y, z.unit) for z in got] == [
+                (z.kind, z.x, z.y, z.unit) for z in want], (seed, k)
+            assert [z.residual for z in got] == [math.ldexp(z.residual, k) for z in want]
 
 
 def test_refine_spherical_candidate_recovers_sphere():
