@@ -136,9 +136,15 @@ class Quaternion(Value):
         return math.hypot(self.x0, self.x1, self.x2, self.x3)
 
     def im_norm(self) -> float:
-        """|Im(q)|, by math.hypot only where a square leaves the normal range."""
+        """|Im(q)|, the root of a sum of squares: of Im(q) scaled by a power of
+        two where a square leaves the normal range, so that |Im(2^k q)| is
+        exactly 2^k |Im(q)| wherever the components are normal."""
         n = math.sqrt(self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3)
-        return n if 1e-150 < n < 1e150 else math.hypot(self.x1, self.x2, self.x3)
+        if 1e-150 < n < 1e150:
+            return n
+        t = math.ldexp(1.0, min(-math.frexp(max(abs(self.x1), abs(self.x2), abs(self.x3)))[1], 1023))
+        x1, x2, x3 = self.x1 * t, self.x2 * t, self.x3 * t
+        return math.sqrt(x1 * x1 + x2 * x2 + x3 * x3) / t
 
     def inverse(self) -> "Quaternion":
         return quat_inv(self)

@@ -13,17 +13,17 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import NonConvergence, SingularPoint
+from .errors import NonConvergence
 from .expr import Poly, SliceExpr, Star, _eval, recip_eval
 from .extension import sphere_affine_coeffs
-from .polynomial import SlicePolynomial, backward_bound
-from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, ZERO, Value, quat_inv, slice_coords
+from .polynomial import SlicePolynomial, backward_bound, monomial_minus
+from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, ZERO, Value, quat_inv
 
 CLASSIFY_TOL = 1e-8
 SPHERE_DEDUP_TOL = 1e-8
 ABERTH_MAX_ITER = 200
 ABERTH_TOL = 1e-13
-KERNEL_SINGULAR_TOL = 1e-10
+KERNEL_SINGULAR_TOL = 1e-10  # kept for import; cauchy_kernel uses expr.RECIP_SINGULAR_TOL
 REFINE_STEPS = 8
 
 
@@ -251,6 +251,7 @@ def aberth_roots(coeffs: list[complex] | None, max_iter: int = ABERTH_MAX_ITER, 
 # ---------------------------------------------------------------------------
 
 _NORMAL = 2.0 ** -1022  # the smallest normal double
+_LOW = Quaternion(2.0 ** -64)  # f times _LOW has a double majorant where f's overflows
 
 
 def _newton_polygon_starts(abs_coeffs: tuple[float, ...]) -> list[complex]:
@@ -285,7 +286,7 @@ def _stem_evaluator(f: SlicePolynomial):
     |p_k|^2, so z stops when |s| <= 1e-14 * m * ||F||.  Where m leaves
     [2^-400, 2^400], p and p' are scaled by the power of two that brings m
     near 1, so the squares stay doubles; that is exact, so the iterates do
-    not depend on it."""
+    not depend on it.  Where m overflows, the pass is that of f * _LOW."""
     (p0, p1, p2, p3, top_abs), *rest = [(c.x0, c.x1, c.x2, c.x3, a) for c, a in
                                          zip(reversed(f.coeffs), reversed(f.abs_coeffs))]
     top = p0, p1, p2, p3
@@ -305,6 +306,8 @@ def _stem_evaluator(f: SlicePolynomial):
             p3 = p3 * z + c3
             m = m * r + a
         if not 2.0 ** -400 <= m <= 2.0 ** 400:
+            if m == math.inf:
+                return _stem_evaluator(f.right_scaled(_LOW))(z)
             t = math.ldexp(1.0, -max(math.frexp(m)[1], -1021))
             p0, p1, p2, p3, d0, d1, d2, d3, m = (
                 v * t for v in (p0, p1, p2, p3, d0, d1, d2, d3, m))
@@ -322,7 +325,7 @@ def _stem_jet(f: SlicePolynomial, z: complex) -> tuple[complex, complex, complex
     returns rho and (s, s', s'') for s = sum_k P_k^2, P = p t, P' = (p' rho) t
     and P'' = (p'' rho^2) t: u = s/s' and its Newton step come out divided
     by rho, exactly, and |P| <= 1, |P'| <= 2n, |P''| <= 4n^2, so no square
-    leaves the double range at tiny or huge zeros."""
+    leaves the double range at tiny or huge zeros (f * _LOW's where m overflows)."""
     cs, top = f.coeffs, f.coeffs[-1]
     r = math.hypot(z.real, z.imag)
     p0, p1, p2, p3, m = top.x0, top.x1, top.x2, top.x3, f.abs_coeffs[-1]
@@ -341,6 +344,8 @@ def _stem_jet(f: SlicePolynomial, z: complex) -> tuple[complex, complex, complex
         p2 = p2 * z + c.x2
         p3 = p3 * z + c.x3
         m = m * r + a
+    if m == math.inf:
+        return _stem_jet(f.right_scaled(_LOW), z)
     rho = math.ldexp(1.0, max(math.frexp(r)[1], -1021))
     t = math.ldexp(1.0, -max(math.frexp(m)[1], -1021))
     p0, p1, p2, p3 = p0 * t, p1 * t, p2 * t, p3 * t
@@ -408,39 +413,38 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
 
     Pipeline: f is scaled up (never down, so nothing rounds) by the power
     of two t that brings its largest |a_n| into [1/2, 1), so its zero tests
-    are normal doubles; the residuals are f's own.  In the offset w = q -
-    center, Aberth iteration follows one root of each conjugate pair of s =
-    sum_k p_k^2, evaluated from f's stem (_stem_evaluator) and started on
-    f's Newton polygon (_newton_polygon_starts).  Each root is refined on
-    the stem (_refine), folded to a sphere (x, |y|), merged with the spheres
-    before it and classified from one stem pass at x + iy; x = center + Re w
-    is formed last.  A root z folds to the axis when |Im z| <
-    SPHERE_DEDUP_TOL * |z|, and two spheres are one when they are within
-    SPHERE_DEDUP_TOL times the larger modulus: each test is at the scale of
-    the roots it compares, so small zeros survive beside large ones.  A
-    value on a sphere is zero when at most CLASSIFY_TOL times
-    backward_bound(|a_n|, |(x - center) + iy|), the majorant of f there.
-    The starts and stops are relative too, so with center 0, f(2^k q) has
-    exactly 2^-k times the zeros of f wherever its coefficients are normal,
-    and 2^k f (k <= 0) exactly the zeros of f.
+    are normal doubles; where its majorant overflows, the stem passes and
+    zero test are those of f * _LOW.  The residuals are f's own.  In the
+    offset w = q - center, Aberth iteration follows one root of each
+    conjugate pair of s = sum_k p_k^2, evaluated from f's stem
+    (_stem_evaluator) and started on f's Newton polygon
+    (_newton_polygon_starts).  Each root is refined on the stem (_refine),
+    folded to a sphere (x, |y|), merged with the spheres before it and
+    classified from one stem pass at x + iy; x = center + Re w is formed
+    last.  A root z folds to the axis when |Im z| < SPHERE_DEDUP_TOL * |z|,
+    and two spheres are one when they are within SPHERE_DEDUP_TOL times the
+    larger modulus: each test is at the scale of the roots it compares, so
+    small zeros survive beside large ones.  A value on a sphere is zero when
+    at most CLASSIFY_TOL times backward_bound(|a_n|, |(x - center) + iy|),
+    the majorant of f there.  The starts and stops are relative too, so with
+    center 0, f(2^k q) has exactly 2^-k times the zeros of f wherever its
+    coefficients are normal, and 2^k f (k <= 0) exactly the zeros of f.
 
     When a_0 = ... = a_{j-1} are exactly 0, where Aberth's stop is never met,
-    f = (q - center)^j g has one isolated zero at the center, classified as
-    every other, and g's zeros (a NonConvergence for g carries g's alone).
+    f = (q - center)^j g has one isolated zero at the center, with residual
+    0, and g's zeros (a NonConvergence for g carries g's alone).
 
     Raises NonConvergence with an empty ``partial`` when a zero is out of
     floating-point range: a coefficient's norm or a start, or a refined zero
-    or CLASSIFY_TOL times f's majorant there, is not a normal double.
+    or its zero test, is not a normal double.
     """
     if f.degree < 1:
         raise ValueError("root finding requires degree >= 1")
     j = next(n for n, c in enumerate(f.coeffs) if c != ZERO)
-    if j:
-        tol = CLASSIFY_TOL * f.majorant(Quaternion(f.center))
-        zero = sphere_zero_classify(Poly(f), f.center, 0.0, tol=tol)
+    if j:  # f(center) = a_0 = 0 exactly
         g = SlicePolynomial(f.center, f.coeffs[j:])
-        rest = poly_roots(g) if g.degree else []
-        return sorted([zero, *rest], key=lambda z: (z.x, z.y))
+        zero = SphereZero(f.center, 0.0, ZeroKind.ISOLATED, UNIT_I, unit_is_arbitrary=True)
+        return sorted([zero, *(poly_roots(g) if g.degree else [])], key=lambda z: (z.x, z.y))
     t = math.ldexp(1.0, min(max(-math.frexp(max(f.abs_coeffs))[1], 0), 1021))
     w = SlicePolynomial(0.0, [c * t for c in f.coeffs] if t > 1 else f.coeffs)  # t f in q - center
     starts, converged = _newton_polygon_starts(w.abs_coeffs), True
@@ -450,22 +454,24 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     except NonConvergence as exc:
         roots = list(exc.partial)
         converged = False
-    seen: list[tuple[complex, float, float]] = []  # spheres x + iy about the center, |x + iy|, tol
+    expr, seen = Poly(w), []  # spheres x + iy about the center, |x + iy|, v's majorant, v, v/f
     for z in roots[: f.degree]:
         z = _refine((w,), z)
         z = complex(z.real, abs(z.imag) if abs(z.imag) >= SPHERE_DEDUP_TOL * abs(z) else 0.0)
         r, a = math.hypot(z.real, z.imag), abs(z)  # the zero and its zero test are normal doubles
-        tol = CLASSIFY_TOL * backward_bound(w.abs_coeffs, r)
-        if not (r >= _NORMAL and _NORMAL <= tol < math.inf):
+        v, scale, m = expr, t, backward_bound(w.abs_coeffs, r)
+        if m == math.inf:
+            v, scale = Poly(w.right_scaled(_LOW)), t * _LOW.x0
+            m = backward_bound(v.poly.abs_coeffs, r)
+        if not (r >= _NORMAL and _NORMAL <= CLASSIFY_TOL * m < math.inf):
             raise NonConvergence("a zero is out of floating-point range")
-        if all(abs(z - s) > SPHERE_DEDUP_TOL * max(a, b) for s, b, _ in seen):
-            seen.append((z, a, tol))
+        if all(abs(z - s[0]) > SPHERE_DEDUP_TOL * max(a, s[1]) for s in seen):
+            seen.append((z, a, m, v, scale))
     out = []
-    expr = Poly(w)
-    for z, _, tol in sorted(seen, key=lambda e: (e[0].real + f.center, e[0].imag)):
-        zero = sphere_zero_classify(expr, z.real, z.imag, tol=tol)
-        out.append(SphereZero(z.real + f.center, z.imag, zero.kind, zero.unit, zero.residual / t,
-                              zero.unit_is_arbitrary, converged))
+    for z, _, m, v, scale in sorted(seen, key=lambda e: (e[0].real + f.center, e[0].imag)):
+        zero = sphere_zero_classify(v, z.real, z.imag, tol=CLASSIFY_TOL * m)
+        out.append(SphereZero(z.real + f.center, z.imag, zero.kind, zero.unit,
+                              zero.residual / scale, zero.unit_is_arbitrary, converged))
     if not converged:
         raise NonConvergence("root iteration did not converge", partial=out)
     return out
@@ -486,34 +492,13 @@ def star_zero_check(f: SliceExpr, g: SliceExpr, q: Quaternion) -> bool:
 
 
 def cauchy_kernel(s: Quaternion, q: Quaternion) -> Quaternion:
-    """Closed-form regular reciprocal of q - s:
-
-        S^{-*}(q) = (q^2 - 2 Re(s) q + |s|^2)^{-1} (q - conj(s))
-
-    Singular exactly on the sphere Re(s) + |Im(s)|*S, taken to hold when
-    |denom| <= KERNEL_SINGULAR_TOL * (|s|^2 + 2|Re s| |q| + |q|^2).  The
-    kernel is homogeneous of degree -1, so it is formed from s and q scaled
-    by t = 2^-e to norms below 1 (at least 1/2 for the larger), and the
-    result is multiplied by t: the squares stay normal doubles.
-    """
-    t = math.ldexp(1.0, -max(math.frexp(max(s.norm(), q.norm()))[1], -1021))
-    st, qt = s * t, q * t
-    denom = qt * qt - (2.0 * st.re()) * qt + Quaternion(st.norm_sq())
-    numer = qt - st.conjugate()
-    bound = backward_bound((st.norm_sq(), 2.0 * abs(st.re()), 1.0), qt.norm())
-    if denom.norm() <= KERNEL_SINGULAR_TOL * bound:
-        p = slice_coords(qt)
-        x, y = p.x / t, p.y / t
-        raise SingularPoint(
-            f"q lies on the singular sphere of the kernel (x={x}, y={y})", x=x, y=y
-        )
-    return (quat_inv(denom) * numer) * t
+    """The slice Cauchy kernel (q^2 - 2 Re(s) q + |s|^2)^{-1} (q - conj(s)), the
+    regular reciprocal of q - s, as recip_eval gives it: singular on the sphere
+    Re(s) + |Im(s)|*S where |f^s(q)| <= RECIP_SINGULAR_TOL * (|s| + |q|)^2, and
+    formed from q - s scaled by a power of two to a majorant near 1."""
+    return recip_eval(Poly(monomial_minus(s)), q)
 
 
 def kernel_vs_recip_residual(s: Quaternion, q: Quaternion) -> float:
-    """|closed form - reciprocal pipeline| for the kernel of q - s."""
-    from .polynomial import monomial_minus
-
-    direct = cauchy_kernel(s, q)
-    via_recip = recip_eval(Poly(monomial_minus(s)), q)
-    return (direct - via_recip).norm()
+    """|cauchy_kernel - recip_eval of q - s|: 0, as the kernel is that reciprocal."""
+    return (cauchy_kernel(s, q) - recip_eval(Poly(monomial_minus(s)), q)).norm()

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -119,6 +121,9 @@ _IM = math.hypot(0.7, -5.0, 2.3)  # 1e170 |Im a| for a = (3e-170, 7e-171, -5e-17
     pytest.param([[1, 0, 0, 0], [3e-170, 7e-171, -5e-170, 2.3e-170]],
                  ("isolated", -3e170 / (9.0 + _IM ** 2), _IM * 1e170 / (9.0 + _IM ** 2)),
                  id="coeffs3"),
+    # f's majorant 1e308 + 1e298 * 1e10 overflows at its zero 1e10
+    pytest.param([[-1e308, 0, 0, 0], [1e298, 0, 0, 0]], ("isolated", 1e10, 0.0),
+                 id="overflowing-majorant"),
 ])
 def test_roots_out_of_range_symmetrization_exits_3(run, coeffs, want):
     # These f^s leave the floating-point range (the name is from when that
@@ -197,6 +202,36 @@ def test_roots_output_is_strict_json(run):
 def test_kernel_overflow_exits_3(run):
     code, out, err = run(["kernel"], {"s": [0, 0, 0, 0], "q": [1e-310, 0, 0, 0]})
     assert code == 3 and out == "" and err.startswith("error:")
+
+
+def _readme_cli_examples():
+    """One param (argv, stdin, exit code) per example of the sh block in the
+    README's CLI section: a comment, then an optional ``echo '...' |`` and
+    one sliceregular call.  The exit code is the one the comment names, or 0."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for para in block.strip().split("\n\n"):
+        lines = para.splitlines()
+        comment = " ".join(line.lstrip("# ") for line in lines if line.startswith("#"))
+        words = shlex.split(" ".join(line for line in lines if not line.startswith("#")))
+        stdin = ""
+        if words[0] == "echo":
+            assert words[2] == "|", para
+            stdin, words = words[1], words[3:]
+        assert words[0] == "sliceregular", para
+        argv = [w for w in words[1:] if w != "</dev/null"]
+        code = re.search(r"exit code (\d)", comment)
+        examples.append(pytest.param(argv, stdin, int(code.group(1)) if code else 0, id=comment))
+    return examples
+
+
+@pytest.mark.parametrize("argv, stdin, want", _readme_cli_examples())
+def test_readme_cli_examples(run, argv, stdin, want):
+    code, out, err = run(argv, stdin)
+    assert (code, err) == (want, "")
+    assert out and all(_strict_json(line) for line in out.splitlines())
 
 
 def test_extend_values_and_domain(run):

@@ -44,7 +44,7 @@ from sliceregular.zeros import (
     kernel_vs_recip_residual,
 )
 
-from conftest import assert_close
+from conftest import assert_close, reference_kernel
 
 
 def test_aberth_finds_all_roots():
@@ -879,6 +879,8 @@ def test_cauchy_kernel_off_slice_example():
 
 
 def test_cauchy_kernel_matches_reciprocal_pipeline():
+    # cauchy_kernel is the reciprocal pipeline, so kernel_vs_recip_residual
+    # is 0; the check is against the closed form written out in the tests
     rng = SplitMix64(43)
     checked = 0
     while checked < 50:
@@ -886,8 +888,29 @@ def test_cauchy_kernel_matches_reciprocal_pipeline():
         denom = q * q - (2.0 * s.re()) * q + Quaternion(s.norm_sq())
         if denom.norm() < 1e-3:
             continue
-        assert kernel_vs_recip_residual(s, q) <= 1e-9
+        want = reference_kernel(s, q)
+        assert_close(cauchy_kernel(s, q), want, tol=1e-9 * want.norm())
+        assert kernel_vs_recip_residual(s, q) == 0.0
         checked += 1
+
+
+def test_cauchy_kernel_singular_band():
+    # The band is recip's, |f^s(q)| <= 1e-10 (|s| + |q|)^2 for f = q - s.  On
+    # the sphere Re(s) + |Im(s)|*S and within 1e-12 |s| of it q is singular;
+    # 1e-5 |s| off it, across the sphere in q's slice, the kernel is the
+    # closed form.
+    rng = SplitMix64(46)
+    for _ in range(500):
+        s, unit = rng.quaternion(2.0), rng.unit()
+        x, y, r = s.re(), s.im_norm(), s.norm()
+        on = from_slice(x, y, unit)
+        for q in (on, on + rng.quaternion(0.5e-12 * r)):
+            with pytest.raises(SingularPoint):
+                cauchy_kernel(s, q)
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        q = from_slice(x + 1e-5 * r * math.cos(t), y + 1e-5 * r * math.sin(t), unit)
+        want = reference_kernel(s, q)
+        assert_close(cauchy_kernel(s, q), want, tol=1e-9 * want.norm())
 
 
 def test_cauchy_kernel_singular_sphere():
@@ -898,14 +921,19 @@ def test_cauchy_kernel_singular_sphere():
 
 def test_cauchy_kernel_scale_invariant():
     # S^{-*} is homogeneous of degree -1 in (s, q), and its singular sphere
-    # scales with s, also where |q|^2 is not a double.
+    # scales with s, also where |q|^2 is not a double.  At powers of two the
+    # kernel scales bit for bit.
     rng = SplitMix64(45)
     pairs = [(UNIT_J.u, 2.0 * UNIT_J.u), (UNIT_I.u, 2.0 * UNIT_J.u)]
     pairs += [(rng.quaternion(2.0), rng.point()) for _ in range(10)]
-    for scale in SCALES + [2.0 ** -560, 2.0 ** 560]:
+    powers = [2.0 ** k for k in (-560, 560, -300, 300, -40, 40, 3)]
+    for scale in SCALES + powers:
         for s, q in pairs:
             want = cauchy_kernel(s, q)
             got = cauchy_kernel(s * scale, q * scale) * scale
-            assert_close(got, want, tol=1e-12 * want.norm())
+            if scale in powers:
+                assert repr(got) == repr(want)
+            else:
+                assert_close(got, want, tol=1e-12 * want.norm())
         with pytest.raises(SingularPoint):
             cauchy_kernel(UNIT_I.u * scale, UNIT_J.u * scale)
