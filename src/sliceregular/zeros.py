@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import NonConvergence
+from .errors import NonConvergence, SingularPoint
 from .expr import Poly, SliceExpr, Star, _eval, recip_eval
 from .extension import sphere_affine_coeffs
 from .polynomial import SlicePolynomial, backward_bound, monomial_minus
@@ -251,7 +251,12 @@ def aberth_roots(coeffs: list[complex] | None, max_iter: int = ABERTH_MAX_ITER, 
 # ---------------------------------------------------------------------------
 
 _NORMAL = 2.0 ** -1022  # the smallest normal double
-_LOW = Quaternion(2.0 ** -64)  # f times _LOW has a double majorant where f's overflows
+
+
+def _finite_majorant(abs_coeffs: tuple[float, ...], r: float, m: float) -> tuple[float, int]:
+    """(m', k) with f's majorant m = sum_j |a_j| r^j = m' 2^k: (m, 0) where m is
+    a double, else (that of the |a_j| times 2^-64, 64), as a bound may round."""
+    return (m, 0) if m < math.inf else (backward_bound([a * 2.0 ** -64 for a in abs_coeffs], r), 64)
 
 
 def _newton_polygon_starts(abs_coeffs: tuple[float, ...]) -> list[complex]:
@@ -285,8 +290,8 @@ def _stem_evaluator(f: SlicePolynomial):
     s carries a rounding error of about eps * m * ||F||, ||F||^2 = sum_k
     |p_k|^2, so z stops when |s| <= 1e-14 * m * ||F||.  Where m leaves
     [2^-400, 2^400], p and p' are scaled by the power of two that brings m
-    near 1, so the squares stay doubles; that is exact, so the iterates do
-    not depend on it.  Where m overflows, the pass is that of f * _LOW."""
+    near 1 (_finite_majorant where m overflows), so the squares stay
+    doubles; that is exact, so the iterates do not depend on it."""
     (p0, p1, p2, p3, top_abs), *rest = [(c.x0, c.x1, c.x2, c.x3, a) for c, a in
                                          zip(reversed(f.coeffs), reversed(f.abs_coeffs))]
     top = p0, p1, p2, p3
@@ -306,11 +311,11 @@ def _stem_evaluator(f: SlicePolynomial):
             p3 = p3 * z + c3
             m = m * r + a
         if not 2.0 ** -400 <= m <= 2.0 ** 400:
-            if m == math.inf:
-                return _stem_evaluator(f.right_scaled(_LOW))(z)
-            t = math.ldexp(1.0, -max(math.frexp(m)[1], -1021))
-            p0, p1, p2, p3, d0, d1, d2, d3, m = (
-                v * t for v in (p0, p1, p2, p3, d0, d1, d2, d3, m))
+            m, k = _finite_majorant(f.abs_coeffs, r, m)
+            e = max(math.frexp(m)[1] + k, -1021)
+            t = math.ldexp(1.0, -e)
+            p0, p1, p2, p3, d0, d1, d2, d3 = (v * t for v in (p0, p1, p2, p3, d0, d1, d2, d3))
+            m = math.ldexp(m, k - e)
         s = p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
         norm = math.hypot(p0.real, p0.imag, p1.real, p1.imag, p2.real, p2.imag, p3.real, p3.imag)
         stop = s == 0 or math.hypot(s.real, s.imag) <= 1e-14 * m * norm
@@ -325,7 +330,7 @@ def _stem_jet(f: SlicePolynomial, z: complex) -> tuple[complex, complex, complex
     returns rho and (s, s', s'') for s = sum_k P_k^2, P = p t, P' = (p' rho) t
     and P'' = (p'' rho^2) t: u = s/s' and its Newton step come out divided
     by rho, exactly, and |P| <= 1, |P'| <= 2n, |P''| <= 4n^2, so no square
-    leaves the double range at tiny or huge zeros (f * _LOW's where m overflows)."""
+    leaves the double range at tiny or huge zeros."""
     cs, top = f.coeffs, f.coeffs[-1]
     r = math.hypot(z.real, z.imag)
     p0, p1, p2, p3, m = top.x0, top.x1, top.x2, top.x3, f.abs_coeffs[-1]
@@ -344,10 +349,9 @@ def _stem_jet(f: SlicePolynomial, z: complex) -> tuple[complex, complex, complex
         p2 = p2 * z + c.x2
         p3 = p3 * z + c.x3
         m = m * r + a
-    if m == math.inf:
-        return _stem_jet(f.right_scaled(_LOW), z)
+    m, k = _finite_majorant(f.abs_coeffs, r, m)
     rho = math.ldexp(1.0, max(math.frexp(r)[1], -1021))
-    t = math.ldexp(1.0, -max(math.frexp(m)[1], -1021))
+    t = math.ldexp(1.0, -max(math.frexp(m)[1] + k, -1021))
     p0, p1, p2, p3 = p0 * t, p1 * t, p2 * t, p3 * t
     d0, d1, d2, d3 = (d0 * rho) * t, (d1 * rho) * t, (d2 * rho) * t, (d3 * rho) * t
     t *= 2.0  # e = p''/2
@@ -359,23 +363,16 @@ def _stem_jet(f: SlicePolynomial, z: complex) -> tuple[complex, complex, complex
     return s, s1, s2, rho
 
 
-def _with_derivatives(f: SlicePolynomial) -> tuple[SlicePolynomial, ...]:
-    df = f.derivative()
-    return f, df, df.derivative()
-
-
-def _refine(fs: tuple[SlicePolynomial, ...], z: complex) -> complex:
+def _refine(f: SlicePolynomial, z: complex) -> complex:
     """Newton on u = s/s' from z, where s = sum_k p_k^2 is f^s on L_i, from
-    the stem p_k of f = fs[0] (center 0) and its first two derivatives, all
-    from one Horner pass over f's coefficients per step (_stem_jet).  fs is
-    (f, f', f'') as _with_derivatives gives it, or (f,): only f is read.
+    the stem p_k of f (center 0) and its first two derivatives, all from one
+    Horner pass over f's coefficients per step (_stem_jet).
 
     u has a simple zero at every root of s, so the real and spherical zeros
     of f, double roots of s, converge quadratically too.  The jet is scaled
     by powers of two, exactly, so its squares stay doubles at any normal
     zero and the step does not depend on f's scale.
     """
-    f = fs[0]
     for _ in range(REFINE_STEPS):
         s, s1, s2, rho = _stem_jet(f, z)
         if s == 0 or s1 == 0:
@@ -413,22 +410,22 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
 
     Pipeline: f is scaled up (never down, so nothing rounds) by the power
     of two t that brings its largest |a_n| into [1/2, 1), so its zero tests
-    are normal doubles; where its majorant overflows, the stem passes and
-    zero test are those of f * _LOW.  The residuals are f's own.  In the
-    offset w = q - center, Aberth iteration follows one root of each
-    conjugate pair of s = sum_k p_k^2, evaluated from f's stem
-    (_stem_evaluator) and started on f's Newton polygon
-    (_newton_polygon_starts).  Each root is refined on the stem (_refine),
-    folded to a sphere (x, |y|), merged with the spheres before it and
-    classified from one stem pass at x + iy; x = center + Re w is formed
-    last.  A root z folds to the axis when |Im z| < SPHERE_DEDUP_TOL * |z|,
-    and two spheres are one when they are within SPHERE_DEDUP_TOL times the
-    larger modulus: each test is at the scale of the roots it compares, so
-    small zeros survive beside large ones.  A value on a sphere is zero when
-    at most CLASSIFY_TOL times backward_bound(|a_n|, |(x - center) + iy|),
-    the majorant of f there.  The starts and stops are relative too, so with
-    center 0, f(2^k q) has exactly 2^-k times the zeros of f wherever its
-    coefficients are normal, and 2^k f (k <= 0) exactly the zeros of f.
+    are normal doubles; the residuals are f's own.  In the offset w = q -
+    center, Aberth iteration follows one root of each conjugate pair of s =
+    sum_k p_k^2, evaluated from f's stem (_stem_evaluator) and started on
+    f's Newton polygon (_newton_polygon_starts).  Each root is refined on
+    the stem (_refine), folded to a sphere (x, |y|), merged with the spheres
+    before it and classified from one stem pass at x + iy; x = center + Re w
+    is formed last.  A root z folds to the axis when |Im z| <
+    SPHERE_DEDUP_TOL * |z|, and two spheres are one when they are within
+    SPHERE_DEDUP_TOL times the larger modulus: each test is at the scale of
+    the roots it compares, so small zeros survive beside large ones.  A
+    value on a sphere is zero when at most CLASSIFY_TOL times
+    backward_bound(|a_n|, |(x - center) + iy|), the majorant of f there
+    (_finite_majorant where it overflows).  The starts and stops are
+    relative too, so with center 0, f(2^k q) has exactly 2^-k times the
+    zeros of f wherever its coefficients are normal, and 2^k f (k <= 0)
+    exactly the zeros of f.
 
     When a_0 = ... = a_{j-1} are exactly 0, where Aberth's stop is never met,
     f = (q - center)^j g has one isolated zero at the center, with residual
@@ -454,24 +451,23 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     except NonConvergence as exc:
         roots = list(exc.partial)
         converged = False
-    expr, seen = Poly(w), []  # spheres x + iy about the center, |x + iy|, v's majorant, v, v/f
+    seen: list[tuple[complex, float, float]] = []  # spheres x + iy about the center, |x + iy|, tol
     for z in roots[: f.degree]:
-        z = _refine((w,), z)
+        z = _refine(w, z)
         z = complex(z.real, abs(z.imag) if abs(z.imag) >= SPHERE_DEDUP_TOL * abs(z) else 0.0)
         r, a = math.hypot(z.real, z.imag), abs(z)  # the zero and its zero test are normal doubles
-        v, scale, m = expr, t, backward_bound(w.abs_coeffs, r)
-        if m == math.inf:
-            v, scale = Poly(w.right_scaled(_LOW)), t * _LOW.x0
-            m = backward_bound(v.poly.abs_coeffs, r)
-        if not (r >= _NORMAL and _NORMAL <= CLASSIFY_TOL * m < math.inf):
+        m, k = _finite_majorant(w.abs_coeffs, r, backward_bound(w.abs_coeffs, r))
+        tol = math.ldexp(CLASSIFY_TOL, k) * m
+        if not (r >= _NORMAL and _NORMAL <= tol < math.inf):
             raise NonConvergence("a zero is out of floating-point range")
-        if all(abs(z - s[0]) > SPHERE_DEDUP_TOL * max(a, s[1]) for s in seen):
-            seen.append((z, a, m, v, scale))
+        if all(abs(z - s) > SPHERE_DEDUP_TOL * max(a, b) for s, b, _ in seen):
+            seen.append((z, a, tol))
     out = []
-    for z, _, m, v, scale in sorted(seen, key=lambda e: (e[0].real + f.center, e[0].imag)):
-        zero = sphere_zero_classify(v, z.real, z.imag, tol=CLASSIFY_TOL * m)
-        out.append(SphereZero(z.real + f.center, z.imag, zero.kind, zero.unit,
-                              zero.residual / scale, zero.unit_is_arbitrary, converged))
+    expr = Poly(w)
+    for z, _, tol in sorted(seen, key=lambda e: (e[0].real + f.center, e[0].imag)):
+        zero = sphere_zero_classify(expr, z.real, z.imag, tol=tol)
+        out.append(SphereZero(z.real + f.center, z.imag, zero.kind, zero.unit, zero.residual / t,
+                              zero.unit_is_arbitrary, converged))
     if not converged:
         raise NonConvergence("root iteration did not converge", partial=out)
     return out
@@ -494,11 +490,19 @@ def star_zero_check(f: SliceExpr, g: SliceExpr, q: Quaternion) -> bool:
 def cauchy_kernel(s: Quaternion, q: Quaternion) -> Quaternion:
     """The slice Cauchy kernel (q^2 - 2 Re(s) q + |s|^2)^{-1} (q - conj(s)), the
     regular reciprocal of q - s, as recip_eval gives it: singular on the sphere
-    Re(s) + |Im(s)|*S where |f^s(q)| <= RECIP_SINGULAR_TOL * (|s| + |q|)^2, and
-    formed from q - s scaled by a power of two to a majorant near 1."""
-    return recip_eval(Poly(monomial_minus(s)), q)
+    Re(s) + |Im(s)|*S where |f^s(q)| <= RECIP_SINGULAR_TOL * (|s| + |q|)^2.  It
+    is homogeneous of degree -1: formed from (s, q) t, t the power of two that
+    brings their largest component into [1/2, 1), and times t, exactly."""
+    big = max(map(abs, (*s.components(), *q.components())))
+    t = math.ldexp(1.0, -max(math.frexp(big)[1], -1021))
+    try:
+        return recip_eval(Poly(monomial_minus(s * t)), q * t) * t
+    except SingularPoint as exc:
+        x, y = exc.x / t, exc.y / t
+        raise SingularPoint(f"symmetrization vanishes on the sphere x={x}, y={y}", x=x, y=y) from None
 
 
 def kernel_vs_recip_residual(s: Quaternion, q: Quaternion) -> float:
-    """|cauchy_kernel - recip_eval of q - s|: 0, as the kernel is that reciprocal."""
+    """|cauchy_kernel - recip_eval of q - s|: 0 wherever recip_eval's squares
+    stay normal doubles, as the kernel is that reciprocal, scaled exactly."""
     return (cauchy_kernel(s, q) - recip_eval(Poly(monomial_minus(s)), q)).norm()

@@ -124,6 +124,10 @@ _IM = math.hypot(0.7, -5.0, 2.3)  # 1e170 |Im a| for a = (3e-170, 7e-171, -5e-17
     # f's majorant 1e308 + 1e298 * 1e10 overflows at its zero 1e10
     pytest.param([[-1e308, 0, 0, 0], [1e298, 0, 0, 0]], ("isolated", 1e10, 0.0),
                  id="overflowing-majorant"),
+    # f's values, not only its majorant, overflow beside its zero sphere
+    # (0, 1e304): the sphere to 1e-14, or exit 3, never an approximate one
+    pytest.param([[1e308, 0, 0, 0], [0, 0, 0, 0], [1e-300, 0, 0, 0]], ("spherical", 0.0, 1e304),
+                 id="overflowing-values"),
 ])
 def test_roots_out_of_range_symmetrization_exits_3(run, coeffs, want):
     # These f^s leave the floating-point range (the name is from when that

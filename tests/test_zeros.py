@@ -40,7 +40,6 @@ from sliceregular.zeros import (
     _poly_val_der,
     _refine,
     _symm_complex_coeffs,
-    _with_derivatives,
     kernel_vs_recip_residual,
 )
 
@@ -844,7 +843,7 @@ def test_refine_spherical_candidate_recovers_sphere():
         for scale in SCALES:
             g = f.right_scaled(Quaternion(scale))
             tol = CLASSIFY_TOL * g.majorant(Quaternion(x, y))
-            z = _refine(_with_derivatives(g), complex(x + 1e-6, y - 1e-6))
+            z = _refine(g, complex(x + 1e-6, y - 1e-6))
             assert math.hypot(*map(abs, g.stem(z))) < tol
             assert abs(z.real - x) <= 1e-12 and abs(abs(z.imag) - y) <= 1e-12
 
@@ -917,6 +916,21 @@ def test_cauchy_kernel_singular_sphere():
     with pytest.raises(SingularPoint) as exc:
         cauchy_kernel(UNIT_I.u, UNIT_J.u)
     assert exc.value.y == pytest.approx(1.0)
+
+
+def test_cauchy_kernel_at_the_top_of_the_double_range():
+    # |s| + |q| overflows here, so the kernel is formed from (s, q) 2^-1024:
+    # its singular sphere is reported unscaled, and its value is the closed
+    # form's at the scaled pair, scaled back.
+    with pytest.raises(SingularPoint) as exc:
+        cauchy_kernel(UNIT_I.u * 1e308, UNIT_J.u * 1e308)
+    assert (exc.value.x, exc.value.y) == (0.0, 1e308)
+    t = 2.0 ** -1024
+    for s, q in ((Quaternion(1e308, 1e308, 1e308, 1e308), Quaternion(-1e308)),
+                 (Quaternion(1e308, 0.0, 1e308, 0.0), Quaternion(1e307, 1e308))):
+        got, want = cauchy_kernel(s, q), reference_kernel(s * t, q * t) * t
+        assert all(map(math.isfinite, got.components()))
+        assert_close(got, want, tol=1e-9 * want.norm())
 
 
 def test_cauchy_kernel_scale_invariant():
