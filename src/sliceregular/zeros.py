@@ -98,23 +98,16 @@ def aberth_roots(coeffs: list[complex] | None, max_iter: int = ABERTH_MAX_ITER, 
                  conjugate_pairs: bool = False, evaluator=None, starts=None) -> list[complex]:
     """All roots of a complex polynomial (a_0 + a_1 z + ... + a_n z^n).
 
-    Deterministic start with a fixed angular offset on a circle that holds
-    Cauchy's radius (the positive root of z^n - sum_{k<n} |c_k| z^k,
-    c = a/a_n), and so every root.  2^e is the smallest power of two that
-    holds it: e comes down from Fujiwara's 1 + max_k ceil(e_k / k), 2^e_k
-    just above a nonzero |c_{n-k}|, while sum_{k<n} |c_k| 2^((e-1)(k-n))
-    <= 1.  For -1021 <= e <= 1022 ten bisections of t in [1/2, 1] by the
-    same test at 2^e * t, summed by Horner in powers of 1/(2^e * t), leave
-    the radius 2^e * t within 2^(e-10) above Cauchy's radius; elsewhere it
-    is 2^e.  Those terms scale alike, and the step stop |w| <= ABERTH_TOL *
-    |z| is relative, so a polynomial in 2^j z has exactly 2^-j times the
-    roots.  Exactly zero a_0, ..., a_{j-1} give j roots 0, which are not
-    iterated: a relative step never settles there.  Raises NonConvergence
-    (with partial results) after ``max_iter`` sweeps, or with the zero
-    roots alone when 2^e is not a double.
-
-    A root stops when |p(z)| <= 1e-14 * sum |a_k| |z|^k, the backward-error
-    bound of its own evaluation, summed in index order (or when p == 0).
+    Deterministic starts on the Newton polygon of the |a_k|, as poly_roots'
+    (_newton_polygon_edges): an edge of width w and radius R gets w starts
+    R * e^(i (2 pi m/w + 0.4)).  A root stops when |p(z)| <= 1e-14 *
+    backward_bound(|a|, |z|), the backward-error bound of its own
+    evaluation, or when p == 0.  The radii and both stops are relative, so
+    a polynomial in 2^j z has exactly 2^-j times the roots.  Exactly zero
+    a_0, ..., a_{j-1} give j roots 0, which are not iterated: a relative
+    step never settles there.  Raises NonConvergence (with partial results)
+    after ``max_iter`` sweeps, or with the zero roots alone when a radius is
+    not a normal double, or p or its bound is not finite at an iterate.
 
     Sweeps run in Gauss-Seidel order (Bini, Numer. Algorithms 13, 1996):
     each corrected iterate is written back at once, so each correction sums
@@ -128,81 +121,48 @@ def aberth_roots(coeffs: list[complex] | None, max_iter: int = ABERTH_MAX_ITER, 
     the coefficients must be real and n and the number of zero roots even
     (else ValueError), and a real root must have even multiplicity, as for a
     polynomial that is nonnegative on the real axis.  Then only n/2 roots
-    are iterated, started on the upper half of the circle at angles
-    pi*(m + 1/2)/(n/2), and each one's correction also sums
-    1/(z_m - conj(z_l)) over the current iterates l, its own conjugate
-    included, with the conjugates of those before it already updated in
-    this sweep.  The iterated half, after half the zero roots, comes first
-    in the result, then its conjugates in the same order;
-    ``NonConvergence.partial`` has the same layout.
+    are iterated, started at every second of the n radii (in increasing
+    order) on the upper half circle at angles pi*(m + 1/2)/(n/2), and each
+    one's correction also sums 1/(z_m - conj(z_l)) over the current
+    iterates l, its own conjugate included, with the conjugates of those
+    before it already updated in this sweep.  The iterated half, after half
+    the zero roots, comes first in the result, then its conjugates in the
+    same order; ``NonConvergence.partial`` has the same layout.
 
     ``evaluator`` and ``starts`` (one of each pair) come together and replace
     ``coeffs``: evaluator(z) gives p(z), p'(z) and its backward-error stop.
     """
     zeros: list[complex] = []
     if evaluator is None:
-        n = len(coeffs) - 1
-        while n > 0 and abs(coeffs[n]) == 0.0:
-            n -= 1
-        j = 0
-        while j < n and coeffs[j] == 0:
-            j += 1
+        nonzero = [k for k, c in enumerate(coeffs) if c != 0]
+        j, n = (nonzero[0], nonzero[-1]) if nonzero else (0, 0)
         coeffs = list(coeffs[j: n + 1])
         if conjugate_pairs and (n % 2 or j % 2 or any(complex(c).imag != 0.0 for c in coeffs)):
             raise ValueError("conjugate_pairs requires real coefficients, even degree and zeros")
         n -= j
         zeros = [0j] * (j // 2 if conjugate_pairs else j)
+        partial = zeros + [zl.conjugate() for zl in zeros] if conjugate_pairs else zeros
         if n < 1:
-            return zeros + [zl.conjugate() for zl in zeros] if conjugate_pairs else zeros
-        lead = coeffs[-1]
-        coeffs = [c / lead for c in coeffs]
+            return partial
         abs_coeffs = [abs(c) for c in coeffs]
-        e = 1 + max(-(-math.frexp(abs_coeffs[n - k])[1] // k)
-                    for k in range(1, n + 1) if abs_coeffs[n - k])
-        while e > -1023:  # halve while 2^(e-1) holds Cauchy's radius and 2^(1-e) is a double
-            inv, acc = math.ldexp(1.0, 1 - e), 0.0
-            for a in abs_coeffs[:-1]:
-                acc = (acc + a) * inv
-            if not acc <= 1.0:
-                break
-            e -= 1
-        if e > 1023:
-            zeros += [zl.conjugate() for zl in zeros] if conjugate_pairs else []
-            raise NonConvergence("Aberth's start circle is out of floating-point range",
-                                 partial=zeros)
-        lo, hi = 0.5, 1.0  # 2^e * hi holds Cauchy's radius, 2^e * lo does not
-        if -1021 <= e <= 1022:  # 2^e * mid and its reciprocal are normal doubles
-            for _ in range(10):
-                mid = 0.5 * (lo + hi)
-                inv, acc = 1.0 / math.ldexp(mid, e), 0.0
-                for a in abs_coeffs[:-1]:
-                    acc = (acc + a) * inv
-                if acc <= 1.0:
-                    hi = mid
-                else:
-                    lo = mid
-        radius = math.ldexp(hi, e)
-        top, rest = coeffs[-1], coeffs[-2::-1]  # Horner order, as in _poly_val_der
+        try:
+            edges = _newton_polygon_edges(abs_coeffs)
+        except NonConvergence as exc:
+            raise NonConvergence(str(exc), partial=partial) from None
         if conjugate_pairs:
-            half = n // 2
-            starts = [radius * _cis(math.pi * (m + 0.5) / half) for m in range(half)]
+            half, radii = n // 2, [r for w, r in edges for _ in range(w)]
+            starts = [radii[2 * m] * _cis(math.pi * (m + 0.5) / half) for m in range(half)]
         else:
-            starts = [radius * _cis(2.0 * math.pi * m / n + 0.4) for m in range(n)]
+            starts = [r * _cis(2.0 * math.pi * m / w + 0.4) for w, r in edges for m in range(w)]
 
         def evaluator(zm: complex) -> tuple[complex, complex, bool]:
-            p, dp = top, 0j
-            for c in rest:
-                dp = dp * zm + p
-                p = p * zm + c
-            # Backward-error stop: at multiple roots the Newton correction
-            # stalls at eps^(1/multiplicity), so a step-size test alone never
-            # fires.  |p| at rounding level of its own evaluation is as
-            # converged as the coefficients allow; poly_roots refines further.
-            r, pw, backward = abs(zm), 1.0, 0.0
-            for a in abs_coeffs:  # in index order
-                backward += a * pw
-                pw *= r
-            return p, dp, p == 0 or abs(p) <= 1e-14 * backward
+            # At a multiple root Newton stalls at eps^(1/multiplicity), where no
+            # step test fires; p at its own rounding level is as converged as it gets.
+            p, dp = _poly_val_der(coeffs, zm)
+            bound = backward_bound(abs_coeffs, abs(zm))
+            if not (math.isfinite(p.real) and math.isfinite(p.imag) and bound < math.inf):
+                raise NonConvergence("an iterate is out of floating-point range", partial=partial)
+            return p, dp, p == 0 or abs(p) <= 1e-14 * bound
     z = list(starts)
     active = list(range(len(z)))
     mirror = [zl.conjugate() for zl in z] if conjugate_pairs else ()
@@ -259,12 +219,11 @@ def _finite_majorant(abs_coeffs: tuple[float, ...], r: float, m: float) -> tuple
     return (m, 0) if m < math.inf else (backward_bound([a * 2.0 ** -64 for a in abs_coeffs], r), 64)
 
 
-def _newton_polygon_starts(abs_coeffs: tuple[float, ...]) -> list[complex]:
-    """poly_roots' Aberth starts, one per conjugate pair of roots of f^s, from
-    the upper hull of (k, frexp(|a_k|)[1]) over the nonzero |a_k| (Bini,
-    Numer. Algorithms 13, 1996): an edge of width w and exponent drop p gets
-    w starts of radius ldexp(2^((p % w)/w), p // w) at angles pi*(m + 1/2)/w
-    + 0.4, so f(2^k q) starts at exactly 2^-k times them.  Raises
+def _newton_polygon_edges(abs_coeffs: list[float] | tuple[float, ...]) -> list[tuple[int, float]]:
+    """(w, radius) per edge of the upper hull of (k, frexp(|a_k|)[1]) over
+    the nonzero |a_k| (Bini, Numer. Algorithms 13, 1996), in increasing k:
+    an edge of width w and exponent drop p has radius ldexp(2^((p % w)/w),
+    p // w), so f(2^k q) has exactly 2^-k times the radii.  Raises
     NonConvergence unless every norm is finite and every radius normal."""
     if not all(map(math.isfinite, abs_coeffs)):
         raise NonConvergence("a coefficient's norm is out of floating-point range")
@@ -274,14 +233,19 @@ def _newton_polygon_starts(abs_coeffs: tuple[float, ...]) -> list[complex]:
                                  <= (e - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
             hull.pop()  # on or below the chord from hull[-2] to (k, e)
         hull.append((k, e))
-    starts = []
+    edges = []
     for (i, ei), (j, ej) in zip(hull, hull[1:]):
         w, p = j - i, ei - ej
         if not -1022 <= p // w <= 1023:
             raise NonConvergence("a zero is out of floating-point range at Aberth's start")
-        radius = math.ldexp(2.0 ** ((p % w) / w), p // w)
-        starts += [radius * _cis(math.pi * (m + 0.5) / w + 0.4) for m in range(w)]
-    return starts
+        edges.append((w, math.ldexp(2.0 ** ((p % w) / w), p // w)))
+    return edges
+
+
+def _newton_polygon_starts(abs_coeffs: tuple[float, ...]) -> list[complex]:
+    """poly_roots' starts: w per edge of f's Newton polygon, at pi*(m + 1/2)/w + 0.4."""
+    return [r * _cis(math.pi * (m + 0.5) / w + 0.4) for w, r in _newton_polygon_edges(abs_coeffs)
+            for m in range(w)]
 
 
 def _stem_evaluator(f: SlicePolynomial):

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from sliceregular import Quaternion
 from sliceregular.cli import build_parser, main
 from sliceregular.serialize import MAX_DEGREE, MAX_EXPR_DEPTH, DecodeError, expr_from_json
 from sliceregular.verify import SplitMix64
@@ -708,3 +709,89 @@ def test_pretty_flag(run):
     _, pretty, _ = run(["--pretty", "eval"], payload)
     assert "\n  " in pretty
     assert json.loads(plain) == json.loads(pretty)
+
+
+def _coeffs(rng, degree, k):
+    """degree + 1 seeded coefficients a_n 2^(-kn): the polynomial at 2^k q
+    is the one with the a_n at q."""
+    return [[math.ldexp(v, -k * n) for v in rng.quaternion().components()]
+            for n in range(degree + 1)]
+
+
+def _tree(rng, depth, k):
+    """A seeded tree of every node type but ext and raw, its leaves scaled as
+    _coeffs, their centers times 2^k."""
+    op = ("poly", "star", "conj", "symm", "recip", "sum", "rscale")[
+        rng.next_u64() % 7 if depth else 0]
+    if op == "poly":
+        return {"op": op, "center": math.ldexp(rng.uniform(-1, 1), k),
+                "coeffs": _coeffs(rng, 1 + rng.next_u64() % 3, k)}
+    node = {"op": op, "f": _tree(rng, depth - 1, k)}
+    if op in ("star", "sum"):
+        node["g"] = _tree(rng, depth - 1, k)
+    if op == "rscale":
+        node["a"] = list(rng.quaternion().components())
+    return node
+
+
+def _unscaled_spheres(text, k):
+    """The text with the x and y of each singular-sphere message over 2^k."""
+    return re.sub(r"([xy])=([^,\s]+)", lambda m: f"{m[1]}={float(m[2]) / 2.0 ** k}", text)
+
+
+def test_cli_answers_are_exactly_covariant_under_powers_of_two(run, monkeypatch):
+    # Through cli.main at lambda = 2^k against lambda = 1, bit for bit: eval
+    # of trees with leaf coefficients a_n 2^(-kn) at points 2^k q gives the
+    # same values and singular spheres 2^k times; roots of such polynomials
+    # give zeros 2^k times, with the same kinds, units and residuals; kernel
+    # at (s, q) 2^k gives 2^-k times the value; check suites over 2^k f give
+    # the same reports.
+    class Scaled(SplitMix64):
+        scale = 1.0
+
+        def polynomial(self, *args, **kwargs):
+            return super().polynomial(*args, **kwargs).right_scaled(Quaternion(self.scale))
+
+    monkeypatch.setattr("sliceregular.cli.SplitMix64", Scaled)
+
+    def answers(k):
+        rng, out = SplitMix64(1601), []
+        for depth in (1, 2, 3, 3):
+            points = [[math.ldexp(v, k) for v in rng.quaternion().components()]
+                      for _ in range(3)]
+            out.append(run(["eval"], {"expr": _tree(rng, depth, k), "points": points}))
+        # recip of q^2 + 1 on its singular sphere (0, 1)
+        out.append(run(["eval"], {"expr": {"op": "recip", "f": {"op": "poly", "coeffs": [
+            [1, 0, 0, 0], [0, 0, 0, 0], [math.ldexp(1.0, -2 * k), 0, 0, 0]]}},
+            "points": [[0, 0, math.ldexp(1.0, k), 0]]}))
+        for degree in (1, 2, 3, 5):
+            out.append(run(["roots"], {"center": math.ldexp(rng.uniform(-1, 1), k),
+                                       "coeffs": _coeffs(rng, degree, k)}))
+        # spherical (q^2 + 1) and isolated (q - 2) zeros, scaled
+        out.append(run(["roots"], {"coeffs": [[math.ldexp(c, -k * n), 0, 0, 0]
+                                              for n, c in enumerate((-2.0, 1.0, -2.0, 1.0))]}))
+        for s, q in ((rng.quaternion(), rng.quaternion()),
+                     (Quaternion(0.5, 1.0, 0.0, 0.0), Quaternion(0.5, 0.0, 0.6, 0.8))):
+            out.append(run(["kernel"], {"s": [math.ldexp(v, k) for v in s.components()],
+                                        "q": [math.ldexp(v, k) for v in q.components()]}))
+        Scaled.scale = math.ldexp(1.0, k)
+        out.append(run(["check", "--suite", "all", "--samples", "10", "--seed", "3"]))
+        return out
+
+    def unscaled(answer, k):
+        code, out, err = answer
+        data = [json.loads(line) for line in out.splitlines()]
+        for line in data:
+            for value in line.get("values", []):
+                if "error" in value:
+                    value["error"] = _unscaled_spheres(value["error"], k)
+            for zero in line.get("zeros", []):
+                zero["x"], zero["y"] = zero["x"] / 2.0 ** k, zero["y"] / 2.0 ** k
+            if "value" in line:
+                line["value"] = [v * 2.0 ** k for v in line["value"]]
+        return code, data, _unscaled_spheres(err, k)
+
+    base = [unscaled(answer, 0) for answer in answers(0)]
+    assert {code for code, _, _ in base} == {0, 3}
+    for k in (1, -1, 7, -7, 60, -60):
+        assert [unscaled(answer, k) for answer in answers(k)] == base, k

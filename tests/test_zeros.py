@@ -68,39 +68,41 @@ def _exact_zero_roots(coeffs):
     return [0j] * j
 
 
-def _start_radius(monic):
-    """The start radius 2^e * hi, within 2^(e - 10) above Cauchy's radius,
-    the positive root of z^n - sum_{k<n} |monic[k]| z^k.
-
-    e starts at 1 + max ceil(e_k / k) over the nonzero |monic[n - k]| <
-    2^e_k, k = 1..n (a power of two above Fujiwara's bound), and is lowered
-    while sum_{k<n} |monic[k]| 2^((e - 1)(k - n)) <= 1, the sum formed by
-    Horner in powers of 2^(1 - e).  Then, for -1021 <= e <= 1022, ten
-    bisections of t in [1/2, 1] keep 2^e * hi holding Cauchy's radius by
-    the same Horner test in powers of 1 / (2^e * mid).
+def _reference_edges(coeffs):
+    """(w, radius) per edge of the Newton polygon of the |coeffs[k]|, in
+    increasing k, found by gift wrapping: from each vertex (i, e_i), e_k the
+    exponent with |coeffs[k]| in [2^(e_k - 1), 2^e_k), the next is the
+    farthest nonzero k > i of steepest rise (e_k - e_i)/(k - i), exactly in
+    Fractions.  An edge of width w and exponent drop p has radius
+    2^((p % w)/w) * 2^(p // w).  NonConvergence unless every |coeffs[k]| is
+    finite and every p // w in [-1022, 1023].
     """
-    n = len(monic) - 1
-    e = 1 + max(math.ceil(math.frexp(abs(monic[n - k]))[1] / k)
-                for k in range(1, n + 1) if monic[n - k] != 0)
-    while True:
-        x, total = 2.0 ** (1 - e), 0.0
-        for c in monic[:n]:
-            total = (total + abs(c)) * x
-        if total > 1.0:
-            break
-        e -= 1
-    lo, hi = 0.5, 1.0
-    if -1021 <= e <= 1022:
-        for _ in range(10):
-            mid = (lo + hi) / 2
-            x, total = 1.0 / (mid * 2.0 ** e), 0.0
-            for c in monic[:n]:
-                total = (total + abs(c)) * x
-            if total > 1.0:
-                lo = mid
-            else:
-                hi = mid
-    return hi * 2.0 ** e
+    if not all(math.isfinite(abs(c)) for c in coeffs):
+        raise NonConvergence("a coefficient's norm is out of range")
+    points = [(k, math.frexp(abs(c))[1]) for k, c in enumerate(coeffs) if c != 0]
+    (i, ei), edges = points[0], []
+    while i < points[-1][0]:
+        j, ej = max((pt for pt in points if pt[0] > i),
+                    key=lambda pt: (Fraction(pt[1] - ei, pt[0] - i), pt[0]))
+        w, p = j - i, ei - ej
+        if not -1022 <= p // w <= 1023:
+            raise NonConvergence("a radius is out of range")
+        edges.append((w, math.ldexp(2.0 ** ((p % w) / w), p // w)))
+        i, ei = j, ej
+    return edges
+
+
+def _reference_stop(coeffs, z, partial):
+    """p(z), p'(z) and whether z stops: p == 0 or |p| <= 1e-14 * sum |a_k|
+    |z|^k, the sum by Horner; NonConvergence with ``partial`` where p or the
+    sum is not finite, which is no stop."""
+    p, dp = _poly_val_der(coeffs, z)
+    backward = 0.0
+    for c in reversed(coeffs):
+        backward = backward * abs(z) + abs(c)
+    if not (math.isfinite(p.real) and math.isfinite(p.imag) and backward < math.inf):
+        raise NonConvergence("an iterate is out of range", partial=partial)
+    return p, dp, p == 0 or abs(p) <= 1e-14 * backward
 
 
 def _reference_aberth(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
@@ -108,9 +110,11 @@ def _reference_aberth(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
 
     This is the plain form of ``aberth_roots``; the library version leaves
     settled roots out of later sweeps and must agree with it bit for bit.
-    Each corrected iterate is written back at once (Gauss-Seidel order), so
-    the later corrections of the sweep use it; the correction is summed in
-    index order and the step is tested against the iterate before it.
+    Each edge of width w of the Newton polygon (_reference_edges) gets w
+    starts at angles 2 pi m/w + 0.4.  Each corrected iterate is written back
+    at once (Gauss-Seidel order), so the later corrections of the sweep use
+    it; the correction is summed in index order and the step is tested
+    against the iterate before it.
     """
     n = len(coeffs) - 1
     while n > 0 and abs(coeffs[n]) == 0.0:
@@ -120,23 +124,17 @@ def _reference_aberth(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
     n -= len(zeros)
     if n < 1:
         return zeros
-    lead = coeffs[-1]
-    coeffs = [c / lead for c in coeffs]
-    radius = _start_radius(coeffs)
-    z = [radius * cmath.exp(1j * (2.0 * math.pi * m / n + 0.4)) for m in range(n)]
+    try:
+        edges = _reference_edges(coeffs)
+    except NonConvergence as exc:
+        raise NonConvergence(str(exc), partial=zeros) from None
+    z = [r * cmath.exp(1j * (2.0 * math.pi * m / w + 0.4)) for w, r in edges for m in range(w)]
     for _ in range(max_iter):
         done = True
         for m in range(n):
             zm = z[m]
-            p, dp = _poly_val_der(coeffs, zm)
-            if p == 0:
-                continue
-            r, pw = abs(zm), 1.0
-            backward = 0.0
-            for c in coeffs:
-                backward += abs(c) * pw
-                pw *= r
-            if abs(p) <= 1e-14 * backward:
+            p, dp, stop = _reference_stop(coeffs, zm, zeros)
+            if stop:
                 continue
             if dp == 0:
                 z[m] = zm * (1.0 + 1e-6) + 1e-6
@@ -159,13 +157,15 @@ def _reference_aberth(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
 
 def _reference_aberth_pairs(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
     """Conjugate-pair Aberth sweep that re-examines every iterated root on
-    every sweep and forms its backward-error sum each time.
+    every sweep.
 
     This is the plain form of ``aberth_roots(..., conjugate_pairs=True)``,
-    which leaves settled roots out of later sweeps and settles the stop test
-    from bounds on that sum where they allow; it must agree bit for bit.
-    Like ``_reference_aberth`` it writes each corrected iterate back at once,
-    so its conjugate enters the later corrections of the sweep too.
+    which leaves settled roots out of later sweeps; it must agree bit for
+    bit.  The n radii of the Newton polygon (_reference_edges), in
+    increasing order, give every second one to a start, at angles
+    pi (m + 1/2)/(n/2).  Like ``_reference_aberth`` it writes each corrected
+    iterate back at once, so its conjugate enters the later corrections of
+    the sweep too.
     """
     n = len(coeffs) - 1
     while n > 0 and abs(coeffs[n]) == 0.0:
@@ -174,25 +174,20 @@ def _reference_aberth_pairs(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
     coeffs = list(coeffs[len(zeros): n + 1])
     n -= len(zeros)
     zeros = zeros[: len(zeros) // 2]  # half of them lead each half of the result
-    lead = coeffs[-1]
-    coeffs = [c / lead for c in coeffs]
-    radius = _start_radius(coeffs) if n else 0.0
+    layout = zeros + [zl.conjugate() for zl in zeros]
+    try:
+        radii = [r for w, r in _reference_edges(coeffs) for _ in range(w)] if n else []
+    except NonConvergence as exc:
+        raise NonConvergence(str(exc), partial=layout) from None
     half = n // 2
-    z = [radius * cmath.exp(1j * (math.pi * (m + 0.5) / half)) for m in range(half)]
+    z = [radii[2 * m] * cmath.exp(1j * (math.pi * (m + 0.5) / half)) for m in range(half)]
     done = False
     for _ in range(max_iter):
         done = True
         for m in range(half):
             zm = z[m]
-            p, dp = _poly_val_der(coeffs, zm)
-            if p == 0:
-                continue
-            r, pw = abs(zm), 1.0
-            backward = 0.0
-            for c in coeffs:
-                backward += abs(c) * pw
-                pw *= r
-            if abs(p) <= 1e-14 * backward:
+            p, dp, stop = _reference_stop(coeffs, zm, layout)
+            if stop:
                 continue
             if dp == 0:
                 z[m] = zm * (1.0 + 1e-6) + 1e-6
@@ -278,8 +273,8 @@ def _spherical_factor_polys():
 def _pair_sweep_inputs():
     cases = [(f"random-{d}", _bit_identity_poly(d)) for d in (5, 20, 40)]
     cases += [(f"spherical-{k}", f) for k, f in enumerate(_spherical_factor_polys())]
-    # a zero at the center (f^s = z^2 g^s), iterates at which f^s overflows,
-    # and f scaled far from 1
+    # a zero at the center (f^s = z^2 g^s), f^s with coefficients up to
+    # 1e306, and f scaled far from 1
     cases += [("zero-at-center",
                star_poly(polynomial([0.0, 1.0]), SplitMix64(79).polynomial(max_degree=6))),
               ("overflow-1e153+q", polynomial([1e153, 1.0])),
@@ -378,79 +373,114 @@ def _sweeps_to_converge(coeffs):
 
 
 def test_aberth_sweep_count_on_seeded_symmetrizations():
-    # A count, not a time: Gauss-Seidel order (each corrected iterate enters
-    # the later corrections of its sweep) needs 316 sweeps over these 20
-    # inputs, where the Jacobi order (every correction from the iterates of
-    # the previous sweep) needed 363.
+    # A count, not a time: Gauss-Seidel sweeps (each corrected iterate
+    # enters the later corrections of its sweep) from Newton-polygon starts
+    # need 163 sweeps over these 20 inputs.
     total = 0
     for d in (10, 20):
         for seed in range(1, 11):
             rng = SplitMix64(1000 * d + seed)
             f = polynomial([rng.quaternion() for _ in range(d + 1)])
             total += _sweeps_to_converge(_symm_complex_coeffs(f))
-    assert total <= 330
+    assert total <= 171
 
 
-def _start_modulus(coeffs, conjugate_pairs=False):
-    """max |z| over the start iterates, which NonConvergence carries when
-    no sweep is allowed."""
+def _start_moduli(coeffs, conjugate_pairs=False):
+    """|z| of each start iterate, which NonConvergence carries when no sweep
+    is allowed (in the pair layout, the iterated half first)."""
     with pytest.raises(NonConvergence) as exc:
         aberth_roots(coeffs, max_iter=0, conjugate_pairs=conjugate_pairs)
-    return max(abs(z) for z in exc.value.partial)
+    return [abs(z) for z in exc.value.partial]
 
 
-def _start_circle(start):
-    """(R, 2^e) from a start modulus: R = 2^e * hi with hi in (1/2, 1] a
-    multiple of 2^-10, rounded back from the angles' last bits."""
-    m, ex = math.frexp(start)
-    radius = math.ldexp(round(m * 2048) / 2048, ex)
-    assert abs(start / radius - 1.0) <= 2.0 ** -50  # the angles' rounding
-    return radius, 2.0 ** math.ceil(math.log2(radius))
+def _same_moduli(got, want):
+    """Equal to the angles' rounding."""
+    return len(got) == len(want) and all(abs(g / w - 1.0) <= 2.0 ** -50 for g, w in zip(got, want))
 
 
-def test_aberth_starts_just_above_cauchys_radius():
-    assert _start_modulus([1.0, 0.0, 1.0]) == 1.0
-    radius, power = _start_circle(_start_modulus([-3.0, 0.0, 1.0]))
-    assert power == 2.0 and math.sqrt(3.0) < radius <= math.sqrt(3.0) + 2.0 ** -9
+def test_aberth_starts_on_the_newton_polygon_radii():
+    # An edge of width w and exponent drop p of the upper hull of the
+    # exponents of the |a_k| gives w starts of radius 2^(p/w): z^3 + 2^-10
+    # has one edge (w = 3, p = -10), on the circle of its roots;
+    # (z + 2^-20)(z + 2^20) has two of width 1; (z^2 + 2^-40)(z^2 + 2^40) has
+    # two of width 2, of which the pair sweep takes every second radius.
+    assert _same_moduli(_start_moduli([2.0 ** -10, 0.0, 0.0, 1.0]), [2.0 ** (-10 / 3)] * 3)
+    assert _same_moduli(_start_moduli([1.0, 2.0 ** 20 + 2.0 ** -20, 1.0]), [2.0 ** -20, 2.0 ** 20])
+    coeffs = [1.0, 0.0, 2.0 ** 40 + 2.0 ** -40, 0.0, 1.0]
+    assert _same_moduli(_start_moduli(coeffs), [2.0 ** -20] * 2 + [2.0 ** 20] * 2)
+    assert _same_moduli(_start_moduli(coeffs, conjugate_pairs=True)[:2], [2.0 ** -20, 2.0 ** 20])
     for n in range(1, 9):
-        assert _start_modulus([-1.0] + [0.0] * (n - 1) + [1.0]) == 1.0
+        assert _same_moduli(_start_moduli([-1.0] + [0.0] * (n - 1) + [1.0]), [1.0] * n)
 
 
-def test_aberth_start_circle_holds_cauchys_radius_exactly():
-    # Cauchy's radius rho is the positive root of z^n - sum_{k<n} |c_k| z^k,
-    # and sum_{k<n} |c_k| R^(k-n) <= 1 exactly when R >= rho.  So the start
-    # R = 2^e * hi holds rho and R - 2^(e-10) does not, each sum formed
-    # exactly in Fractions from the float |c_k| that the iteration uses.
-    near, skipped = Fraction(1, 2 ** 40), 0
+def test_aberth_start_radii_multiply_to_the_product_of_the_roots():
+    # The edges' drops sum to e_0 - e_n, so the radii, nondecreasing, multiply
+    # to 2^(e_0 - e_n), within a factor 2 of |a_0 / a_n|, the product of the
+    # root moduli (Vieta).  The pair sweep starts at every second radius.
     for seed in range(1, 21):
         coeffs = _symm_complex_coeffs(SplitMix64(seed).polynomial(max_degree=8))
-        radius, power = _start_circle(_start_modulus(coeffs, conjugate_pairs=True))
-        monic = [abs(c / coeffs[-1]) for c in coeffs]
-        n = len(monic) - 1
-        sums = [sum(Fraction(a) * Fraction(r) ** (k - n) for k, a in enumerate(monic[:n]))
-                for r in (radius, radius - power / 1024)]
-        if any(abs(s - 1) <= near for s in sums):
-            skipped += 1
-            continue
-        assert sums[0] <= 1 < sums[1]
-        assert max(abs(z) for z in aberth_roots(coeffs, conjugate_pairs=True)) \
-            <= radius * (1.0 + 2.0 ** -40)
-    assert skipped <= 2, f"{skipped} of 20 sums within 2^-40 of 1"
+        moduli = _start_moduli(coeffs)
+        assert all(a <= b * (1.0 + 2.0 ** -50) for a, b in zip(moduli, moduli[1:]))
+        log_product = sum(map(math.log2, moduli))
+        drop = math.frexp(abs(coeffs[0]))[1] - math.frexp(abs(coeffs[-1]))[1]
+        assert abs(log_product - drop) <= 1e-12 * len(moduli)
+        assert abs(log_product - math.log2(abs(coeffs[0] / coeffs[-1]))) < 1.0
+        half = _start_moduli(coeffs, conjugate_pairs=True)[: len(moduli) // 2]
+        assert _same_moduli(half, moduli[::2])
 
 
 def test_aberth_start_circle_out_of_range():
-    # The circle 2^1023 is a double and holds the root; 2^1024 is not, so
-    # NonConvergence carries the exact zero roots alone.
+    # A radius 2^1022 is a double, and p and its bound stay finite there:
+    # the root is found.  A radius below 2^-1022 is not a normal double, and
+    # an infinite |a_k| has no exponent.  At 1e308 + z, p overflows at the
+    # start 2^1023 e^(0.4i); an overflow never stops a root.  Each raises
+    # NonConvergence with the exact zero roots alone.
     assert aberth_roots([1.5 * 2.0 ** 1022, 1.0]) == [-1.5 * 2.0 ** 1022 + 0j]
-    # Halving stops where 2^(1 - e) would leave the range: 2^-1072 stays.
-    assert aberth_roots([5e-324, 1.0]) == [-5e-324 + 0j]
-    for coeffs, partial in (([1e308, 1.0], ()), ([0.0, 1e308, 1.0], (0j,))):
+    for coeffs, partial in (([5e-324, 1.0], ()), ([math.inf, 1.0], ()),
+                            ([1e308, 1.0], ()), ([0.0, 1e308, 1.0], (0j,))):
         with pytest.raises(NonConvergence) as exc:
             aberth_roots(coeffs)
         assert exc.value.partial == partial
     with pytest.raises(NonConvergence) as exc:
         aberth_roots([0.0, 0.0, 1.0, 1e308, 1.0], conjugate_pairs=True)
     assert [repr(z) for z in exc.value.partial] == ["0j", "-0j"]
+    # Near the top of the range, c + z after j exact zero roots gives its
+    # true root -c or raises; it never returns a start.
+    for c in (1e300, 1e307, 1e308, 1.7e308, -1.7e308, 2.0 ** 1023):
+        for j in (0, 1, 2):
+            try:
+                roots = aberth_roots([0.0] * j + [c, 1.0])
+            except NonConvergence as exc:
+                assert exc.partial == (0j,) * j
+            else:
+                assert roots[:j] == [0j] * j and abs(roots[j] + c) <= 1e-14 * abs(c)
+
+
+def _scaled_outcome(coeffs, conjugate_pairs, j=0):
+    """repr of the roots of sum_k c_k 2^(jk) z^k times 2^j, or of the
+    partial roots on NonConvergence."""
+    scaled = [c * 2.0 ** (j * k) for k, c in enumerate(coeffs)]
+    try:
+        roots = aberth_roots(scaled, conjugate_pairs=conjugate_pairs)
+    except NonConvergence as exc:
+        return "NonConvergence " + repr([z * 2.0 ** j for z in exc.partial])
+    return repr([z * 2.0 ** j for z in roots])
+
+
+@pytest.mark.parametrize("conjugate_pairs", [False, True])
+def test_aberth_roots_exactly_covariant_under_scaling_of_the_variable(conjugate_pairs):
+    # c_k 2^(jk) is c in 2^j z: its Newton-polygon radii are exactly 2^-j
+    # times c's, and so are its stops and steps, and its roots.
+    for seed in range(1, 21):
+        rng = SplitMix64(500 + seed)
+        if conjugate_pairs:
+            coeffs = _symm_complex_coeffs(rng.polynomial(max_degree=6))
+        else:
+            coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                      for _ in range(2 + rng.next_u64() % 11)]
+        want = _scaled_outcome(coeffs, conjugate_pairs)
+        for j in (1, -1, 7, -7, 60, -60):
+            assert _scaled_outcome(coeffs, conjugate_pairs, j) == want
 
 
 def _weight(zeros):
@@ -581,7 +611,7 @@ ISO, SPH = ZeroKind.ISOLATED, ZeroKind.SPHERICAL
     ([288.0, 36.0, 1.0], [(-24.0, 0.0, ISO), (-12.0, 0.0, ISO)]),
     ([3e-7, -3.0000001, 1.0], [(1e-7, 0.0, ISO), (3.0, 0.0, ISO)]),
     ([1.0, 0.0, 2.0, 0.0, 1.0], [(0.0, 1.0, SPH)]),
-    # Aberth's start circle and step stop are relative to the roots:
+    # Aberth's start radii and step stop are relative to the roots:
     # q^2 + 1e-32, q^8 + 1e-100 (four spheres of modulus 10^-12.5), q^2 + 1e60
     ([1e-32, 0.0, 1.0], [(0.0, 1e-16, SPH)]),
     ([1e-100] + [0.0] * 7 + [1.0],
@@ -625,9 +655,9 @@ def test_poly_roots_small_real_pair_to_the_last_bits():
 
 @pytest.mark.parametrize("coeffs", [[1e153, 1.0], [1e40, 0.0, 1.0]])
 def test_poly_roots_iterates_out_of_range(coeffs):
-    # f^s is in range, and so are its terms on Aberth's start circle, the
-    # smallest power of two at or above Cauchy's radius: 1e153 + q has the
-    # isolated zero -1e153, q^2 + 1e40 the spherical zero (0, 1e20).
+    # f^s is in range, and so are its terms at Aberth's Newton-polygon
+    # starts: 1e153 + q has the isolated zero -1e153, q^2 + 1e40 the
+    # spherical zero (0, 1e20).
     zeros = poly_roots(polynomial(coeffs))
     assert len(zeros) == 1
     z = zeros[0]
