@@ -102,12 +102,13 @@ def aberth_roots(coeffs: list[complex] | None, max_iter: int = ABERTH_MAX_ITER, 
     (_newton_polygon_edges): an edge of width w and radius R gets w starts
     R * e^(i (2 pi m/w + 0.4)).  A root stops when |p(z)| <= 1e-14 *
     backward_bound(|a|, |z|), the backward-error bound of its own
-    evaluation, or when p == 0.  The radii and both stops are relative, so
-    a polynomial in 2^j z has exactly 2^-j times the roots.  Exactly zero
-    a_0, ..., a_{j-1} give j roots 0, which are not iterated: a relative
-    step never settles there.  Raises NonConvergence (with partial results)
-    after ``max_iter`` sweeps, or with the zero roots alone when a radius is
-    not a normal double, or p or its bound is not finite at an iterate.
+    evaluation on a/a_n, or when p == 0.  The radii and both stops are
+    relative, so a polynomial in 2^j z has exactly 2^-j times the roots.
+    Exactly zero a_0, ..., a_{j-1} give j roots 0, which are not iterated:
+    a relative step never settles there.  Raises NonConvergence (with
+    partial results) after ``max_iter`` sweeps, or with the zero roots alone
+    when a radius is not a normal double, or p, p' or the bound is not
+    finite at an iterate: an overflow is never a stop.
 
     Sweeps run in Gauss-Seidel order (Bini, Numer. Algorithms 13, 1996):
     each corrected iterate is written back at once, so each correction sums
@@ -144,11 +145,12 @@ def aberth_roots(coeffs: list[complex] | None, max_iter: int = ABERTH_MAX_ITER, 
         partial = zeros + [zl.conjugate() for zl in zeros] if conjugate_pairs else zeros
         if n < 1:
             return partial
-        abs_coeffs = [abs(c) for c in coeffs]
         try:
-            edges = _newton_polygon_edges(abs_coeffs)
+            edges = _newton_polygon_edges([abs(c) for c in coeffs])
         except NonConvergence as exc:
             raise NonConvergence(str(exc), partial=partial) from None
+        coeffs = [c / coeffs[-1] for c in coeffs]  # monic: p' ~ n R^(n-1) |a_n| stays in range
+        abs_coeffs = [abs(c) for c in coeffs]
         if conjugate_pairs:
             half, radii = n // 2, [r for w, r in edges for _ in range(w)]
             starts = [radii[2 * m] * _cis(math.pi * (m + 0.5) / half) for m in range(half)]
@@ -160,7 +162,7 @@ def aberth_roots(coeffs: list[complex] | None, max_iter: int = ABERTH_MAX_ITER, 
             # step test fires; p at its own rounding level is as converged as it gets.
             p, dp = _poly_val_der(coeffs, zm)
             bound = backward_bound(abs_coeffs, abs(zm))
-            if not (math.isfinite(p.real) and math.isfinite(p.imag) and bound < math.inf):
+            if not all(map(math.isfinite, (p.real, p.imag, dp.real, dp.imag, bound))):
                 raise NonConvergence("an iterate is out of floating-point range", partial=partial)
             return p, dp, p == 0 or abs(p) <= 1e-14 * bound
     z = list(starts)
@@ -191,7 +193,7 @@ def aberth_roots(coeffs: list[complex] | None, max_iter: int = ABERTH_MAX_ITER, 
                 denom = 1.0 - newton * s
                 w = newton if denom == 0 else newton / denom
                 z[m] = zm - w
-                if abs(w) > ABERTH_TOL * abs(zm):
+                if not abs(w) <= ABERTH_TOL * abs(zm):  # a NaN step never settles
                     done = False
             if conjugate_pairs:
                 mirror[m] = z[m].conjugate()
@@ -240,12 +242,6 @@ def _newton_polygon_edges(abs_coeffs: list[float] | tuple[float, ...]) -> list[t
             raise NonConvergence("a zero is out of floating-point range at Aberth's start")
         edges.append((w, math.ldexp(2.0 ** ((p % w) / w), p // w)))
     return edges
-
-
-def _newton_polygon_starts(abs_coeffs: tuple[float, ...]) -> list[complex]:
-    """poly_roots' starts: w per edge of f's Newton polygon, at pi*(m + 1/2)/w + 0.4."""
-    return [r * _cis(math.pi * (m + 0.5) / w + 0.4) for w, r in _newton_polygon_edges(abs_coeffs)
-            for m in range(w)]
 
 
 def _stem_evaluator(f: SlicePolynomial):
@@ -377,10 +373,11 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     are normal doubles; the residuals are f's own.  In the offset w = q -
     center, Aberth iteration follows one root of each conjugate pair of s =
     sum_k p_k^2, evaluated from f's stem (_stem_evaluator) and started on
-    f's Newton polygon (_newton_polygon_starts).  Each root is refined on
-    the stem (_refine), folded to a sphere (x, |y|), merged with the spheres
-    before it and classified from one stem pass at x + iy; x = center + Re w
-    is formed last.  A root z folds to the axis when |Im z| <
+    f's Newton polygon (_newton_polygon_edges): an edge of width n gets n
+    starts at angles pi*(m + 1/2)/n + 0.4.  Each root is refined on the stem
+    (_refine), folded to a sphere (x, |y|), merged with the spheres before
+    it and classified from one stem pass at x + iy; x = center + Re w is
+    formed last.  A root z folds to the axis when |Im z| <
     SPHERE_DEDUP_TOL * |z|, and two spheres are one when they are within
     SPHERE_DEDUP_TOL times the larger modulus: each test is at the scale of
     the roots it compares, so small zeros survive beside large ones.  A
@@ -408,7 +405,9 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
         return sorted([zero, *(poly_roots(g) if g.degree else [])], key=lambda z: (z.x, z.y))
     t = math.ldexp(1.0, min(max(-math.frexp(max(f.abs_coeffs))[1], 0), 1021))
     w = SlicePolynomial(0.0, [c * t for c in f.coeffs] if t > 1 else f.coeffs)  # t f in q - center
-    starts, converged = _newton_polygon_starts(w.abs_coeffs), True
+    starts = [r * _cis(math.pi * (m + 0.5) / n + 0.4) for n, r in _newton_polygon_edges(w.abs_coeffs)
+              for m in range(n)]
+    converged = True
     try:
         roots = aberth_roots(None, max(ABERTH_MAX_ITER, 12 * f.degree), conjugate_pairs=True,
                              evaluator=_stem_evaluator(w), starts=starts)

@@ -94,13 +94,13 @@ def _reference_edges(coeffs):
 
 def _reference_stop(coeffs, z, partial):
     """p(z), p'(z) and whether z stops: p == 0 or |p| <= 1e-14 * sum |a_k|
-    |z|^k, the sum by Horner; NonConvergence with ``partial`` where p or the
-    sum is not finite, which is no stop."""
+    |z|^k, the sum by Horner; NonConvergence with ``partial`` where p, p' or
+    the sum is not finite, which is no stop."""
     p, dp = _poly_val_der(coeffs, z)
     backward = 0.0
     for c in reversed(coeffs):
         backward = backward * abs(z) + abs(c)
-    if not (math.isfinite(p.real) and math.isfinite(p.imag) and backward < math.inf):
+    if not (cmath.isfinite(p) and cmath.isfinite(dp) and backward < math.inf):
         raise NonConvergence("an iterate is out of range", partial=partial)
     return p, dp, p == 0 or abs(p) <= 1e-14 * backward
 
@@ -111,10 +111,11 @@ def _reference_aberth(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
     This is the plain form of ``aberth_roots``; the library version leaves
     settled roots out of later sweeps and must agree with it bit for bit.
     Each edge of width w of the Newton polygon (_reference_edges) gets w
-    starts at angles 2 pi m/w + 0.4.  Each corrected iterate is written back
-    at once (Gauss-Seidel order), so the later corrections of the sweep use
-    it; the correction is summed in index order and the step is tested
-    against the iterate before it.
+    starts at angles 2 pi m/w + 0.4; p is then evaluated on a/a_n.  Each
+    corrected iterate is written back at once (Gauss-Seidel order), so the
+    later corrections of the sweep use it; the correction is summed in index
+    order and the step, never settled when NaN, is tested against the
+    iterate before it.
     """
     n = len(coeffs) - 1
     while n > 0 and abs(coeffs[n]) == 0.0:
@@ -128,6 +129,7 @@ def _reference_aberth(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
         edges = _reference_edges(coeffs)
     except NonConvergence as exc:
         raise NonConvergence(str(exc), partial=zeros) from None
+    coeffs = [c / coeffs[-1] for c in coeffs]
     z = [r * cmath.exp(1j * (2.0 * math.pi * m / w + 0.4)) for w, r in edges for m in range(w)]
     for _ in range(max_iter):
         done = True
@@ -148,7 +150,7 @@ def _reference_aberth(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
             denom = 1.0 - newton * s
             w = newton if denom == 0 else newton / denom
             z[m] = zm - w
-            if abs(w) > tol * abs(zm):
+            if not abs(w) <= tol * abs(zm):
                 done = False
         if done:
             return zeros + z
@@ -163,9 +165,9 @@ def _reference_aberth_pairs(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
     which leaves settled roots out of later sweeps; it must agree bit for
     bit.  The n radii of the Newton polygon (_reference_edges), in
     increasing order, give every second one to a start, at angles
-    pi (m + 1/2)/(n/2).  Like ``_reference_aberth`` it writes each corrected
-    iterate back at once, so its conjugate enters the later corrections of
-    the sweep too.
+    pi (m + 1/2)/(n/2); p is evaluated on a/a_n.  Like ``_reference_aberth``
+    it writes each corrected iterate back at once, so its conjugate enters
+    the later corrections of the sweep too.
     """
     n = len(coeffs) - 1
     while n > 0 and abs(coeffs[n]) == 0.0:
@@ -179,6 +181,7 @@ def _reference_aberth_pairs(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
         radii = [r for w, r in _reference_edges(coeffs) for _ in range(w)] if n else []
     except NonConvergence as exc:
         raise NonConvergence(str(exc), partial=layout) from None
+    coeffs = [c / coeffs[-1] for c in coeffs] if n else coeffs
     half = n // 2
     z = [radii[2 * m] * cmath.exp(1j * (math.pi * (m + 0.5) / half)) for m in range(half)]
     done = False
@@ -203,7 +206,7 @@ def _reference_aberth_pairs(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
             denom = 1.0 - newton * s
             w = newton if denom == 0 else newton / denom
             z[m] = zm - w
-            if abs(w) > tol * abs(zm):
+            if not abs(w) <= tol * abs(zm):
                 done = False
         if done:
             break
@@ -444,6 +447,15 @@ def test_aberth_start_circle_out_of_range():
     with pytest.raises(NonConvergence) as exc:
         aberth_roots([0.0, 0.0, 1.0, 1e308, 1.0], conjugate_pairs=True)
     assert [repr(z) for z in exc.value.partial] == ["0j", "-0j"]
+    # p' overflows before p and its bound do at the starts of z^300 + 2e307
+    # (radius 10.5, |p'| about 5.7e308), where p/p' is 0 or NaN: no step,
+    # and no stop.  On a/a_n it stays in range for 1e307 z^30 + 1e307,
+    # whose roots are found.
+    with pytest.raises(NonConvergence) as exc:
+        aberth_roots([2e307] + [0.0] * 299 + [1.0])
+    assert exc.value.partial == ()
+    roots = aberth_roots([1e307] + [0.0] * 29 + [1e307])
+    assert len(roots) == 30 and all(abs(z ** 30 + 1.0) <= 1e-12 for z in roots)
     # Near the top of the range, c + z after j exact zero roots gives its
     # true root -c or raises; it never returns a start.
     for c in (1e300, 1e307, 1e308, 1.7e308, -1.7e308, 2.0 ** 1023):
