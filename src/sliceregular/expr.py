@@ -18,14 +18,8 @@ import math
 from .errors import DomainError, NotASlicePoint, SingularPoint, ZeroBase
 from .polynomial import SlicePolynomial
 from .quaternion import (
-    ImaginaryUnit,
-    ONE,
-    Quaternion,
-    Value,
-    dot,
-    from_slice,
-    quat_inv,
-    slice_coords,
+    ONE, ImaginaryUnit, Quaternion, Value, dot, from_slice, negligible, pow2, pow2_norm,
+    pow2_product, pow2_sum, quat_inv, scale_exponent, slice_coords,
 )
 from .representation import affine_coeffs, general_representation
 
@@ -142,42 +136,49 @@ def evaluate(f: SliceExpr, q: Quaternion) -> Quaternion:
     return _eval(f, q)[0]
 
 
-def _eval(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, float]:
-    """(f(q), m): the value and a majorant m of the terms that formed it, so
-    that its rounding error is a fixed fraction of m.
+def _eval(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, float, int]:
+    """(f(q), m, k): the value and a majorant m 2^k of the terms that formed
+    it, so that its rounding error is a fixed fraction of it.  m 2^k is in
+    quaternion.pow2's form: k > 0 only where the majorant overflows.
 
-    A polynomial's m is its backward bound at q; sums add, products multiply
-    and conjugates keep the m of their arguments.  A reciprocal's m is
-    m_f / |f^s(q)|, its denominator taken as exact, as are the values of Ext
-    and RawMap nodes.
+    A polynomial's majorant is its backward bound at q; sums add, products
+    multiply and conjugates keep the majorants of their arguments.  A
+    reciprocal's is m_f / |f^s(q)|, its denominator taken as exact, as are
+    the values of Ext and RawMap nodes.
     """
     if isinstance(f, Poly):
-        return f.poly.evaluate(q), f.poly.majorant(q)
+        m, k = f.poly.scaled_majorant(q)
+        return f.poly.evaluate(q), m, k
     if isinstance(f, Sum):
-        (u, mu), (v, mv) = _eval(f.f, q), _eval(f.g, q)
-        return u + v, mu + mv
+        (u, mu, ku), (v, mv, kv) = _eval(f.f, q), _eval(f.g, q)
+        return (u + v, *pow2_sum(mu, ku, mv, kv))
     if isinstance(f, RightScalar):
-        v, m = _eval(f.f, q)
-        return v * f.a, m * f.a.norm()
+        v, m, k = _eval(f.f, q)
+        return (v * f.a, *pow2_product(m, k, *pow2_norm(f.a)))
     if isinstance(f, Star):
         # f*g(q) = f(q) g(f(q)^{-1} q f(q)) (Gentili-Stoppato) and
         # g(x + y*I') = b_g + I'*c_g:  f*g(q) = f(q) b_g + I f(q) c_g.
-        fq, mf = _eval(f.f, q)
-        i, b, c, mg = _pair(f.g, q)
-        return fq * b + i * (fq * c), mf * mg
+        fq, mf, kf = _eval(f.f, q)
+        i, b, c, mg, kg = _pair(f.g, q)
+        return (fq * b + i * (fq * c), *pow2_product(mf, kf, mg, kg))
     if isinstance(f, Conj):
-        i, b, c, m = _pair(f.f, q)
-        return _conj(i, b, c), m
+        i, b, c, m, k = _pair(f.f, q)
+        return _conj(i, b, c), m, k
     if isinstance(f, Symm):
-        i, b, c, m = _pair(f.f, q)
-        return _symm(i, b, c), m * m
+        i, b, c, m, k = pair = _pair(f.f, q)
+        if not k and 2.0 ** -400 <= m <= 2.0 ** 400:  # no square leaves the double range
+            return _symm(i, b, c), m * m, 0
+        # f^s = (t f)^s / t^2 (_scaled_pair), scaled back by products: inf where
+        # math.ldexp raises, and 0 below 2^-1074, where f^s, under m^2, rounds to 0
+        i, b, c, m, e = _scaled_pair(f.f, q, pair=pair)
+        s, n = _symm(i, b, c), 2 * e
+        while n > 1023:
+            s, n = s * 2.0 ** 1023, n - 1023
+        return (s * math.ldexp(1.0, n), *pow2(m * m, 2 * e))
     if isinstance(f, Recip):
         # on a spherical zero of f, b and c are rounding noise of size eps * m.
-        # f is scaled by t = 2^-e to m*t near 1, so that f^s stays a normal
-        # double, and (t f)^{-*} = f^{-*} / t is scaled back.
-        i, b, c, m = _pair(f.f, q)
-        t = math.ldexp(1.0, -max(math.frexp(m)[1], -1021))
-        b, c, m = b * t, c * t, m * t
+        # (t f)^{-*} = f^{-*} / t (_scaled_pair) is scaled back.
+        i, b, c, m, e = _scaled_pair(f.f, q)
         s = _symm(i, b, c)
         ns = s.norm()
         if ns <= RECIP_SINGULAR_TOL * m * m:
@@ -185,7 +186,7 @@ def _eval(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, float]:
             raise SingularPoint(
                 f"symmetrization vanishes on the sphere x={p.x}, y={p.y}", x=p.x, y=p.y
             )
-        return (quat_inv(s) * _conj(i, b, c)) * t, m / ns * t
+        return ((quat_inv(s) * _conj(i, b, c)) * math.ldexp(1.0, -e), *pow2(m / ns, -e))
     if isinstance(f, RawMap):
         v = f.func(q)
     elif isinstance(f, Ext):
@@ -193,20 +194,34 @@ def _eval(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, float]:
         v = general_representation(f.r(p.x, p.y), f.s(p.x, p.y), f.j, f.k, p)
     else:
         raise TypeError(f"not a SliceExpr node: {f!r}")
-    return v, v.norm()
+    return (v, *pow2_norm(v))
 
 
-def _pair(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, Quaternion, Quaternion, float]:
-    """(I, b, c, m) with f = b + I*c at q = x + y*I and m a majorant of f
-    there: a polynomial's from its stem at x + iy, any other node's from
-    f(q) and f(conj(q)), with m the larger majorant of the two values."""
+def _pair(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, Quaternion, Quaternion, float, int]:
+    """(I, b, c, m, k) with f = b + I*c at q = x + y*I and m 2^k a majorant
+    of f there: a polynomial's from its stem at x + iy, any other node's from
+    f(q) and f(conj(q)), with m 2^k the larger majorant of the two values."""
     p = slice_coords(q)
     if isinstance(f, Poly):
         b, c = _stem_pair(f.poly, p.x, p.y)
-        return p.unit.u, b, c, f.poly.majorant(q)
-    (vp, mp), (vm, mm) = _eval(f, q), _eval(f, q.conjugate())
+        m, k = f.poly.scaled_majorant(q)
+        return p.unit.u, b, c, m, k
+    (vp, mp, kp), (vm, mm, km) = _eval(f, q), _eval(f, q.conjugate())
     b, c = affine_coeffs(vp, vm, p.unit)
-    return p.unit.u, b, c, max(mp, mm)
+    k, m = max((kp, mp), (km, mm))
+    return p.unit.u, b, c, m, k
+
+
+def _scaled_pair(f: SliceExpr, q: Quaternion, e: int | None = None, pair=None):
+    """(I, b, c, m, e): _pair's b, c and majorant (or those of ``pair``) times
+    t = 2^-e, e the scale_exponent of the majorant unless given, so that m is
+    near 1 and no square of b or c leaves the double range where t^2 f^s does not."""
+    i, b, c, m, k = pair or _pair(f, q)
+    e = scale_exponent(m, k) if e is None else e
+    t = math.ldexp(1.0, -e)
+    b, c = (_pair(Poly(f.poly.right_scaled(Quaternion(t))), q)[1:3] if k and isinstance(f, Poly)
+            else (b * t, c * t))  # a polynomial's values may overflow where those of t f do not
+    return i, b, c, math.ldexp(m, k - e), e
 
 
 def _stem_pair(poly: SlicePolynomial, x: float, y: float) -> tuple[Quaternion, Quaternion]:
@@ -255,8 +270,8 @@ def recip_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
 def star_via_composition(f: SliceExpr, g: SliceExpr, q: Quaternion) -> Quaternion:
     """Cross-check form f*g(q) = f(q) g(f(q)^{-1} q f(q)); needs f(q) != 0,
     taken to fail when |f(q)| <= COMPOSITION_ZERO_TOL times f's majorant."""
-    fq, m = _eval(f, q)
-    if fq.norm() <= COMPOSITION_ZERO_TOL * m:
+    fq, m, k = _eval(f, q)
+    if negligible(fq.norm(), COMPOSITION_ZERO_TOL, m, k):
         raise ZeroBase("composition form undefined where f(q) = 0")
     return fq * evaluate(g, quat_inv(fq) * q * fq)
 

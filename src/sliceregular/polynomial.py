@@ -12,7 +12,7 @@ import math
 from collections.abc import Iterable, Sequence
 
 from .errors import CenterMismatch
-from .quaternion import ONE, Quaternion, Value, ZERO, _coerce
+from .quaternion import ONE, Quaternion, Value, ZERO, _coerce, pow2_norm, pow2_product, pow2_sum
 
 
 def _as_quaternion(c) -> Quaternion:
@@ -57,10 +57,22 @@ class SlicePolynomial(Value):
         return self._abs_coeffs
 
     def majorant(self, q: Quaternion) -> float:
-        """backward_bound(|a_n|, |q - center|): the rounding error of
-        evaluate(q) is a fixed fraction of it."""
-        return backward_bound(self.abs_coeffs,
-                              math.hypot(q.x0 - self.center, q.x1, q.x2, q.x3))
+        """scaled_majorant(q) as a double, inf where it overflows."""
+        m, k = self.scaled_majorant(q)
+        return math.inf if k else m
+
+    def scaled_majorant(self, q: Quaternion) -> tuple[float, int]:
+        """backward_bound(|a_n|, |q - center|) as (m, k), m 2^k in
+        quaternion.pow2's form, so that it never overflows: the rounding error
+        of evaluate(q) is a fixed fraction of it.  Where it overflows it is
+        summed by pow2_sum and pow2_product, from pow2_norm's |a_n| and r."""
+        m = backward_bound(self.abs_coeffs, math.hypot(q.x0 - self.center, q.x1, q.x2, q.x3))
+        if m < math.inf:
+            return m, 0
+        r, total = pow2_norm(q - self.center), (0.0, 0)
+        for c in reversed(self.coeffs):
+            total = pow2_sum(*pow2_product(*total, *r), *pow2_norm(c))
+        return total
 
     def evaluate(self, q: Quaternion) -> Quaternion:
         """Horner evaluation, right-coefficient variant: acc <- w*acc + c.

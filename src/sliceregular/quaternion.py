@@ -142,7 +142,7 @@ class Quaternion(Value):
         n = math.sqrt(self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3)
         if 1e-150 < n < 1e150:
             return n
-        t = math.ldexp(1.0, min(-math.frexp(max(abs(self.x1), abs(self.x2), abs(self.x3)))[1], 1023))
+        t = math.ldexp(1.0, -scale_exponent(max(abs(self.x1), abs(self.x2), abs(self.x3))))
         x1, x2, x3 = self.x1 * t, self.x2 * t, self.x3 * t
         return math.sqrt(x1 * x1 + x2 * x2 + x3 * x3) / t
 
@@ -174,22 +174,63 @@ def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
 
 
 def quat_inv(q: Quaternion) -> Quaternion:
-    """Multiplicative inverse conj(q)/|q|^2, scaled by a power of two when
-    |q|^2 or 1/|q|^2 is not a normal double. Raises if q = 0 or 1/|q| overflows."""
+    """Multiplicative inverse conj(q)/|q|^2, formed from q 2^-e (scale_exponent
+    of its largest component) when |q|^2 or 1/|q|^2 is not a normal double.
+    Raises if q = 0; a component of 1/q that overflows is inf."""
     n2 = q.norm_sq()
     if 2.0 ** -1021 <= n2 <= 2.0 ** 1021:
         return q.conjugate() * (1.0 / n2)
     if q == ZERO:
         raise ZeroDivisionError("the zero quaternion has no inverse")
-    e = math.frexp(max(map(abs, q.components())))[1]
-    p = Quaternion(*(math.ldexp(x, -e) for x in q.conjugate().components()))
-    s = 1.0 / p.norm_sq()
-    return Quaternion(*(math.ldexp(x * s, -e) for x in p.components()))
+    t = math.ldexp(1.0, -scale_exponent(max(map(abs, q.components()))))
+    p = q.conjugate() * t
+    return (p * (1.0 / p.norm_sq())) * t
 
 
 def dot(a: Quaternion, b: Quaternion) -> float:
     """Euclidean inner product of R^4."""
     return a.x0 * b.x0 + a.x1 * b.x1 + a.x2 * b.x2 + a.x3 * b.x3
+
+
+def scale_exponent(m: float, k: int = 0) -> int:
+    """e with m 2^(k - e) in [1/2, 1) (k at m = 0), at least -1021: 2^-e, a
+    double, is the one power of two that brings a majorant m 2^k, or a
+    largest component, near 1.  Every rescaling of the package takes it."""
+    return max(math.frexp(m)[1] + k, -1021)
+
+
+def pow2(m: float, k: int = 0) -> tuple[float, int]:
+    """m 2^k in the form of every majorant: (m 2^k, 0) where that is a double,
+    else (f, k') with f in [1/2, 1) and k' > 1024, so (k, m) orders them."""
+    f, e = math.frexp(m)
+    return (math.ldexp(f, e + k), 0) if e + k <= 1024 or not f else (f, e + k)
+
+
+def pow2_sum(a: float, ka: int, b: float, kb: int) -> tuple[float, int]:
+    """a 2^ka + b 2^kb in pow2's form: a + b where that is a double."""
+    if not ka | kb and a + b < math.inf:
+        return a + b, 0
+    k = max(ka, kb) + 1
+    return pow2(math.ldexp(a, ka - k) + math.ldexp(b, kb - k), k)
+
+
+def pow2_product(a: float, ka: int, b: float, kb: int) -> tuple[float, int]:
+    """a 2^ka b 2^kb in pow2's form: a b where that is a double."""
+    if not ka | kb and a * b < math.inf:
+        return a * b, 0
+    (fa, ea), (fb, eb) = math.frexp(a), math.frexp(b)
+    return pow2(fa * fb, ea + eb + ka + kb)
+
+
+def pow2_norm(q: Quaternion) -> tuple[float, int]:
+    """|q| in pow2's form: 2 |q / 2| where |q| (< 2^1025) overflows."""
+    n = q.norm()
+    return (n, 0) if n < math.inf else pow2((q * 0.5).norm(), 1)
+
+
+def negligible(x: float, tol: float, m: float, k: int = 0) -> bool:
+    """x <= tol m 2^k: is x zero against its majorant m 2^k?"""
+    return math.ldexp(x, -k) <= tol * m
 
 
 class ImaginaryUnit(Value):

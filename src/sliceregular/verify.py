@@ -10,13 +10,14 @@ import math
 
 from .errors import SingularPoint
 from .expr import (
-    Conj, Poly, Recip, SliceExpr, Star, _eval, _pair, _symm, evaluate, split,
+    Conj, Poly, Recip, SliceExpr, Star, _eval, _scaled_pair, _symm, evaluate, split,
     star_via_composition,
 )
 from .extension import ext_from_holomorphic, restriction_stem
 from .polynomial import SlicePolynomial
 from .quaternion import (
-    ImaginaryUnit, Quaternion, SlicePoint, Value, from_slice, orthogonal_unit, slice_coords,
+    ImaginaryUnit, Quaternion, SlicePoint, Value, from_slice, negligible, orthogonal_unit,
+    pow2_sum, slice_coords,
 )
 from .representation import general_representation
 
@@ -122,9 +123,10 @@ def _report(name: str, samples: int, residuals: list[tuple[str, float]]) -> Chec
     )
 
 
-def _relative(residual: float, m: float) -> float:
-    """residual / m; an exact 0 (the only residual a zero majorant allows) is 0."""
-    return residual / m if residual else 0.0
+def _relative(residual: float, m: float, k: int = 0) -> float:
+    """residual / (m 2^k); an exact 0 (the only residual a zero majorant
+    allows) is 0."""
+    return math.ldexp(residual / m, -k) if residual else 0.0
 
 
 def check_grf_invariance(f: SliceExpr, spheres: int = 20, unit_pairs: int = 20,
@@ -148,11 +150,11 @@ def check_grf_invariance(f: SliceExpr, spheres: int = 20, unit_pairs: int = 20,
     for _ in range(spheres):
         x, y = rng.sphere()
         target = SlicePoint(x, y, rng.unit())
-        values, m = [], 0.0
+        values, m = [], (0, 0.0)  # the largest majorant m 2^k, as (k, m)
         for _ in range(unit_pairs):
             j, k = rng.unit_pair()
-            (v_j, m_j), (v_k, m_k) = _eval(f, from_slice(x, y, j)), _eval(f, from_slice(x, y, k))
-            m = max(m, m_j, m_k)
+            (v_j, m_j, k_j), (v_k, m_k, k_k) = (_eval(f, from_slice(x, y, u)) for u in (j, k))
+            m = max(m, (k_j, m_j), (k_k, m_k))
             v = general_representation(v_j, v_k, j, k, target)
             values.append(v.components())
         # max |a - b| over the pairs, as Quaternion.norm forms it
@@ -160,14 +162,8 @@ def check_grf_invariance(f: SliceExpr, spheres: int = 20, unit_pairs: int = 20,
             math.hypot(a0 - b0, a1 - b1, a2 - b2, a3 - b3)
             for ai, (a0, a1, a2, a3) in enumerate(values) for b0, b1, b2, b3 in values[ai + 1:]
         )
-        residuals.append((f"sphere x={x:.6g} y={y:.6g}", _relative(spread, m)))
+        residuals.append((f"sphere x={x:.6g} y={y:.6g}", _relative(spread, m[1], m[0])))
     return _report(name, spheres, residuals)
-
-
-def _scaled_symm(pair, t: float) -> tuple[Quaternion, float]:
-    """(h^s t^2, m^2 t^2) from h's pair (I, b, c, m) and a power of two t."""
-    i, b, c, m = pair
-    return _symm(i, b * t, c * t), (m * t) * (m * t)
 
 
 def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
@@ -192,19 +188,19 @@ def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
         q = rng.point()
         tag = f"q=({q.x0:.4g},{q.x1:.4g},{q.x2:.4g},{q.x3:.4g})"
 
-        (lhs, m_lhs), (rhs, m_rhs) = _eval(conj_fg, q), _eval(star_conj, q)
-        antihom.append((tag, _relative((lhs - rhs).norm(), m_lhs + m_rhs)))
+        (lhs, m_lhs, k_lhs), (rhs, m_rhs, k_rhs) = _eval(conj_fg, q), _eval(star_conj, q)
+        antihom.append((tag, _relative((lhs - rhs).norm(), *pow2_sum(m_lhs, k_lhs, m_rhs, k_rhs))))
 
-        (star, m_star), (fq, m_f) = _eval(fg, q), _eval(f, q)
-        if fq.norm() > 1e-6 * m_f:
-            compose.append((tag, _relative((star_via_composition(f, g, q) - star).norm(), m_star)))
+        (star, m_star, k_star), (fq, m_f, k_f) = _eval(fg, q), _eval(f, q)
+        if not negligible(fq.norm(), 1e-6, m_f, k_f):
+            compose.append((tag, _relative((star_via_composition(f, g, q) - star).norm(),
+                                           m_star, k_star)))
 
-        # pairs scaled by powers of two near 1/m_f, 1/m_g and their product:
-        # exact, and f^s g^s stays a double at any scale of f and g
-        pf, pg = _pair(f, q), _pair(g, q)
-        tf, tg = (math.ldexp(1.0, -max(math.frexp(p[3])[1], -1021)) for p in (pf, pg))
+        # (fg)^s, f^s and g^s scaled by 2^-2e_f-2e_g, 2^-2e_f and 2^-2e_g, with
+        # m_f 2^-e_f and m_g 2^-e_g near 1: f^s g^s stays a double at any scale
+        pf, pg = _scaled_pair(f, q), _scaled_pair(g, q)
         (sfg, m_fg), (sf, m_sf), (sg, m_sg) = (
-            _scaled_symm(p, t) for p, t in ((_pair(fg, q), tf * tg), (pf, tf), (pg, tg)))
+            (_symm(i, b, c), m * m) for i, b, c, m, _ in (_scaled_pair(fg, q, pf[4] + pg[4]), pf, pg))
         multiplicative.append((tag, _relative((sfg - sf * sg).norm(), m_fg + m_sf * m_sg)))
         commute.append((tag, _relative((sf * sg - sg * sf).norm(), m_sf * m_sg)))
 
@@ -214,11 +210,11 @@ def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
             slice_pres.append((tag, _relative(abs(split(sf, sp.unit, j).g), m_sf)))
 
         try:
-            (vl, ml), (vr, mr) = _eval(left, q), _eval(right, q)
+            (vl, ml, kl), (vr, mr, kr) = _eval(left, q), _eval(right, q)
         except SingularPoint:
             continue
-        left_recip.append((tag, _relative((vl - Quaternion(1.0)).norm(), ml)))
-        right_recip.append((tag, _relative((vr - Quaternion(1.0)).norm(), mr)))
+        left_recip.append((tag, _relative((vl - Quaternion(1.0)).norm(), ml, kl)))
+        right_recip.append((tag, _relative((vr - Quaternion(1.0)).norm(), mr, kr)))
 
     return [
         _report("conjugate_antihomomorphism", len(antihom), antihom),

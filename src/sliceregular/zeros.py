@@ -13,11 +13,14 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import NonConvergence, SingularPoint
+from .errors import NonConvergence
 from .expr import Poly, SliceExpr, Star, _eval, recip_eval
 from .extension import sphere_affine_coeffs
 from .polynomial import SlicePolynomial, backward_bound, monomial_minus
-from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, ZERO, Value, quat_inv
+from .quaternion import (
+    UNIT_I, ZERO, ImaginaryUnit, Quaternion, Value, negligible, pow2_product, quat_inv,
+    scale_exponent,
+)
 
 CLASSIFY_TOL = 1e-8
 SPHERE_DEDUP_TOL = 1e-8
@@ -215,12 +218,6 @@ def aberth_roots(coeffs: list[complex] | None, max_iter: int = ABERTH_MAX_ITER, 
 _NORMAL = 2.0 ** -1022  # the smallest normal double
 
 
-def _finite_majorant(abs_coeffs: tuple[float, ...], r: float, m: float) -> tuple[float, int]:
-    """(m', k) with f's majorant m = sum_j |a_j| r^j = m' 2^k: (m, 0) where m is
-    a double, else (that of the |a_j| times 2^-64, 64), as a bound may round."""
-    return (m, 0) if m < math.inf else (backward_bound([a * 2.0 ** -64 for a in abs_coeffs], r), 64)
-
-
 def _newton_polygon_edges(abs_coeffs: list[float] | tuple[float, ...]) -> list[tuple[int, float]]:
     """(w, radius) per edge of the upper hull of (k, frexp(|a_k|)[1]) over
     the nonzero |a_k| (Bini, Numer. Algorithms 13, 1996), in increasing k:
@@ -250,8 +247,8 @@ def _stem_evaluator(f: SlicePolynomial):
     s carries a rounding error of about eps * m * ||F||, ||F||^2 = sum_k
     |p_k|^2, so z stops when |s| <= 1e-14 * m * ||F||.  Where m leaves
     [2^-400, 2^400], p and p' are scaled by the power of two that brings m
-    near 1 (_finite_majorant where m overflows), so the squares stay
-    doubles; that is exact, so the iterates do not depend on it."""
+    near 1 (scale_exponent, of f.scaled_majorant where m overflows), so the
+    squares stay doubles; that is exact, so the iterates do not depend on it."""
     (p0, p1, p2, p3, top_abs), *rest = [(c.x0, c.x1, c.x2, c.x3, a) for c, a in
                                          zip(reversed(f.coeffs), reversed(f.abs_coeffs))]
     top = p0, p1, p2, p3
@@ -271,8 +268,8 @@ def _stem_evaluator(f: SlicePolynomial):
             p3 = p3 * z + c3
             m = m * r + a
         if not 2.0 ** -400 <= m <= 2.0 ** 400:
-            m, k = _finite_majorant(f.abs_coeffs, r, m)
-            e = max(math.frexp(m)[1] + k, -1021)
+            m, k = f.scaled_majorant(Quaternion(r))
+            e = scale_exponent(m, k)
             t = math.ldexp(1.0, -e)
             p0, p1, p2, p3, d0, d1, d2, d3 = (v * t for v in (p0, p1, p2, p3, d0, d1, d2, d3))
             m = math.ldexp(m, k - e)
@@ -309,9 +306,9 @@ def _stem_jet(f: SlicePolynomial, z: complex) -> tuple[complex, complex, complex
         p2 = p2 * z + c.x2
         p3 = p3 * z + c.x3
         m = m * r + a
-    m, k = _finite_majorant(f.abs_coeffs, r, m)
-    rho = math.ldexp(1.0, max(math.frexp(r)[1], -1021))
-    t = math.ldexp(1.0, -max(math.frexp(m)[1] + k, -1021))
+    m, k = (m, 0) if m < math.inf else f.scaled_majorant(Quaternion(r))
+    rho = math.ldexp(1.0, scale_exponent(r))
+    t = math.ldexp(1.0, -scale_exponent(m, k))
     p0, p1, p2, p3 = p0 * t, p1 * t, p2 * t, p3 * t
     d0, d1, d2, d3 = (d0 * rho) * t, (d1 * rho) * t, (d2 * rho) * t, (d3 * rho) * t
     t *= 2.0  # e = p''/2
@@ -383,7 +380,7 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     the roots it compares, so small zeros survive beside large ones.  A
     value on a sphere is zero when at most CLASSIFY_TOL times
     backward_bound(|a_n|, |(x - center) + iy|), the majorant of f there
-    (_finite_majorant where it overflows).  The starts and stops are
+    (scaled_majorant where it overflows).  The starts and stops are
     relative too, so with center 0, f(2^k q) has exactly 2^-k times the
     zeros of f wherever its coefficients are normal, and 2^k f (k <= 0)
     exactly the zeros of f.
@@ -403,7 +400,7 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
         g = SlicePolynomial(f.center, f.coeffs[j:])
         zero = SphereZero(f.center, 0.0, ZeroKind.ISOLATED, UNIT_I, unit_is_arbitrary=True)
         return sorted([zero, *(poly_roots(g) if g.degree else [])], key=lambda z: (z.x, z.y))
-    t = math.ldexp(1.0, min(max(-math.frexp(max(f.abs_coeffs))[1], 0), 1021))
+    t = math.ldexp(1.0, -min(scale_exponent(max(f.abs_coeffs)), 0))
     w = SlicePolynomial(0.0, [c * t for c in f.coeffs] if t > 1 else f.coeffs)  # t f in q - center
     starts = [r * _cis(math.pi * (m + 0.5) / n + 0.4) for n, r in _newton_polygon_edges(w.abs_coeffs)
               for m in range(n)]
@@ -419,9 +416,8 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
         z = _refine(w, z)
         z = complex(z.real, abs(z.imag) if abs(z.imag) >= SPHERE_DEDUP_TOL * abs(z) else 0.0)
         r, a = math.hypot(z.real, z.imag), abs(z)  # the zero and its zero test are normal doubles
-        m, k = _finite_majorant(w.abs_coeffs, r, backward_bound(w.abs_coeffs, r))
-        tol = math.ldexp(CLASSIFY_TOL, k) * m
-        if not (r >= _NORMAL and _NORMAL <= tol < math.inf):
+        tol, k = pow2_product(CLASSIFY_TOL, 0, *w.scaled_majorant(Quaternion(r)))
+        if k or not (r >= _NORMAL and tol >= _NORMAL):
             raise NonConvergence("a zero is out of floating-point range")
         if all(abs(z - s) > SPHERE_DEDUP_TOL * max(a, b) for s, b, _ in seen):
             seen.append((z, a, tol))
@@ -443,29 +439,21 @@ def star_zero_check(f: SliceExpr, g: SliceExpr, q: Quaternion) -> bool:
     is zero when at most CLASSIFY_TOL times its majorant (expr._eval), which
     for Ext and RawMap nodes is the value's own norm: only 0 is zero there.
     """
-    v, m = _eval(f, q)
-    if v.norm() > CLASSIFY_TOL * m:  # f(q) != 0: the predicate reads g there
-        v, m = _eval(g, quat_inv(v) * q * v)
-    fg, m_fg = _eval(Star(f, g), q)
-    return (v.norm() <= CLASSIFY_TOL * m) == (fg.norm() <= CLASSIFY_TOL * m_fg)
+    v, m, k = _eval(f, q)
+    if not negligible(v.norm(), CLASSIFY_TOL, m, k):  # f(q) != 0: the predicate reads g there
+        v, m, k = _eval(g, quat_inv(v) * q * v)
+    fg, m_fg, k_fg = _eval(Star(f, g), q)
+    return negligible(v.norm(), CLASSIFY_TOL, m, k) == negligible(fg.norm(), CLASSIFY_TOL, m_fg, k_fg)
 
 
 def cauchy_kernel(s: Quaternion, q: Quaternion) -> Quaternion:
     """The slice Cauchy kernel (q^2 - 2 Re(s) q + |s|^2)^{-1} (q - conj(s)), the
-    regular reciprocal of q - s, as recip_eval gives it: singular on the sphere
-    Re(s) + |Im(s)|*S where |f^s(q)| <= RECIP_SINGULAR_TOL * (|s| + |q|)^2.  It
-    is homogeneous of degree -1: formed from (s, q) t, t the power of two that
-    brings their largest component into [1/2, 1), and times t, exactly."""
-    big = max(map(abs, (*s.components(), *q.components())))
-    t = math.ldexp(1.0, -max(math.frexp(big)[1], -1021))
-    try:
-        return recip_eval(Poly(monomial_minus(s * t)), q * t) * t
-    except SingularPoint as exc:
-        x, y = exc.x / t, exc.y / t
-        raise SingularPoint(f"symmetrization vanishes on the sphere x={x}, y={y}", x=x, y=y) from None
+    regular reciprocal of q - s: singular on the sphere Re(s) + |Im(s)|*S
+    where |f^s(q)| <= RECIP_SINGULAR_TOL * (|s| + |q|)^2.  recip_eval scales
+    by powers of two, so it is homogeneous of degree -1, exactly."""
+    return recip_eval(Poly(monomial_minus(s)), q)
 
 
 def kernel_vs_recip_residual(s: Quaternion, q: Quaternion) -> float:
-    """|cauchy_kernel - recip_eval of q - s|: 0 wherever recip_eval's squares
-    stay normal doubles, as the kernel is that reciprocal, scaled exactly."""
+    """|cauchy_kernel - recip_eval of q - s|: 0, as the kernel is that reciprocal."""
     return (cauchy_kernel(s, q) - recip_eval(Poly(monomial_minus(s)), q)).norm()

@@ -196,6 +196,34 @@ def test_eval_reports_overflowed_values_inline(run, op, constant):
     assert "not a finite" in _strict_json(out)["values"][0]["error"]
 
 
+@pytest.mark.parametrize("s", [[0, 1e308, 0, 0], [1e308] * 4, [1e308, 0, 1e308, 0]])
+@pytest.mark.parametrize("q", [[0, 0, 1e308, 0], [1e308, 0, 0, 0], [-1e308, 0, 0, 0],
+                               [-1e307, 0, 0, 0], [1e307, 1e308, 0, 0]])
+def test_eval_recip_matches_kernel_at_the_top_of_the_double_range(run, s, q):
+    # |s| + |q|, the majorant of q - s at q, overflows here, and so may the
+    # squares of f^s and the values of q - s: recip of q - s at q is the
+    # kernel's value, or the same singular sphere inline
+    code, out, err = run(["kernel"], {"s": s, "q": q})
+    f = {"op": "poly", "coeffs": [[-v for v in s], [1, 0, 0, 0]]}
+    e_code, e_out, e_err = run(["eval"], {"expr": {"op": "recip", "f": f}, "points": [q]})
+    assert e_code == 0 and e_err == ""
+    [value] = _strict_json(e_out)["values"]
+    if code == 0:
+        assert value == _strict_json(out)["value"]
+    else:
+        assert (code, out) == (3, "") and err == f"error: {value['error']}\n"
+        assert "symmetrization vanishes" in err
+
+
+def test_eval_symm_where_the_squares_overflow(run):
+    # q - 1e308 i at 1e308 j: b and c have norm 1e308, f^s = 0 is a double
+    f = {"op": "poly", "coeffs": [[0, -1e308, 0, 0], [1, 0, 0, 0]]}
+    payload = {"expr": {"op": "symm", "f": f}, "points": [[0, 0, 1e308, 0]]}
+    code, out, err = run(["eval"], payload)
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["values"] == [[0.0, 0.0, 0.0, 0.0]]
+
+
 def test_roots_output_is_strict_json(run):
     # f^s is in range but its monic form is not
     code, out, err = run(["roots"], {"coeffs": [[1e150, 0, 0, 0], [0, 0, 0, 0],
@@ -754,7 +782,8 @@ def test_cli_answers_are_exactly_covariant_under_powers_of_two(run, monkeypatch)
 
     monkeypatch.setattr("sliceregular.cli.SplitMix64", Scaled)
 
-    def answers(k):
+    def answers(k, whole=True):
+        # the eval and kernel answers, then, if whole, those of roots and check
         rng, out = SplitMix64(1601), []
         for depth in (1, 2, 3, 3):
             points = [[math.ldexp(v, k) for v in rng.quaternion().components()]
@@ -764,18 +793,19 @@ def test_cli_answers_are_exactly_covariant_under_powers_of_two(run, monkeypatch)
         out.append(run(["eval"], {"expr": {"op": "recip", "f": {"op": "poly", "coeffs": [
             [1, 0, 0, 0], [0, 0, 0, 0], [math.ldexp(1.0, -2 * k), 0, 0, 0]]}},
             "points": [[0, 0, math.ldexp(1.0, k), 0]]}))
-        for degree in (1, 2, 3, 5):
-            out.append(run(["roots"], {"center": math.ldexp(rng.uniform(-1, 1), k),
-                                       "coeffs": _coeffs(rng, degree, k)}))
+        roots = [{"center": math.ldexp(rng.uniform(-1, 1), k),  # drawn alike, unused if not whole
+                  "coeffs": _coeffs(rng, degree, k if whole else 0)} for degree in (1, 2, 3, 5)]
         # spherical (q^2 + 1) and isolated (q - 2) zeros, scaled
-        out.append(run(["roots"], {"coeffs": [[math.ldexp(c, -k * n), 0, 0, 0]
-                                              for n, c in enumerate((-2.0, 1.0, -2.0, 1.0))]}))
+        roots.append({"coeffs": [[math.ldexp(c, -k * n), 0, 0, 0]
+                                 for n, c in enumerate((-2.0, 1.0, -2.0, 1.0))]})
         for s, q in ((rng.quaternion(), rng.quaternion()),
                      (Quaternion(0.5, 1.0, 0.0, 0.0), Quaternion(0.5, 0.0, 0.6, 0.8))):
             out.append(run(["kernel"], {"s": [math.ldexp(v, k) for v in s.components()],
                                         "q": [math.ldexp(v, k) for v in q.components()]}))
-        Scaled.scale = math.ldexp(1.0, k)
-        out.append(run(["check", "--suite", "all", "--samples", "10", "--seed", "3"]))
+        if whole:
+            out += [run(["roots"], payload) for payload in roots]
+            Scaled.scale = math.ldexp(1.0, k)
+            out.append(run(["check", "--suite", "all", "--samples", "10", "--seed", "3"]))
         return out
 
     def unscaled(answer, k):
@@ -795,3 +825,8 @@ def test_cli_answers_are_exactly_covariant_under_powers_of_two(run, monkeypatch)
     assert {code for code, _, _ in base} == {0, 3}
     for k in (1, -1, 7, -7, 60, -60):
         assert [unscaled(answer, k) for answer in answers(k)] == base, k
+    # eval and kernel to 2^+-300: the leaves have degree <= 3, so a_n 2^(-kn)
+    # stays normal
+    for k in (300, -300):
+        got = [unscaled(answer, k) for answer in answers(k, whole=False)]
+        assert got == base[:len(got)], k
