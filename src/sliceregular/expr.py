@@ -19,7 +19,7 @@ from .errors import DomainError, NotASlicePoint, SingularPoint, ZeroBase
 from .polynomial import SlicePolynomial
 from .quaternion import (
     ONE, ImaginaryUnit, Quaternion, Value, dot, from_slice, negligible, pow2, pow2_norm,
-    pow2_product, pow2_sum, quat_inv, scale_exponent, slice_coords,
+    pow2_product, pow2_scaled, pow2_sum, quat_inv, scale_exponent, slice_coords,
 )
 from .representation import affine_coeffs, general_representation
 
@@ -147,8 +147,7 @@ def _eval(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, float, int]:
     the values of Ext and RawMap nodes.
     """
     if isinstance(f, Poly):
-        m, k = f.poly.scaled_majorant(q)
-        return f.poly.evaluate(q), m, k
+        return (f.poly.evaluate(q), *f.poly.scaled_majorant(q))
     if isinstance(f, Sum):
         (u, mu, ku), (v, mv, kv) = _eval(f.f, q), _eval(f.g, q)
         return (u + v, *pow2_sum(mu, ku, mv, kv))
@@ -165,19 +164,12 @@ def _eval(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, float, int]:
         i, b, c, m, k = _pair(f.f, q)
         return _conj(i, b, c), m, k
     if isinstance(f, Symm):
-        i, b, c, m, k = pair = _pair(f.f, q)
-        if not k and 2.0 ** -400 <= m <= 2.0 ** 400:  # no square leaves the double range
-            return _symm(i, b, c), m * m, 0
-        # f^s = (t f)^s / t^2 (_scaled_pair), scaled back by products: inf where
-        # math.ldexp raises, and 0 below 2^-1074, where f^s, under m^2, rounds to 0
-        i, b, c, m, e = _scaled_pair(f.f, q, pair=pair)
-        s, n = _symm(i, b, c), 2 * e
-        while n > 1023:
-            s, n = s * 2.0 ** 1023, n - 1023
-        return (s * math.ldexp(1.0, n), *pow2(m * m, 2 * e))
+        # f^s = (2^-e f)^s 2^2e (_scaled_pair): inf where it overflows
+        i, b, c, m, e = _scaled_pair(f.f, q)
+        return (pow2_scaled(_symm(i, b, c), 2 * e), *pow2(m * m, 2 * e))
     if isinstance(f, Recip):
         # on a spherical zero of f, b and c are rounding noise of size eps * m.
-        # (t f)^{-*} = f^{-*} / t (_scaled_pair) is scaled back.
+        # f^{-*} = (2^-e f)^{-*} 2^-e (_scaled_pair) is scaled back.
         i, b, c, m, e = _scaled_pair(f.f, q)
         s = _symm(i, b, c)
         ns = s.norm()
@@ -186,7 +178,7 @@ def _eval(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, float, int]:
             raise SingularPoint(
                 f"symmetrization vanishes on the sphere x={p.x}, y={p.y}", x=p.x, y=p.y
             )
-        return ((quat_inv(s) * _conj(i, b, c)) * math.ldexp(1.0, -e), *pow2(m / ns, -e))
+        return (pow2_scaled(quat_inv(s) * _conj(i, b, c), -e), *pow2(m / ns, -e))
     if isinstance(f, RawMap):
         v = f.func(q)
     elif isinstance(f, Ext):
@@ -203,24 +195,28 @@ def _pair(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, Quaternion, Quaterni
     f(q) and f(conj(q)), with m 2^k the larger majorant of the two values."""
     p = slice_coords(q)
     if isinstance(f, Poly):
-        b, c = _stem_pair(f.poly, p.x, p.y)
-        m, k = f.poly.scaled_majorant(q)
-        return p.unit.u, b, c, m, k
+        return (p.unit.u, *_stem_pair(f.poly, p.x, p.y), *f.poly.scaled_majorant(q))
     (vp, mp, kp), (vm, mm, km) = _eval(f, q), _eval(f, q.conjugate())
     b, c = affine_coeffs(vp, vm, p.unit)
     k, m = max((kp, mp), (km, mm))
     return p.unit.u, b, c, m, k
 
 
-def _scaled_pair(f: SliceExpr, q: Quaternion, e: int | None = None, pair=None):
-    """(I, b, c, m, e): _pair's b, c and majorant (or those of ``pair``) times
-    t = 2^-e, e the scale_exponent of the majorant unless given, so that m is
-    near 1 and no square of b or c leaves the double range where t^2 f^s does not."""
-    i, b, c, m, k = pair or _pair(f, q)
+def _scaled_pair(f: SliceExpr, q: Quaternion, e: int | None = None):
+    """(I, b, c, m, e): _pair's b, c and majorant times 2^-e, e the
+    scale_exponent of the majorant unless given, so that m is near 1 and no
+    square of b or c leaves the double range where 2^-2e f^s does not."""
+    i, b, c, m, k = _pair(f, q)
     e = scale_exponent(m, k) if e is None else e
-    t = math.ldexp(1.0, -e)
-    b, c = (_pair(Poly(f.poly.right_scaled(Quaternion(t))), q)[1:3] if k and isinstance(f, Poly)
-            else (b * t, c * t))  # a polynomial's values may overflow where those of t f do not
+    if k and isinstance(f, Poly):  # f's values may overflow where those of 2^-e f do not:
+        # 2^-e f(q) = sum_n (2^-s w)^n a_n 2^(ns - e), w = q - center, as Horner rounds it
+        w = q - f.poly.center
+        s = scale_exponent(*pow2_norm(w))
+        p = slice_coords(pow2_scaled(w, -s))
+        g = SlicePolynomial(0.0, [pow2_scaled(a, n * s - e) for n, a in enumerate(f.poly.coeffs)])
+        b, c = _stem_pair(g, p.x, p.y)
+    else:
+        b, c = pow2_scaled(b, -e), pow2_scaled(c, -e)
     return i, b, c, math.ldexp(m, k - e), e
 
 

@@ -228,6 +228,14 @@ def pow2_norm(q: Quaternion) -> tuple[float, int]:
     return (n, 0) if n < math.inf else pow2((q * 0.5).norm(), 1)
 
 
+def pow2_scaled(q: Quaternion, n: int) -> Quaternion:
+    """q 2^n at any n, each component rounded once: inf where it overflows,
+    subnormal or 0 where it underflows."""
+    while n > 1023:
+        q, n = q * 2.0 ** 1023, n - 1023
+    return q * 2.0 ** n if n >= -1022 else Quaternion(*(math.ldexp(x, n) for x in q.components()))
+
+
 def negligible(x: float, tol: float, m: float, k: int = 0) -> bool:
     """x <= tol m 2^k: is x zero against its majorant m 2^k?"""
     return math.ldexp(x, -k) <= tol * m

@@ -26,7 +26,6 @@ CLASSIFY_TOL = 1e-8
 SPHERE_DEDUP_TOL = 1e-8
 ABERTH_MAX_ITER = 200
 ABERTH_TOL = 1e-13
-KERNEL_SINGULAR_TOL = 1e-10  # kept for import; cauchy_kernel uses expr.RECIP_SINGULAR_TOL
 REFINE_STEPS = 8
 
 
@@ -268,7 +267,7 @@ def _stem_evaluator(f: SlicePolynomial):
             p3 = p3 * z + c3
             m = m * r + a
         if not 2.0 ** -400 <= m <= 2.0 ** 400:
-            m, k = f.scaled_majorant(Quaternion(r))
+            m, k = (m, 0) if m < math.inf else f.scaled_majorant(Quaternion(r))
             e = scale_exponent(m, k)
             t = math.ldexp(1.0, -e)
             p0, p1, p2, p3, d0, d1, d2, d3 = (v * t for v in (p0, p1, p2, p3, d0, d1, d2, d3))

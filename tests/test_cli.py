@@ -224,6 +224,29 @@ def test_eval_symm_where_the_squares_overflow(run):
     assert _strict_json(out)["values"] == [[0.0, 0.0, 0.0, 0.0]]
 
 
+@pytest.mark.parametrize("coeffs, point, recip", [
+    ([[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]], [1e200, 0, 0, 0], 0.0),
+    ([[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]], [0, 1e200, 0, 0], 0.0),
+    ([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]], [1e163, 0, 0, 0], 0.0),
+    ([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]], [3e155, 0, 0, 0], 1 / 3e155 / 3e155),
+    # q^2 - c q = q (q - c) at 2^540 is 2^1070, ten bits under m ~ 2^1081
+    ([[0, 0, 0, 0], [-2.0 ** 540 * (1 - 2.0 ** -10), 0, 0, 0], [1, 0, 0, 0]],
+     [2.0 ** 540, 0, 0, 0], 2.0 ** -1070),
+], ids=["q^2+1@1e200", "q^2+1@1e200i", "q^2@1e163", "q^2@3e155", "q^2-cq@2^540"])
+def test_eval_where_the_power_of_two_that_scales_f_is_tiny(run, coeffs, point, recip):
+    # f's majorant m overflows, and the 2^-e that brings it near 1 is
+    # subnormal (m ~ 2^1034 at 3e155) or below every double (m ~ 2^1081 to
+    # 2^1329): f^s is no double and is reported inline, 1/f is 0 or subnormal
+    values = []
+    for op in ("symm", "recip"):
+        payload = {"expr": {"op": op, "f": {"op": "poly", "coeffs": coeffs}}, "points": [point]}
+        code, out, err = run(["eval"], payload)
+        assert (code, err) == (0, "")
+        values += _strict_json(out)["values"]
+    assert "not a finite" in values[0]["error"]
+    assert values[1] == pytest.approx([recip, 0.0, 0.0, 0.0], rel=1e-9, abs=0.0)
+
+
 def test_roots_output_is_strict_json(run):
     # f^s is in range but its monic form is not
     code, out, err = run(["roots"], {"coeffs": [[1e150, 0, 0, 0], [0, 0, 0, 0],
