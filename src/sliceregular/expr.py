@@ -18,8 +18,8 @@ import math
 from .errors import DomainError, NotASlicePoint, SingularPoint, ZeroBase
 from .polynomial import SlicePolynomial
 from .quaternion import (
-    ONE, ImaginaryUnit, Quaternion, Value, dot, from_slice, negligible, pow2, pow2_norm,
-    pow2_product, pow2_scaled, pow2_sum, quat_inv, scale_exponent, slice_coords,
+    ONE, ImaginaryUnit, Quaternion, SlicePoint, Value, dot, from_slice, negligible, pow2,
+    pow2_norm, pow2_product, pow2_scaled, pow2_sum, quat_inv, scale_exponent, slice_coords,
 )
 from .representation import affine_coeffs, general_representation
 
@@ -136,84 +136,91 @@ def evaluate(f: SliceExpr, q: Quaternion) -> Quaternion:
     return _eval(f, q)[0]
 
 
-def _eval(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, float, int]:
+def _eval(f: SliceExpr, q: Quaternion, s=None) -> tuple[Quaternion, float, int]:
     """(f(q), m, k): the value and a majorant m 2^k of the terms that formed
     it, so that its rounding error is a fixed fraction of it.  m 2^k is in
-    quaternion.pow2's form: k > 0 only where the majorant overflows.
+    quaternion.pow2's form: k != 0 only where it is not a normal double.
 
-    A polynomial's majorant is its backward bound at q; sums add, products
-    multiply and conjugates keep the majorants of their arguments.  A
-    reciprocal's is m_f / |f^s(q)|, its denominator taken as exact, as are
-    the values of Ext and RawMap nodes.
-    """
+    A polynomial's value and majorant, its backward bound at q, are one
+    Horner loop; sums add, products multiply and conjugates keep the
+    majorants of their arguments.  A reciprocal's is m_f / |f^s(q)|, its
+    denominator taken as exact, as are the values of Ext and RawMap nodes.
+    Every node is read at q or conj(q): their slice points s = _points(q)
+    are taken once, by the first node that needs them, and passed down."""
     if isinstance(f, Poly):
-        return (f.poly.evaluate(q), *f.poly.scaled_majorant(q))
+        return f.poly.evaluate_with_majorant(q)
     if isinstance(f, Sum):
-        (u, mu, ku), (v, mv, kv) = _eval(f.f, q), _eval(f.g, q)
+        (u, mu, ku), (v, mv, kv) = _eval(f.f, q, s), _eval(f.g, q, s)
         return (u + v, *pow2_sum(mu, ku, mv, kv))
     if isinstance(f, RightScalar):
-        v, m, k = _eval(f.f, q)
+        v, m, k = _eval(f.f, q, s)
         return (v * f.a, *pow2_product(m, k, *pow2_norm(f.a)))
+    if isinstance(f, RawMap):
+        v = f.func(q)
+        return (v, *pow2_norm(v))
+    if isinstance(f, Ext):
+        p = s[0] if s else slice_coords(q)
+        v = general_representation(f.r(p.x, p.y), f.s(p.x, p.y), f.j, f.k, p)
+        return (v, *pow2_norm(v))
+    s = s or _points(q)
     if isinstance(f, Star):
         # f*g(q) = f(q) g(f(q)^{-1} q f(q)) (Gentili-Stoppato) and
         # g(x + y*I') = b_g + I'*c_g:  f*g(q) = f(q) b_g + I f(q) c_g.
-        fq, mf, kf = _eval(f.f, q)
-        i, b, c, mg, kg = _pair(f.g, q)
+        fq, mf, kf = _eval(f.f, q, s)
+        i, b, c, mg, kg = _pair(f.g, q, s)
         return (fq * b + i * (fq * c), *pow2_product(mf, kf, mg, kg))
     if isinstance(f, Conj):
-        i, b, c, m, k = _pair(f.f, q)
+        i, b, c, m, k = _pair(f.f, q, s)
         return _conj(i, b, c), m, k
     if isinstance(f, Symm):
         # f^s = (2^-e f)^s 2^2e (_scaled_pair): inf where it overflows
-        i, b, c, m, e = _scaled_pair(f.f, q)
+        i, b, c, m, e = _scaled_pair(f.f, q, s)
         return (pow2_scaled(_symm(i, b, c), 2 * e), *pow2(m * m, 2 * e))
     if isinstance(f, Recip):
         # on a spherical zero of f, b and c are rounding noise of size eps * m.
         # f^{-*} = (2^-e f)^{-*} 2^-e (_scaled_pair) is scaled back.
-        i, b, c, m, e = _scaled_pair(f.f, q)
-        s = _symm(i, b, c)
-        ns = s.norm()
+        i, b, c, m, e = _scaled_pair(f.f, q, s)
+        fs = _symm(i, b, c)
+        ns = fs.norm()
         if ns <= RECIP_SINGULAR_TOL * m * m:
-            p = slice_coords(q)
-            raise SingularPoint(
-                f"symmetrization vanishes on the sphere x={p.x}, y={p.y}", x=p.x, y=p.y
-            )
-        return (pow2_scaled(quat_inv(s) * _conj(i, b, c), -e), *pow2(m / ns, -e))
-    if isinstance(f, RawMap):
-        v = f.func(q)
-    elif isinstance(f, Ext):
-        p = slice_coords(q)
-        v = general_representation(f.r(p.x, p.y), f.s(p.x, p.y), f.j, f.k, p)
-    else:
-        raise TypeError(f"not a SliceExpr node: {f!r}")
-    return (v, *pow2_norm(v))
+            p = s[0]
+            raise SingularPoint(f"symmetrization vanishes on the sphere x={p.x}, y={p.y}",
+                                x=p.x, y=p.y)
+        return (pow2_scaled(quat_inv(fs) * _conj(i, b, c), -e), *pow2(m / ns, -e))
+    raise TypeError(f"not a SliceExpr node: {f!r}")
 
 
-def _pair(f: SliceExpr, q: Quaternion) -> tuple[Quaternion, Quaternion, Quaternion, float, int]:
-    """(I, b, c, m, k) with f = b + I*c at q = x + y*I and m 2^k a majorant
-    of f there: a polynomial's from its stem at x + iy, any other node's from
-    f(q) and f(conj(q)), with m 2^k the larger majorant of the two values."""
+def _points(q: Quaternion) -> tuple[SlicePoint, SlicePoint]:
+    """slice_coords of q and of conj(q), the latter's unit -I formed as slice_coords forms it."""
     p = slice_coords(q)
+    return p, p if p.unit_is_arbitrary else SlicePoint(p.x, p.y, ImaginaryUnit(q.conjugate()))
+
+
+def _pair(f: SliceExpr, q: Quaternion, s) -> tuple[Quaternion, Quaternion, Quaternion, float, int]:
+    """(I, b, c, m, k) with f = b + I*c at q = x + y*I (s = _points(q)) and
+    m 2^k a majorant of f there: a polynomial's from its stem at x + iy, any
+    other node's from f(q) and f(conj(q)), m 2^k the larger of their two."""
+    p, pc = s
     if isinstance(f, Poly):
         return (p.unit.u, *_stem_pair(f.poly, p.x, p.y), *f.poly.scaled_majorant(q))
-    (vp, mp, kp), (vm, mm, km) = _eval(f, q), _eval(f, q.conjugate())
+    (vp, mp, kp), (vm, mm, km) = _eval(f, q, s), _eval(f, q.conjugate(), (pc, p))
     b, c = affine_coeffs(vp, vm, p.unit)
     k, m = max((kp, mp), (km, mm))
     return p.unit.u, b, c, m, k
 
 
-def _scaled_pair(f: SliceExpr, q: Quaternion, e: int | None = None):
+def _scaled_pair(f: SliceExpr, q: Quaternion, s, e: int | None = None):
     """(I, b, c, m, e): _pair's b, c and majorant times 2^-e, e the
     scale_exponent of the majorant unless given, so that m is near 1 and no
     square of b or c leaves the double range where 2^-2e f^s does not."""
-    i, b, c, m, k = _pair(f, q)
+    i, b, c, m, k = _pair(f, q, s)
     e = scale_exponent(m, k) if e is None else e
-    if k and isinstance(f, Poly):  # f's values may overflow where those of 2^-e f do not:
-        # 2^-e f(q) = sum_n (2^-s w)^n a_n 2^(ns - e), w = q - center, as Horner rounds it
+    if k and isinstance(f, Poly):  # f's values may leave the doubles where those of 2^-e f do not:
+        # 2^-e f(q) = sum_n (2^-t w)^n a_n 2^(nt - e), w = q - center, as Horner rounds it
         w = q - f.poly.center
-        s = scale_exponent(*pow2_norm(w))
-        p = slice_coords(pow2_scaled(w, -s))
-        g = SlicePolynomial(0.0, [pow2_scaled(a, n * s - e) for n, a in enumerate(f.poly.coeffs)])
+        t = scale_exponent(*pow2_norm(w))
+        p = slice_coords(pow2_scaled(w, -t))
+        g = SlicePolynomial(0.0, [pow2_scaled(a, n * t - e) for n, a in enumerate(f.poly.coeffs)])
         b, c = _stem_pair(g, p.x, p.y)
     else:
         b, c = pow2_scaled(b, -e), pow2_scaled(c, -e)
@@ -227,12 +234,19 @@ def _stem_pair(poly: SlicePolynomial, x: float, y: float) -> tuple[Quaternion, Q
             Quaternion(p0.imag, p1.imag, p2.imag, p3.imag))
 
 
+# conj(b) + I conj(c) and (|b|^2 - |c|^2) + I (2 <b, c>), in the order of Quaternion's operators
 def _conj(i: Quaternion, b: Quaternion, c: Quaternion) -> Quaternion:
-    return b.conjugate() + i * c.conjugate()
+    i0, i1, i2, i3, c0, c1, c2, c3 = i.x0, i.x1, i.x2, i.x3, c.x0, -c.x1, -c.x2, -c.x3
+    return Quaternion(b.x0 + (i0 * c0 - i1 * c1 - i2 * c2 - i3 * c3),
+                      -b.x1 + (i0 * c1 + i1 * c0 + i2 * c3 - i3 * c2),
+                      -b.x2 + (i0 * c2 - i1 * c3 + i2 * c0 + i3 * c1),
+                      -b.x3 + (i0 * c3 + i1 * c2 - i2 * c1 + i3 * c0))
 
 
 def _symm(i: Quaternion, b: Quaternion, c: Quaternion) -> Quaternion:
-    return Quaternion(b.norm_sq() - c.norm_sq()) + i * (2.0 * dot(b, c))
+    d = 2.0 * dot(b, c)
+    return Quaternion(b.norm_sq() - c.norm_sq() + i.x0 * d, 0.0 + i.x1 * d, 0.0 + i.x2 * d,
+                      0.0 + i.x3 * d)
 
 
 def star_eval(f: SliceExpr, g: SliceExpr, q: Quaternion) -> Quaternion:
@@ -264,12 +278,13 @@ def recip_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
 
 
 def star_via_composition(f: SliceExpr, g: SliceExpr, q: Quaternion) -> Quaternion:
-    """Cross-check form f*g(q) = f(q) g(f(q)^{-1} q f(q)); needs f(q) != 0,
-    taken to fail when |f(q)| <= COMPOSITION_ZERO_TOL times f's majorant."""
+    """Cross-check form f*g(q) = f(q) g(u^{-1} q u), u = f(q) 2^-e near 1; needs
+    f(q) != 0, taken to fail when |f(q)| <= COMPOSITION_ZERO_TOL times f's majorant."""
     fq, m, k = _eval(f, q)
     if negligible(fq.norm(), COMPOSITION_ZERO_TOL, m, k):
         raise ZeroBase("composition form undefined where f(q) = 0")
-    return fq * evaluate(g, quat_inv(fq) * q * fq)
+    u = pow2_scaled(fq, -scale_exponent(*pow2_norm(fq)))
+    return fq * evaluate(g, quat_inv(u) * q * u)
 
 
 def _fd_step(x: float, y: float) -> float:

@@ -12,7 +12,8 @@ import math
 from collections.abc import Iterable, Sequence
 
 from .errors import CenterMismatch
-from .quaternion import ONE, Quaternion, Value, ZERO, _coerce, pow2_norm, pow2_product, pow2_sum
+from .quaternion import (_NORMAL, ONE, Quaternion, Value, ZERO, _coerce, pow2_norm,
+                         pow2_product, pow2_sum)
 
 
 def _as_quaternion(c) -> Quaternion:
@@ -59,15 +60,15 @@ class SlicePolynomial(Value):
     def majorant(self, q: Quaternion) -> float:
         """scaled_majorant(q) as a double, inf where it overflows."""
         m, k = self.scaled_majorant(q)
-        return math.inf if k else m
+        return math.inf if k > 0 else math.ldexp(m, k)
 
     def scaled_majorant(self, q: Quaternion) -> tuple[float, int]:
         """backward_bound(|a_n|, |q - center|) as (m, k), m 2^k in
-        quaternion.pow2's form, so that it never overflows: the rounding error
-        of evaluate(q) is a fixed fraction of it.  Where it overflows it is
-        summed by pow2_sum and pow2_product, from pow2_norm's |a_n| and r."""
+        quaternion.pow2's form: the rounding error of evaluate(q) is a fixed
+        fraction of it.  Where it is not a normal double it is summed by
+        pow2_sum and pow2_product, from pow2_norm's |a_n| and r."""
         m = backward_bound(self.abs_coeffs, math.hypot(q.x0 - self.center, q.x1, q.x2, q.x3))
-        if m < math.inf:
+        if _NORMAL <= m < math.inf:
             return m, 0
         r, total = pow2_norm(q - self.center), (0.0, 0)
         for c in reversed(self.coeffs):
@@ -75,25 +76,30 @@ class SlicePolynomial(Value):
         return total
 
     def evaluate(self, q: Quaternion) -> Quaternion:
-        """Horner evaluation, right-coefficient variant: acc <- w*acc + c.
+        """f(q), by Horner's rule (evaluate_with_majorant)."""
+        return self.evaluate_with_majorant(q)[0]
 
-        Runs in float locals with the expression order of
-        ``Quaternion.__mul__`` (w on the left) followed by ``+ c``, so it
-        equals the loop over Quaternion operators bit for bit.
-        """
+    def evaluate_with_majorant(self, q: Quaternion) -> tuple[Quaternion, float, int]:
+        """(f(q), m, k), m 2^k = scaled_majorant(q), in one Horner loop: acc <-
+        w*acc + c, w = q - center, in the expression order of Quaternion's
+        operators (w on the left), and m <- m*r + |c|, r = |w|, as
+        backward_bound forms it (scaled_majorant where m is not normal)."""
         q = _as_quaternion(q)
-        cs = self.coeffs
-        w0, w1, w2, w3 = q.x0 - self.center, q.x1, q.x2, q.x3  # w = q - center
-        last = cs[-1]
+        cs, ns = self.coeffs, self.abs_coeffs
+        w0, w1, w2, w3 = q.x0 - self.center, q.x1, q.x2, q.x3
+        r = math.hypot(w0, w1, w2, w3)
+        last, m = cs[-1], ns[-1]
         a0, a1, a2, a3 = last.x0, last.x1, last.x2, last.x3
-        for c in cs[-2::-1]:
+        for c, n in zip(cs[-2::-1], ns[-2::-1]):
             a0, a1, a2, a3 = (
                 w0 * a0 - w1 * a1 - w2 * a2 - w3 * a3 + c.x0,
                 w0 * a1 + w1 * a0 + w2 * a3 - w3 * a2 + c.x1,
                 w0 * a2 - w1 * a3 + w2 * a0 + w3 * a1 + c.x2,
                 w0 * a3 + w1 * a2 - w2 * a1 + w3 * a0 + c.x3,
             )
-        return Quaternion(a0, a1, a2, a3)
+            m = m * r + n
+        v = Quaternion(a0, a1, a2, a3)
+        return (v, m, 0) if _NORMAL <= m < math.inf else (v, *self.scaled_majorant(q))
 
     def stem(self, z: complex) -> tuple[complex, complex, complex, complex]:
         """(p_0(z), ..., p_3(z)), p_k(z) = sum_n a_n[k] (z - center)^n, in one

@@ -13,6 +13,7 @@ from .errors import NotASlicePoint
 
 # imaginary_unit_of rejects q with |Im(q)| at most this.
 REAL_AXIS_TOL = 1e-12
+_NORMAL = 2.0 ** -1022  # the smallest normal double
 
 
 class Value:
@@ -75,8 +76,7 @@ class Quaternion(Value):
     __hash__ = Value.__hash__
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if other.__class__ is not Quaternion and (other := _coerce(other)) is None:
             return NotImplemented
         return Quaternion(self.x0 + other.x0, self.x1 + other.x1,
                           self.x2 + other.x2, self.x3 + other.x3)
@@ -84,15 +84,13 @@ class Quaternion(Value):
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if other.__class__ is not Quaternion and (other := _coerce(other)) is None:
             return NotImplemented
         return Quaternion(self.x0 - other.x0, self.x1 - other.x1,
                           self.x2 - other.x2, self.x3 - other.x3)
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if (other := _coerce(other)) is None:
             return NotImplemented
         return other - self
 
@@ -100,10 +98,7 @@ class Quaternion(Value):
         return Quaternion(-self.x0, -self.x1, -self.x2, -self.x3)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.x0 * other, self.x1 * other,
-                              self.x2 * other, self.x3 * other)
-        if isinstance(other, Quaternion):
+        if other.__class__ is Quaternion:
             a, b = self, other
             return Quaternion(
                 a.x0 * b.x0 - a.x1 * b.x1 - a.x2 * b.x2 - a.x3 * b.x3,
@@ -111,6 +106,9 @@ class Quaternion(Value):
                 a.x0 * b.x2 - a.x1 * b.x3 + a.x2 * b.x0 + a.x3 * b.x1,
                 a.x0 * b.x3 + a.x1 * b.x2 - a.x2 * b.x1 + a.x3 * b.x0,
             )
+        if isinstance(other, (int, float)):
+            return Quaternion(self.x0 * other, self.x1 * other,
+                              self.x2 * other, self.x3 * other)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -200,23 +198,24 @@ def scale_exponent(m: float, k: int = 0) -> int:
 
 
 def pow2(m: float, k: int = 0) -> tuple[float, int]:
-    """m 2^k in the form of every majorant: (m 2^k, 0) where that is a double,
-    else (f, k') with f in [1/2, 1) and k' > 1024, so (k, m) orders them."""
+    """m 2^k in the form of every majorant: (m 2^k, 0) where that is a normal
+    double or 0, else (f, k') with f in [1/2, 1), k' > 1024 above the doubles
+    and k' < -1021 below the normal ones, so (k, m) orders the nonzero ones."""
     f, e = math.frexp(m)
-    return (math.ldexp(f, e + k), 0) if e + k <= 1024 or not f else (f, e + k)
+    return (math.ldexp(f, e + k), 0) if -1022 < e + k <= 1024 or not f else (f, e + k)
 
 
 def pow2_sum(a: float, ka: int, b: float, kb: int) -> tuple[float, int]:
     """a 2^ka + b 2^kb in pow2's form: a + b where that is a double."""
     if not ka | kb and a + b < math.inf:
         return a + b, 0
-    k = max(ka, kb) + 1
+    k = max(ka + math.frexp(a)[1], kb + math.frexp(b)[1]) + 1
     return pow2(math.ldexp(a, ka - k) + math.ldexp(b, kb - k), k)
 
 
 def pow2_product(a: float, ka: int, b: float, kb: int) -> tuple[float, int]:
-    """a 2^ka b 2^kb in pow2's form: a b where that is a double."""
-    if not ka | kb and a * b < math.inf:
+    """a 2^ka b 2^kb in pow2's form: a b where that is a normal double."""
+    if not ka | kb and _NORMAL <= a * b < math.inf:
         return a * b, 0
     (fa, ea), (fb, eb) = math.frexp(a), math.frexp(b)
     return pow2(fa * fb, ea + eb + ka + kb)
@@ -225,7 +224,9 @@ def pow2_product(a: float, ka: int, b: float, kb: int) -> tuple[float, int]:
 def pow2_norm(q: Quaternion) -> tuple[float, int]:
     """|q| in pow2's form: 2 |q / 2| where |q| (< 2^1025) overflows."""
     n = q.norm()
-    return (n, 0) if n < math.inf else pow2((q * 0.5).norm(), 1)
+    if n < math.inf:
+        return (n, 0) if n >= _NORMAL else pow2(n)
+    return pow2((q * 0.5).norm(), 1)
 
 
 def pow2_scaled(q: Quaternion, n: int) -> Quaternion:
@@ -238,7 +239,7 @@ def pow2_scaled(q: Quaternion, n: int) -> Quaternion:
 
 def negligible(x: float, tol: float, m: float, k: int = 0) -> bool:
     """x <= tol m 2^k: is x zero against its majorant m 2^k?"""
-    return math.ldexp(x, -k) <= tol * m
+    return math.ldexp(x, -k) <= tol * m if k >= 0 else x <= math.ldexp(tol * m, k)
 
 
 class ImaginaryUnit(Value):

@@ -10,14 +10,14 @@ import math
 
 from .errors import SingularPoint
 from .expr import (
-    Conj, Poly, Recip, SliceExpr, Star, _eval, _scaled_pair, _symm, evaluate, split,
-    star_via_composition,
+    Conj, Poly, Recip, RightScalar, SliceExpr, Star, _eval, _points, _scaled_pair, _symm,
+    evaluate, split, star_via_composition,
 )
 from .extension import ext_from_holomorphic, restriction_stem
 from .polynomial import SlicePolynomial
 from .quaternion import (
     ImaginaryUnit, Quaternion, SlicePoint, Value, from_slice, negligible, orthogonal_unit,
-    pow2_sum, slice_coords,
+    pow2_sum,
 )
 from .representation import general_representation
 
@@ -124,9 +124,10 @@ def _report(name: str, samples: int, residuals: list[tuple[str, float]]) -> Chec
 
 
 def _relative(residual: float, m: float, k: int = 0) -> float:
-    """residual / (m 2^k); an exact 0 (the only residual a zero majorant
-    allows) is 0."""
-    return math.ldexp(residual / m, -k) if residual else 0.0
+    """residual / (m 2^k), inf where that is above the doubles; an exact 0
+    (the only residual a zero majorant allows) is 0."""
+    f, e = math.frexp(residual / m) if residual else (0.0, k)
+    return math.ldexp(f, e - k) if e - k <= 1024 else math.inf
 
 
 def check_grf_invariance(f: SliceExpr, spheres: int = 20, unit_pairs: int = 20,
@@ -150,7 +151,7 @@ def check_grf_invariance(f: SliceExpr, spheres: int = 20, unit_pairs: int = 20,
     for _ in range(spheres):
         x, y = rng.sphere()
         target = SlicePoint(x, y, rng.unit())
-        values, m = [], (0, 0.0)  # the largest majorant m 2^k, as (k, m)
+        values, m = [], (-math.inf, 0.0)  # the largest majorant m 2^k, as (k, m)
         for _ in range(unit_pairs):
             j, k = rng.unit_pair()
             (v_j, m_j, k_j), (v_k, m_k, k_k) = (_eval(f, from_slice(x, y, u)) for u in (j, k))
@@ -187,30 +188,34 @@ def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
     for _ in range(points):
         q = rng.point()
         tag = f"q=({q.x0:.4g},{q.x1:.4g},{q.x2:.4g},{q.x3:.4g})"
+        s = _points(q)
 
-        (lhs, m_lhs, k_lhs), (rhs, m_rhs, k_rhs) = _eval(conj_fg, q), _eval(star_conj, q)
+        (lhs, m_lhs, k_lhs), (rhs, m_rhs, k_rhs) = _eval(conj_fg, q, s), _eval(star_conj, q, s)
         antihom.append((tag, _relative((lhs - rhs).norm(), *pow2_sum(m_lhs, k_lhs, m_rhs, k_rhs))))
 
-        (star, m_star, k_star), (fq, m_f, k_f) = _eval(fg, q), _eval(f, q)
+        (star, m_star, k_star), (fq, m_f, k_f) = _eval(fg, q, s), _eval(f, q, s)
         if not negligible(fq.norm(), 1e-6, m_f, k_f):
             compose.append((tag, _relative((star_via_composition(f, g, q) - star).norm(),
                                            m_star, k_star)))
 
         # (fg)^s, f^s and g^s scaled by 2^-2e_f-2e_g, 2^-2e_f and 2^-2e_g, with
         # m_f 2^-e_f and m_g 2^-e_g near 1: f^s g^s stays a double at any scale
-        pf, pg = _scaled_pair(f, q), _scaled_pair(g, q)
-        (sfg, m_fg), (sf, m_sf), (sg, m_sg) = (
-            (_symm(i, b, c), m * m) for i, b, c, m, _ in (_scaled_pair(fg, q, pf[4] + pg[4]), pf, pg))
+        pf, pg = _scaled_pair(f, q, s), _scaled_pair(g, q, s)
+        (sfg, m_fg), (sf, m_sf), (sg, m_sg) = ((_symm(i, b, c), m * m) for i, b, c, m, _ in
+                                               (_scaled_pair(fg, q, s, pf[4] + pg[4]), pf, pg))
         multiplicative.append((tag, _relative((sfg - sf * sg).norm(), m_fg + m_sf * m_sg)))
         commute.append((tag, _relative((sf * sg - sg * sf).norm(), m_sf * m_sg)))
 
-        sp = slice_coords(q)
+        sp = s[0]
         if not sp.unit_is_arbitrary:
             j = orthogonal_unit(sp.unit)
             slice_pres.append((tag, _relative(abs(split(sf, sp.unit, j).g), m_sf)))
 
+        # below the normal range f^{-*} is not a double, (2^-e f)^{-*} (pf's e) is
+        h = RightScalar(f, Quaternion(math.ldexp(1.0, -pf[4]))) if k_f < 0 else None
+        lr = (left, right) if h is None else (Star(Recip(h), h), Star(h, Recip(h)))
         try:
-            (vl, ml, kl), (vr, mr, kr) = _eval(left, q), _eval(right, q)
+            (vl, ml, kl), (vr, mr, kr) = (_eval(t, q, s) for t in lr)
         except SingularPoint:
             continue
         left_recip.append((tag, _relative((vl - Quaternion(1.0)).norm(), ml, kl)))
@@ -237,5 +242,6 @@ def check_extension_roundtrip(f: SlicePolynomial, unit: ImaginaryUnit,
     for _ in range(points):
         q = rng.point()
         tag = f"q=({q.x0:.4g},{q.x1:.4g},{q.x2:.4g},{q.x3:.4g})"
-        residuals.append((tag, _relative((evaluate(ext, q) - f.evaluate(q)).norm(), f.majorant(q))))
+        v, m, k = f.evaluate_with_majorant(q)
+        residuals.append((tag, _relative((evaluate(ext, q) - v).norm(), m, k)))
     return _report("extension_roundtrip", points, residuals)

@@ -18,8 +18,8 @@ from .expr import Poly, SliceExpr, Star, _eval, recip_eval
 from .extension import sphere_affine_coeffs
 from .polynomial import SlicePolynomial, backward_bound, monomial_minus
 from .quaternion import (
-    UNIT_I, ZERO, ImaginaryUnit, Quaternion, Value, negligible, pow2_product, quat_inv,
-    scale_exponent,
+    _NORMAL, UNIT_I, ZERO, ImaginaryUnit, Quaternion, Value, negligible, pow2_product,
+    quat_inv, scale_exponent,
 )
 
 CLASSIFY_TOL = 1e-8
@@ -213,9 +213,6 @@ def aberth_roots(coeffs: list[complex] | None, max_iter: int = ABERTH_MAX_ITER, 
 # ---------------------------------------------------------------------------
 # Polynomial zero pipeline
 # ---------------------------------------------------------------------------
-
-_NORMAL = 2.0 ** -1022  # the smallest normal double
-
 
 def _newton_polygon_edges(abs_coeffs: list[float] | tuple[float, ...]) -> list[tuple[int, float]]:
     """(w, radius) per edge of the upper hull of (k, frexp(|a_k|)[1]) over

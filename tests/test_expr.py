@@ -40,6 +40,7 @@ from sliceregular import (
     symm_eval,
     symm_poly,
 )
+import sliceregular.expr as expr_module
 from sliceregular.expr import from_split, split
 from sliceregular.quaternion import dot, quat_inv
 from sliceregular.serialize import _eval_cost
@@ -211,9 +212,9 @@ def test_recip_singular_where_pair_is_rounding_noise(scale):
     (lambda f: Sum(Star(Conj(f), Symm(f)), RightScalar(Recip(f), UNIT_K.u)), 4),
 ], ids=["recip-recip", "star", "symm", "conj", "conj-chain", "mixed"])
 def test_evaluation_counts_polynomial_calls(monkeypatch, node, calls):
-    # a polynomial's (b, c) pair is one stem pass; other nodes read their
-    # children at q and conj(q) only.  The decoder's cost bound counts the
-    # same calls.
+    # a polynomial's value and majorant are one Horner loop, its (b, c) pair
+    # one stem pass; other nodes read their children at q and conj(q) only.
+    # The decoder's cost bound counts the same calls.
     count = [0]
 
     def counted(original):
@@ -222,11 +223,67 @@ def test_evaluation_counts_polynomial_calls(monkeypatch, node, calls):
             return original(self, q)
         return wrapper
 
-    for name in ("evaluate", "stem"):
+    for name in ("evaluate", "evaluate_with_majorant", "stem"):
         monkeypatch.setattr(SlicePolynomial, name, counted(getattr(SlicePolynomial, name)))
     tree = node(Poly(polynomial([UNIT_J.u, ONE, UNIT_I.u])))
     evaluate(tree, Quaternion(0.3, 0.4, -0.5, 0.6))
     assert count[0] == calls == _eval_cost(tree)
+
+
+def _depth10_tree(leaf=None):
+    # star (g on the left), conj, symm and recip in turn over a leaf whose
+    # values stay near 1, so that no level leaves the double range
+    t = leaf or Poly(polynomial([Quaternion(0.5, 0.1, 0.2, 0.0), ONE, 0.3 * UNIT_J.u]))
+    g = Poly(polynomial([0.2 * UNIT_I.u, 0.8]))
+    for n in range(10):
+        t = (lambda f: Star(g, f), Conj, Symm, Recip)[n % 4](t)
+    return t
+
+
+def _count_slice_coords(monkeypatch):
+    calls = []
+    monkeypatch.setattr(expr_module, "slice_coords", lambda q: calls.append(q) or slice_coords(q))
+    return calls
+
+
+@pytest.mark.parametrize("q", [
+    Quaternion(0.3, 0.4, -0.5, 0.6), Quaternion(-0.7), Quaternion(1e-200, 0.0, -0.0, 3e-170),
+], ids=["off-axis", "real", "tiny-y"])
+def test_evaluation_takes_slice_coordinates_once_per_point(monkeypatch, q):
+    # every node is read at q or conj(q), on one sphere: q's slice point is
+    # taken once, conj(q)'s read off it, and the value is bit for bit the one
+    # that slice_coords(conj(q)) at every pair gives
+    tree = _depth10_tree()
+    monkeypatch.setattr(expr_module, "_points",
+                        lambda q: (slice_coords(q), slice_coords(q.conjugate())))
+    reference = evaluate(tree, q)
+    monkeypatch.undo()
+    calls = _count_slice_coords(monkeypatch)
+    assert repr(evaluate(tree, q)) == repr(reference)
+    assert calls == [q]
+
+
+@pytest.mark.parametrize("q", [
+    Quaternion(0.3, 0.4, -0.5, 0.6), Quaternion(0.3, -0.0, 0.0, -1e-300), Quaternion(-0.7),
+    Quaternion(2.0, -0.0, -0.0, 0.0), Quaternion(1.0, 1e200, -3e200, 0.0),
+])
+def test_conjugate_slice_point_is_the_one_slice_coords_gives(q):
+    p, pc = expr_module._points(q)
+    assert repr(pc) == repr(slice_coords(q.conjugate()))
+    assert repr(p) == repr(slice_coords(q))
+
+
+def test_singular_reciprocal_deep_in_a_tree_names_the_sphere_of_q(monkeypatch):
+    # the recip of q^2 + 1 under ten nodes is read at q and at conj(q); the
+    # message gives the sphere of both, from the one slice point of q
+    q = Quaternion(0.0, 0.6, 0.8, 0.0)
+    p = slice_coords(q)
+    calls = _count_slice_coords(monkeypatch)
+    with pytest.raises(SingularPoint) as exc:
+        evaluate(_depth10_tree(Recip(Poly(polynomial([1.0, 0.0, 1.0])))), q)
+    assert (exc.value.x, exc.value.y) == (p.x, p.y)
+    assert f"sphere x={p.x}, y={p.y}" in str(exc.value)
+    assert calls == [q]
 
 
 def test_composition_form_agrees():

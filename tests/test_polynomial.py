@@ -17,6 +17,8 @@ from sliceregular import (
     star_poly,
     symm_poly,
 )
+from sliceregular.polynomial import backward_bound
+from sliceregular.quaternion import pow2
 from sliceregular.verify import SplitMix64
 
 from conftest import assert_close
@@ -139,6 +141,21 @@ def test_evaluate_equals_operator_horner_exactly():
         for q in points:
             # repr tells every distinct double apart, signed zeros included.
             assert repr(p.evaluate(q)) == repr(_operator_horner(p, q))
+            # the majorant rides in the same loop, as backward_bound forms it
+            v, m, k = p.evaluate_with_majorant(q)
+            assert repr(v) == repr(_operator_horner(p, q))
+            assert (m, k) == (backward_bound(p.abs_coeffs, (q - p.center).norm()), 0)
+
+
+@pytest.mark.parametrize("q, j", [(Quaternion(0.5, 1.0), -1060), (Quaternion(2.0 ** 20, 3.0), 1000)])
+def test_majorant_is_covariant_beyond_the_normal_doubles(q, j):
+    # f 2^j has the majorant m 2^(k + j) of f, exactly, in pow2's form, where
+    # it is below the normal doubles and where it is above the doubles
+    p = polynomial([1.0, UNIT_I.u, 2.0])
+    _, m, k = p.evaluate_with_majorant(q)
+    scaled = p.right_scaled(Quaternion(2.0 ** j))
+    assert scaled.evaluate_with_majorant(q)[1:] == scaled.scaled_majorant(q) == pow2(m, k + j)
+    assert pow2(m, k + j)[1] != 0
 
 
 def test_stem_gives_the_pair_of_evaluate():

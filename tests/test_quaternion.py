@@ -18,7 +18,7 @@ from sliceregular import (
     quat_mul,
     slice_coords,
 )
-from sliceregular.quaternion import dot
+from sliceregular.quaternion import dot, negligible, pow2, pow2_norm, pow2_product, pow2_sum
 
 from conftest import assert_close
 
@@ -141,3 +141,22 @@ def test_orthogonal_unit_near_canonical_axes():
 @given(quaternions, quaternions)
 def test_quat_mul_matches_operator(a, b):
     assert quat_mul(a, b) == a * b
+
+
+def test_pow2_form_below_the_normal_range():
+    # below 2^-1022 a majorant is (m, k) with m in [1/2, 1) and k < -1021,
+    # so a product or sum of tiny majorants keeps its size
+    assert pow2(2.0 ** -1000) == (2.0 ** -1000, 0)
+    assert pow2(2.0 ** -1040) == (0.5, -1039)
+    assert pow2(3.0, -1100) == (0.75, -1098)
+    assert pow2(0.0, -1100) == (0.0, 0)
+    assert pow2_product(2.0 ** -600, 0, 2.0 ** -600, 0) == (0.5, -1199)
+    assert pow2_product(0.0, 0, 0.5, -1100) == (0.0, 0)
+    assert pow2_sum(0.5, -1100, 0.5, -1100) == (0.5, -1099)
+    assert pow2_sum(0.5, -1100, 1.0, 0) == (1.0, 0)
+    assert pow2_norm(Quaternion(0.0, 3 * 2.0 ** -1060, 4 * 2.0 ** -1060)) == (0.625, -1057)
+    assert pow2_norm(Quaternion(0.0, 3.0, 4.0)) == (5.0, 0)
+    # tol m 2^k = 1e-6 2^-1041, about 2^-1061
+    assert negligible(2.0 ** -1070, 1e-6, 0.5, -1040)
+    assert not negligible(2.0 ** -1050, 1e-6, 0.5, -1040)
+    assert not negligible(1.0, 1e-6, 0.5, -1040)

@@ -125,6 +125,18 @@ def test_reports_keep_their_verdicts_at_the_ends_of_the_double_range():
         assert all(math.isfinite(r.max_residual) for r in reports), j
 
 
+def test_reports_below_the_normal_range():
+    # the majorants of 2^-1040 f, and their products, are below the normal
+    # doubles: in pow2's form (k < 0) none underflows to 0 beside a residual
+    t = 2.0 ** -1040
+    f = polynomial([t, t])
+    reports = check_identity_suite(Poly(f), Poly(polynomial([t, 0.0, t])), points=3)
+    assert len(reports) == 7
+    reports += [check_grf_invariance(Poly(f), spheres=3, unit_pairs=3),
+                check_extension_roundtrip(f, UNIT_I, points=3)]
+    assert all(math.isfinite(r.max_residual) and r.samples == 3 for r in reports), reports
+
+
 def test_extension_roundtrip_check():
     rng = SplitMix64(9)
     report = check_extension_roundtrip(rng.polynomial(max_degree=8), rng.unit(), seed=9)
