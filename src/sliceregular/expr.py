@@ -8,6 +8,11 @@ reciprocal are closed formulas in (b, c), the stem calculus of
 Ghiloni-Perotti (Adv. Math. 226, 2011).  At real points c = 0 and every
 formula reduces to its pointwise form, so no special case is needed.
 
+A polynomial's pair depends on the sphere alone, so each polynomial leaf of
+a tree is read once per point: one pass gives its stem and majorant, and
+every read of it is b + I*c (-I at conj(q)).  A tree that is a single leaf
+is one Horner pass at q.
+
 Trees are immutable and structurally shared; evaluation is a pure function.
 """
 
@@ -141,20 +146,20 @@ def _eval(f: SliceExpr, q: Quaternion, s=None) -> tuple[Quaternion, float, int]:
     it, so that its rounding error is a fixed fraction of it.  m 2^k is in
     quaternion.pow2's form: k != 0 only where it is not a normal double.
 
-    A polynomial's value and majorant, its backward bound at q, are one
-    Horner loop; sums add, products multiply and conjugates keep the
-    majorants of their arguments.  A reciprocal's is m_f / |f^s(q)|, its
-    denominator taken as exact, as are the values of Ext and RawMap nodes.
-    Every node is read at q or conj(q): their slice points s = _points(q)
-    are taken once, by the first node that needs them, and passed down."""
+    Every node is read at q or conj(q), on one sphere x + y*S: its context
+    s = _sphere(q), the slice points of both and a table of leaf stems, is
+    made once, by the root unless that is a leaf, and passed down.  A
+    polynomial leaf makes one pass per point, for its stem at x + iy and its
+    majorant (_pair), and each read of it is f(q) = b + I*c, with -I at
+    conj(q).  A bare leaf is one Horner pass at q.  Sums add majorants,
+    products multiply them and conjugates keep those of their arguments.  A
+    reciprocal's is m_f / |f^s(q)|, its denominator taken as exact, as are
+    the values of Ext and RawMap nodes."""
     if isinstance(f, Poly):
-        return f.poly.evaluate_with_majorant(q)
-    if isinstance(f, Sum):
-        (u, mu, ku), (v, mv, kv) = _eval(f.f, q, s), _eval(f.g, q, s)
-        return (u + v, *pow2_sum(mu, ku, mv, kv))
-    if isinstance(f, RightScalar):
-        v, m, k = _eval(f.f, q, s)
-        return (v * f.a, *pow2_product(m, k, *pow2_norm(f.a)))
+        if s is None:
+            return f.poly.evaluate_with_majorant(q)
+        i, b, c, m, k = _pair(f, q, s)
+        return _affine(i, b.x0, b.x1, b.x2, b.x3, c.x0, c.x1, c.x2, c.x3), m, k
     if isinstance(f, RawMap):
         v = f.func(q)
         return (v, *pow2_norm(v))
@@ -162,7 +167,13 @@ def _eval(f: SliceExpr, q: Quaternion, s=None) -> tuple[Quaternion, float, int]:
         p = s[0] if s else slice_coords(q)
         v = general_representation(f.r(p.x, p.y), f.s(p.x, p.y), f.j, f.k, p)
         return (v, *pow2_norm(v))
-    s = s or _points(q)
+    s = s or _sphere(q)
+    if isinstance(f, Sum):
+        (u, mu, ku), (v, mv, kv) = _eval(f.f, q, s), _eval(f.g, q, s)
+        return (u + v, *pow2_sum(mu, ku, mv, kv))
+    if isinstance(f, RightScalar):
+        v, m, k = _eval(f.f, q, s)
+        return (v * f.a, *pow2_product(m, k, *pow2_norm(f.a)))
     if isinstance(f, Star):
         # f*g(q) = f(q) g(f(q)^{-1} q f(q)) (Gentili-Stoppato) and
         # g(x + y*I') = b_g + I'*c_g:  f*g(q) = f(q) b_g + I f(q) c_g.
@@ -196,14 +207,26 @@ def _points(q: Quaternion) -> tuple[SlicePoint, SlicePoint]:
     return p, p if p.unit_is_arbitrary else SlicePoint(p.x, p.y, ImaginaryUnit(q.conjugate()))
 
 
+def _sphere(q: Quaternion) -> tuple[SlicePoint, SlicePoint, dict]:
+    """The context of one evaluation on the sphere of q: _points(q) and an
+    empty table of leaf stems, (b, c, m, k) keyed by id(SlicePolynomial):
+    the trees read through it hold their polynomials, so no id is reused
+    while it lives."""
+    return (*_points(q), {})
+
+
 def _pair(f: SliceExpr, q: Quaternion, s) -> tuple[Quaternion, Quaternion, Quaternion, float, int]:
-    """(I, b, c, m, k) with f = b + I*c at q = x + y*I (s = _points(q)) and
-    m 2^k a majorant of f there: a polynomial's from its stem at x + iy, any
+    """(I, b, c, m, k) with f = b + I*c at q = x + y*I (s = _sphere(q)) and
+    m 2^k a majorant of f there: a polynomial's from its stem at x + iy and
+    its majorant, one pass on the first read of the sphere (s's table), any
     other node's from f(q) and f(conj(q)), m 2^k the larger of their two."""
-    p, pc = s
+    p, pc, table = s
     if isinstance(f, Poly):
-        return (p.unit.u, *_stem_pair(f.poly, p.x, p.y), *f.poly.scaled_majorant(q))
-    (vp, mp, kp), (vm, mm, km) = _eval(f, q, s), _eval(f, q.conjugate(), (pc, p))
+        e = table.get(id(f.poly))
+        if e is None:
+            e = table[id(f.poly)] = f.poly.stem_with_majorant(complex(p.x, p.y), q)
+        return (p.unit.u, *e)
+    (vp, mp, kp), (vm, mm, km) = _eval(f, q, s), _eval(f, q.conjugate(), (pc, p, table))
     b, c = affine_coeffs(vp, vm, p.unit)
     k, m = max((kp, mp), (km, mm))
     return p.unit.u, b, c, m, k
@@ -234,13 +257,17 @@ def _stem_pair(poly: SlicePolynomial, x: float, y: float) -> tuple[Quaternion, Q
             Quaternion(p0.imag, p1.imag, p2.imag, p3.imag))
 
 
-# conj(b) + I conj(c) and (|b|^2 - |c|^2) + I (2 <b, c>), in the order of Quaternion's operators
+# b + I c, conj(b) + I conj(c) and (|b|^2 - |c|^2) + I (2 <b, c>), in the order of Quaternion's operators
+def _affine(i: Quaternion, b0, b1, b2, b3, c0, c1, c2, c3) -> Quaternion:
+    i0, i1, i2, i3 = i.x0, i.x1, i.x2, i.x3
+    return Quaternion(b0 + (i0 * c0 - i1 * c1 - i2 * c2 - i3 * c3),
+                      b1 + (i0 * c1 + i1 * c0 + i2 * c3 - i3 * c2),
+                      b2 + (i0 * c2 - i1 * c3 + i2 * c0 + i3 * c1),
+                      b3 + (i0 * c3 + i1 * c2 - i2 * c1 + i3 * c0))
+
+
 def _conj(i: Quaternion, b: Quaternion, c: Quaternion) -> Quaternion:
-    i0, i1, i2, i3, c0, c1, c2, c3 = i.x0, i.x1, i.x2, i.x3, c.x0, -c.x1, -c.x2, -c.x3
-    return Quaternion(b.x0 + (i0 * c0 - i1 * c1 - i2 * c2 - i3 * c3),
-                      -b.x1 + (i0 * c1 + i1 * c0 + i2 * c3 - i3 * c2),
-                      -b.x2 + (i0 * c2 - i1 * c3 + i2 * c0 + i3 * c1),
-                      -b.x3 + (i0 * c3 + i1 * c2 - i2 * c1 + i3 * c0))
+    return _affine(i, b.x0, -b.x1, -b.x2, -b.x3, c.x0, -c.x1, -c.x2, -c.x3)
 
 
 def _symm(i: Quaternion, b: Quaternion, c: Quaternion) -> Quaternion:

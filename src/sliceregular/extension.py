@@ -8,7 +8,7 @@ from .errors import (
     NoRealTrace,
     RealTraceMismatch,
 )
-from .expr import Ext, Poly, SliceExpr, StemFunction, _pair, _points, _stem_pair, evaluate
+from .expr import Ext, Poly, SliceExpr, StemFunction, _pair, _sphere, _stem_pair, evaluate
 from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, from_slice
 from .representation import DEGENERATE_UNIT_TOL
 
@@ -27,7 +27,7 @@ def sphere_affine_coeffs(f: SliceExpr, x: float, y: float) -> tuple[Quaternion, 
     """
     if isinstance(f, Poly):
         return _stem_pair(f.poly, x, y)
-    return _pair(f, q := from_slice(x, y, UNIT_I), _points(q))[1:3]
+    return _pair(f, q := from_slice(x, y, UNIT_I), _sphere(q))[1:3]
 
 
 def _real_trace_points(r: StemFunction, s: StemFunction | None = None) -> list[float]:

@@ -114,6 +114,26 @@ class SlicePolynomial(Value):
             a3 = a3 * w + c.x3
         return a0, a1, a2, a3
 
+    def stem_with_majorant(self, z: complex, q: Quaternion) -> tuple[Quaternion, Quaternion, float, int]:
+        """(b, c, m, k) at a point q of the sphere x + y*S, z = x + iy: b + i*c
+        = stem(z) and m 2^k = scaled_majorant(q), in one Horner pass; the
+        stem as stem forms it, m <- m*r + |a_n|, r = |q - center| from q's
+        components, as backward_bound forms it.  Both are the same at q and
+        at conj(q), so one pass serves the whole sphere."""
+        w = z - self.center
+        r = math.hypot(q.x0 - self.center, q.x1, q.x2, q.x3)
+        a0 = a1 = a2 = a3 = 0j
+        m = 0.0
+        for c, n in zip(reversed(self.coeffs), reversed(self.abs_coeffs)):
+            a0 = a0 * w + c.x0
+            a1 = a1 * w + c.x1
+            a2 = a2 * w + c.x2
+            a3 = a3 * w + c.x3
+            m = m * r + n
+        b = Quaternion(a0.real, a1.real, a2.real, a3.real)
+        c = Quaternion(a0.imag, a1.imag, a2.imag, a3.imag)
+        return (b, c, m, 0) if _NORMAL <= m < math.inf else (b, c, *self.scaled_majorant(q))
+
     def derivative(self) -> "SlicePolynomial":
         """Slice derivative: exact coefficient shift."""
         if len(self.coeffs) == 1:

@@ -20,8 +20,10 @@ from .zeros import SphereZero, ZeroKind
 
 
 # Bounds on a decoded expression tree: its depth keeps evaluation's recursion
-# far below the interpreter's limit, and its cost (_eval_cost, leaf
-# evaluations per point; 2^depth for a chain of conj nodes) bounds the time.
+# far below the interpreter's limit, and its cost (_eval_cost, leaf reads per
+# point; 2^depth for a chain of conj nodes) bounds the recursion over the
+# internal nodes, and so the time.  A polynomial leaf makes one pass per point
+# whatever its reads.
 MAX_EXPR_DEPTH = 64
 MAX_EVAL_COST = 4096
 
@@ -228,7 +230,9 @@ def expr_from_json(data, depth: int = 1) -> SliceExpr:
 
 
 def _eval_cost(f: SliceExpr, pair: bool = False) -> int:
-    """Leaf evaluations of expr._eval at one point (of expr._pair if ``pair``)."""
+    """Leaf reads of expr._eval at one point (of expr._pair if ``pair``): the
+    recursion over the internal nodes visits as many leaves.  The reads of
+    one polynomial leaf share one pass (expr._sphere's table)."""
     if pair and not isinstance(f, Poly):
         return 2 * _eval_cost(f)
     if isinstance(f, (Conj, Symm, Recip)):

@@ -10,7 +10,7 @@ import math
 
 from .errors import SingularPoint
 from .expr import (
-    Conj, Poly, Recip, RightScalar, SliceExpr, Star, _eval, _points, _scaled_pair, _symm,
+    Conj, Poly, Recip, RightScalar, SliceExpr, Star, _eval, _scaled_pair, _sphere, _symm,
     evaluate, split, star_via_composition,
 )
 from .extension import ext_from_holomorphic, restriction_stem
@@ -188,7 +188,7 @@ def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
     for _ in range(points):
         q = rng.point()
         tag = f"q=({q.x0:.4g},{q.x1:.4g},{q.x2:.4g},{q.x3:.4g})"
-        s = _points(q)
+        s = _sphere(q)
 
         (lhs, m_lhs, k_lhs), (rhs, m_rhs, k_rhs) = _eval(conj_fg, q, s), _eval(star_conj, q, s)
         antihom.append((tag, _relative((lhs - rhs).norm(), *pow2_sum(m_lhs, k_lhs, m_rhs, k_rhs))))
@@ -199,10 +199,14 @@ def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
                                            m_star, k_star)))
 
         # (fg)^s, f^s and g^s scaled by 2^-2e_f-2e_g, 2^-2e_f and 2^-2e_g, with
-        # m_f 2^-e_f and m_g 2^-e_g near 1: f^s g^s stays a double at any scale
+        # m_f 2^-e_f and m_g 2^-e_g near 1: f^s g^s stays a double at any scale.
+        # Where f*g is not a double (k_star != 0) its pair is read off
+        # (2^-e_f f)*(2^-e_g g), which is.
         pf, pg = _scaled_pair(f, q, s), _scaled_pair(g, q, s)
+        pfg = (_scaled_pair(Star(_scaled(f, pf[4]), _scaled(g, pg[4])), q, s, 0) if k_star
+               else _scaled_pair(fg, q, s, pf[4] + pg[4]))
         (sfg, m_fg), (sf, m_sf), (sg, m_sg) = ((_symm(i, b, c), m * m) for i, b, c, m, _ in
-                                               (_scaled_pair(fg, q, s, pf[4] + pg[4]), pf, pg))
+                                               (pfg, pf, pg))
         multiplicative.append((tag, _relative((sfg - sf * sg).norm(), m_fg + m_sf * m_sg)))
         commute.append((tag, _relative((sf * sg - sg * sf).norm(), m_sf * m_sg)))
 
@@ -212,7 +216,7 @@ def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
             slice_pres.append((tag, _relative(abs(split(sf, sp.unit, j).g), m_sf)))
 
         # below the normal range f^{-*} is not a double, (2^-e f)^{-*} (pf's e) is
-        h = RightScalar(f, Quaternion(math.ldexp(1.0, -pf[4]))) if k_f < 0 else None
+        h = _scaled(f, pf[4]) if k_f < 0 else None
         lr = (left, right) if h is None else (Star(Recip(h), h), Star(h, Recip(h)))
         try:
             (vl, ml, kl), (vr, mr, kr) = (_eval(t, q, s) for t in lr)
@@ -230,6 +234,11 @@ def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
         _report("reciprocal_left_identity", len(left_recip), left_recip),
         _report("reciprocal_right_identity", len(right_recip), right_recip),
     ]
+
+
+def _scaled(f: SliceExpr, e: int) -> RightScalar:
+    """2^-e f, e a scale_exponent (at least -1021), so 2^-e is a double."""
+    return RightScalar(f, Quaternion(math.ldexp(1.0, -e)))
 
 
 def check_extension_roundtrip(f: SlicePolynomial, unit: ImaginaryUnit,

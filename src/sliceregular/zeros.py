@@ -10,6 +10,7 @@ candidate sphere (x, |y|) and classified through that affine structure.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 
@@ -407,7 +408,8 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     except NonConvergence as exc:
         roots = list(exc.partial)
         converged = False
-    seen: list[tuple[complex, float, float]] = []  # spheres x + iy about the center, |x + iy|, tol
+    seen: list[tuple[complex, float]] = []  # spheres x + iy about the center, tol
+    moduli, kept = [], []  # the kept |x + iy| in ascending order, and their x + iy
     for z in roots[: f.degree]:
         z = _refine(w, z)
         z = complex(z.real, abs(z.imag) if abs(z.imag) >= SPHERE_DEDUP_TOL * abs(z) else 0.0)
@@ -415,11 +417,18 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
         tol, k = pow2_product(CLASSIFY_TOL, 0, *w.scaled_majorant(Quaternion(r)))
         if k or not (r >= _NORMAL and tol >= _NORMAL):
             raise NonConvergence("a zero is out of floating-point range")
-        if all(abs(z - s) > SPHERE_DEDUP_TOL * max(a, b) for s, b, _ in seen):
-            seen.append((z, a, tol))
+        # |z - s| >= ||z| - |s||: only spheres whose moduli agree to
+        # SPHERE_DEDUP_TOL (twice that, for rounding) can merge with z
+        lo = bisect.bisect_left(moduli, a * (1.0 - 2.0 * SPHERE_DEDUP_TOL))
+        hi = bisect.bisect_right(moduli, a / (1.0 - 2.0 * SPHERE_DEDUP_TOL))
+        if all(abs(z - kept[n]) > SPHERE_DEDUP_TOL * max(a, moduli[n]) for n in range(lo, hi)):
+            n = bisect.bisect(moduli, a)
+            moduli.insert(n, a)
+            kept.insert(n, z)
+            seen.append((z, tol))
     out = []
     expr = Poly(w)
-    for z, _, tol in sorted(seen, key=lambda e: (e[0].real + f.center, e[0].imag)):
+    for z, tol in sorted(seen, key=lambda e: (e[0].real + f.center, e[0].imag)):
         zero = sphere_zero_classify(expr, z.real, z.imag, tol=tol)
         out.append(SphereZero(z.real + f.center, z.imag, zero.kind, zero.unit, zero.residual / t,
                               zero.unit_is_arbitrary, converged))

@@ -44,7 +44,7 @@ import sliceregular.expr as expr_module
 from sliceregular.expr import from_split, split
 from sliceregular.quaternion import dot, quat_inv
 from sliceregular.serialize import _eval_cost
-from sliceregular.verify import SplitMix64
+from sliceregular.verify import SplitMix64, check_identity_suite
 
 from conftest import assert_close
 
@@ -203,31 +203,83 @@ def test_recip_singular_where_pair_is_rounding_noise(scale):
             recip_eval(expr, math.sqrt(2.0) * UNIT_J.u)
 
 
-@pytest.mark.parametrize("node, calls", [
+def _count_polynomial_passes(monkeypatch):
+    # every SlicePolynomial method that reads the coefficients at a point; a
+    # rename fails here, so the count cannot drop to 0 unseen
+    count = [0]
+
+    def counted(original):
+        def wrapper(self, *args):
+            count[0] += 1
+            return original(self, *args)
+        return wrapper
+
+    for name in ("evaluate", "evaluate_with_majorant", "stem", "stem_with_majorant",
+                 "scaled_majorant"):
+        monkeypatch.setattr(SlicePolynomial, name, counted(getattr(SlicePolynomial, name)))
+    return count
+
+
+@pytest.mark.parametrize("node, reads", [
+    (lambda f: f, 1),
     (lambda f: Recip(Recip(f)), 2),
     (lambda f: Star(f, f), 2),
     (Symm, 1),
     (Conj, 1),
     (lambda f: Conj(Conj(Conj(f))), 4),
     (lambda f: Sum(Star(Conj(f), Symm(f)), RightScalar(Recip(f), UNIT_K.u)), 4),
-], ids=["recip-recip", "star", "symm", "conj", "conj-chain", "mixed"])
-def test_evaluation_counts_polynomial_calls(monkeypatch, node, calls):
-    # a polynomial's value and majorant are one Horner loop, its (b, c) pair
-    # one stem pass; other nodes read their children at q and conj(q) only.
-    # The decoder's cost bound counts the same calls.
-    count = [0]
-
-    def counted(original):
-        def wrapper(self, q):
-            count[0] += 1
-            return original(self, q)
-        return wrapper
-
-    for name in ("evaluate", "evaluate_with_majorant", "stem"):
-        monkeypatch.setattr(SlicePolynomial, name, counted(getattr(SlicePolynomial, name)))
+], ids=["leaf", "recip-recip", "star", "symm", "conj", "conj-chain", "mixed"])
+def test_evaluation_counts_polynomial_calls(monkeypatch, node, reads):
+    # a bare leaf is one Horner pass; in a tree each leaf is read from its
+    # stem and majorant, one pass on the first read of the point's sphere, and
+    # other nodes read their children at q and conj(q).  The decoder's cost
+    # bound counts the reads.
+    count = _count_polynomial_passes(monkeypatch)
     tree = node(Poly(polynomial([UNIT_J.u, ONE, UNIT_I.u])))
     evaluate(tree, Quaternion(0.3, 0.4, -0.5, 0.6))
-    assert count[0] == calls == _eval_cost(tree)
+    assert count[0] == 1
+    assert _eval_cost(tree) == reads
+
+
+def test_identity_suite_makes_four_polynomial_passes_per_point(monkeypatch):
+    # one table of leaf stems per sample point serves every tree of the suite:
+    # a pass for f and one for g, and star_via_composition's Horner passes for
+    # f(q) and for g at f(q)^-1 q f(q)
+    rng = SplitMix64(8)
+    f, g = Poly(rng.polynomial(max_degree=5)), Poly(rng.polynomial(max_degree=5))
+    count = _count_polynomial_passes(monkeypatch)
+    reports = check_identity_suite(f, g, points=10, seed=8)
+    assert all(r.passed for r in reports) and reports[1].samples == 10
+    assert count[0] == 4 * 10
+
+
+def _tree_and_oracle(rng, depth):
+    # a seeded tree of height at most depth with a distinct polynomial at each
+    # leaf, and its polynomial by the coefficient algebra
+    kind = rng.next_u64() % 6 if depth else 0
+    if kind == 0:
+        p = rng.polynomial(max_degree=2)
+        return Poly(p), p
+    (f, pf) = _tree_and_oracle(rng, depth - 1)
+    if kind in (1, 2):
+        g, pg = _tree_and_oracle(rng, depth - 1)
+        return (Sum(f, g), pf + pg) if kind == 1 else (Star(f, g), star_poly(pf, pg))
+    if kind == 3:
+        a = rng.quaternion()
+        return RightScalar(f, a), pf.right_scaled(a)
+    return (Conj(f), conj_poly(pf)) if kind == 4 else (Symm(f), symm_poly(pf))
+
+
+def test_trees_agree_with_the_coefficient_oracles():
+    # every leaf read once per point, from its stem: the value within 1e-13
+    # of the tree's majorant of the polynomial the coefficient algebra forms
+    rng = SplitMix64(41)
+    for _ in range(40):
+        tree, oracle = _tree_and_oracle(rng, 6)
+        for q in sample_points(rng.next_u64(), 5):
+            v, m, k = expr_module._eval(tree, q)
+            assert k == 0
+            assert (v - oracle.evaluate(q)).norm() <= 1e-13 * m, (tree, q)
 
 
 def _depth10_tree(leaf=None):

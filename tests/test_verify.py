@@ -137,6 +137,23 @@ def test_reports_below_the_normal_range():
     assert all(math.isfinite(r.max_residual) and r.samples == 3 for r in reports), reports
 
 
+@pytest.mark.parametrize("j", [-600, -1000, -1040, 600])
+def test_symmetrization_is_multiplicative_where_the_product_is_no_double(j):
+    # f*g of 2^j (1 + q) and 2^j (1 + q^2) is near 2^2j, no double: its pair
+    # is read off the product of f and g each scaled by a power of two to its
+    # majorant, so the report is the one at scale 1 wherever f's values are
+    # normal doubles (2^-1040 f's are not: it passes)
+    def report(t):
+        reports = check_identity_suite(Poly(polynomial([t, t])), Poly(polynomial([t, 0.0, t])),
+                                       points=3)
+        return next(r for r in reports if r.name == "symmetrization_multiplicative")
+
+    scaled = report(2.0 ** j)
+    assert scaled.passed and scaled.samples == 3, scaled
+    if j > -1022:
+        assert scaled == report(1.0)
+
+
 def test_extension_roundtrip_check():
     rng = SplitMix64(9)
     report = check_extension_roundtrip(rng.polynomial(max_degree=8), rng.unit(), seed=9)
