@@ -1,4 +1,4 @@
-"""Polynomial passes per point of the CLI over the seed-1 eval-nested and check requests.
+"""Polynomial passes and _eval calls per point of the CLI over the seed-1 eval-nested and check requests.
 
     python3 .github/work_counts.py SRC [BASE_SRC]
 
@@ -7,9 +7,11 @@ Serves each request of seed 1 of the eval-nested and check workloads in
 the package imported from SRC, and counts the calls of the
 ``SlicePolynomial`` methods in PASSES that SRC has: each reads the
 coefficients at one point.  A call made inside another counted call is not
-counted again.  A point is one of an eval request's points, or one of a
-check request's ``--samples``.  Prints per workload the passes, the points
-and the passes per point.  With BASE_SRC it prints a Markdown table of both.
+counted again.  It also counts every call of ``expr._eval``, the recursion
+included, as expr and each module that imported it makes it: one per node
+visit.  A point is one of an eval request's points, or one of a check
+request's ``--samples``.  Prints per workload the passes, the points and the
+_eval calls.  With BASE_SRC it prints a Markdown table of both, per point.
 Unlike timings, the counts repeat exactly.  It reports and never fails.
 """
 
@@ -30,8 +32,9 @@ def counts(src):
     import run
     import workloads
     import sliceregular.cli as cli
+    from sliceregular import expr
     from sliceregular.polynomial import SlicePolynomial
-    passes, depth = [0], [0]
+    passes, depth, evals = [0], [0], [0]
 
     def counted(method):
         def wrapper(*args, **kwargs):
@@ -46,8 +49,17 @@ def counts(src):
     for name in PASSES:
         if hasattr(SlicePolynomial, name):
             setattr(SlicePolynomial, name, counted(getattr(SlicePolynomial, name)))
+    node_eval = getattr(expr, "_eval", None)
+
+    def counted_eval(*args):
+        evals[0] += 1
+        return node_eval(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("sliceregular") and getattr(module, "_eval", 0) is node_eval:
+            module._eval = counted_eval
     for name in WORKLOADS:
-        passes[0] = points = 0
+        passes[0] = evals[0] = points = 0
         for request in workloads.request_set(name, 1):
             argv = request["argv"]
             if "--samples" in argv:
@@ -55,7 +67,7 @@ def counts(src):
             else:
                 points += len(json.loads(request["stdin"]).get("points", ()))
             run.serve(cli.main, request)
-        print(name, passes[0], points, flush=True)
+        print(name, passes[0], points, evals[0], flush=True)
 
 
 def table(src, base):
@@ -63,12 +75,13 @@ def table(src, base):
             for d in (src, base)]
     head, prior = ({w: tuple(map(int, n)) for w, *n in map(str.split, r.stdout.splitlines())}
                    for r in runs)
-    print("| workload | points | passes, base | passes, head | per point, base | per point, head |")
-    print("|---|---|---|---|---|---|")
+    print("| workload | points | passes, base | passes, head | per point, base | per point, head "
+          "| _eval calls per point, base | head |")
+    print("|---|---|---|---|---|---|---|---|")
     for name in WORKLOADS:
-        old, new = (side.get(name, (0, 0)) for side in (prior, head))
+        old, new = (side.get(name, (0, 0, 0)) for side in (prior, head))
         n = old[1] or new[1]
-        per = (f"{p / n:.3f}" if n else "?" for p, _ in (old, new))
+        per = (f"{side[i] / n:.3f}" if n else "?" for i in (0, 2) for side in (old, new))
         print(f"| {name} | {n} | {old[0]} | {new[0]} | {' | '.join(per)} |")
     for side, r in zip(("head", "base"), runs):
         if r.returncode:

@@ -232,12 +232,12 @@ def _pair(f: SliceExpr, q: Quaternion, s) -> tuple[Quaternion, Quaternion, Quate
     return p.unit.u, b, c, m, k
 
 
-def _scaled_pair(f: SliceExpr, q: Quaternion, s, e: int | None = None):
+def _scaled_pair(f: SliceExpr, q: Quaternion, s):
     """(I, b, c, m, e): _pair's b, c and majorant times 2^-e, e the
-    scale_exponent of the majorant unless given, so that m is near 1 and no
-    square of b or c leaves the double range where 2^-2e f^s does not."""
+    scale_exponent of the majorant, so that m is near 1 and no square of b
+    or c leaves the double range where 2^-2e f^s does not; Symm and Recip scale back."""
     i, b, c, m, k = _pair(f, q, s)
-    e = scale_exponent(m, k) if e is None else e
+    e = scale_exponent(m, k)
     if k and isinstance(f, Poly):  # f's values may leave the doubles where those of 2^-e f do not:
         # 2^-e f(q) = sum_n (2^-t w)^n a_n 2^(nt - e), w = q - center, as Horner rounds it
         w = q - f.poly.center

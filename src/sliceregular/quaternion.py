@@ -234,7 +234,10 @@ def pow2_scaled(q: Quaternion, n: int) -> Quaternion:
     subnormal or 0 where it underflows."""
     while n > 1023:
         q, n = q * 2.0 ** 1023, n - 1023
-    return q * 2.0 ** n if n >= -1022 else Quaternion(*(math.ldexp(x, n) for x in q.components()))
+    if n < -1022:
+        return Quaternion(*(math.ldexp(x, n) for x in q.components()))
+    t = 2.0 ** n  # q * t, without the dispatch of Quaternion.__mul__
+    return Quaternion(q.x0 * t, q.x1 * t, q.x2 * t, q.x3 * t)
 
 
 def negligible(x: float, tol: float, m: float, k: int = 0) -> bool:

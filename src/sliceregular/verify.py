@@ -2,6 +2,10 @@
 
 The generator is a self-contained splitmix-style 64-bit state machine so that
 reports reproduce bit-identically across platforms for a given seed.
+
+Each suite brings its polynomials to unit scale (_normalized) and reads every
+value through expr._eval, so 2^j f, its coefficients exact, reports as f does.
+The calculus is tested at unit scale; expr's range handling by its own tests.
 """
 
 from __future__ import annotations
@@ -10,14 +14,14 @@ import math
 
 from .errors import SingularPoint
 from .expr import (
-    Conj, Poly, Recip, RightScalar, SliceExpr, Star, _eval, _scaled_pair, _sphere, _symm,
-    evaluate, split, star_via_composition,
+    Conj, Poly, Recip, SliceExpr, Star, Symm, _eval, _sphere, evaluate, split,
+    star_via_composition,
 )
 from .extension import ext_from_holomorphic, restriction_stem
 from .polynomial import SlicePolynomial
 from .quaternion import (
     ImaginaryUnit, Quaternion, SlicePoint, Value, from_slice, negligible, orthogonal_unit,
-    pow2_sum,
+    pow2_product, pow2_sum, scale_exponent,
 )
 from .representation import general_representation
 
@@ -29,8 +33,8 @@ BOX_X = 2.0
 BOX_Y_MIN = 0.1
 BOX_Y_MAX = 2.0
 
-# Every report compares residual / m with CHECK_TOL, m the majorant of the
-# values compared (expr._eval), so lambda*f gets the verdict of f.
+# Every report compares residual / m with CHECK_TOL, m the majorant of the values
+# compared (expr._eval), so lambda*f gets the verdict of f; a NaN is the worst case.
 CHECK_TOL = 1e-9
 
 
@@ -110,17 +114,10 @@ class CheckReport(Value):
         }
 
 
-def _report(name: str, samples: int, residuals: list[tuple[str, float]]) -> CheckReport:
-    if residuals:
-        worst = max(residuals, key=lambda t: t[1])
-    else:
-        worst = ("no samples", 0.0)
-    max_res = worst[1]
-    return CheckReport(
-        name=name, samples=samples, max_residual=max_res,
-        tolerance=CHECK_TOL, passed=max_res <= CHECK_TOL,
-        worst_case=worst,
-    )
+def _report(name: str, residuals: list[tuple[str, float]]) -> CheckReport:
+    worst = max(residuals, key=lambda t: (math.isnan(t[1]), t[1]), default=("no samples", 0.0))
+    return CheckReport(name=name, samples=len(residuals), max_residual=worst[1],
+                       tolerance=CHECK_TOL, passed=worst[1] <= CHECK_TOL, worst_case=worst)
 
 
 def _relative(residual: float, m: float, k: int = 0) -> float:
@@ -128,6 +125,15 @@ def _relative(residual: float, m: float, k: int = 0) -> float:
     (the only residual a zero majorant allows) is 0."""
     f, e = math.frexp(residual / m) if residual else (0.0, k)
     return math.ldexp(f, e - k) if e - k <= 1024 else math.inf
+
+
+def _normalized(f: SliceExpr) -> SliceExpr:
+    """2^-e f for a Poly f, e the scale_exponent of its largest coefficient norm as
+    poly_roots takes it (0 where that overflows); other nodes pass as they are."""
+    if not isinstance(f, Poly):
+        return f
+    t = math.ldexp(1.0, -scale_exponent(max(f.poly.abs_coeffs)))
+    return Poly(SlicePolynomial(f.poly.center, [c * t for c in f.poly.coeffs]))
 
 
 def check_grf_invariance(f: SliceExpr, spheres: int = 20, unit_pairs: int = 20,
@@ -143,9 +149,11 @@ def check_grf_invariance(f: SliceExpr, spheres: int = 20, unit_pairs: int = 20,
     function passes, regular or not, and q -> conj(q) passes with a spread
     at rounding level.  Regularity is measured by ``regularity_residual``
     (the slice Cauchy-Riemann residual).  A spread needs ``unit_pairs`` >= 2.
+    A polynomial f is read at unit scale (_normalized); a NaN spread fails.
     """
     if unit_pairs < 2:
         raise ValueError(f"unit_pairs must be at least 2 to measure a spread, got {unit_pairs}")
+    f = _normalized(f)
     rng = SplitMix64(seed)
     residuals = []
     for _ in range(spheres):
@@ -158,13 +166,12 @@ def check_grf_invariance(f: SliceExpr, spheres: int = 20, unit_pairs: int = 20,
             m = max(m, (k_j, m_j), (k_k, m_k))
             v = general_representation(v_j, v_k, j, k, target)
             values.append(v.components())
-        # max |a - b| over the pairs, as Quaternion.norm forms it
-        spread = max(
-            math.hypot(a0 - b0, a1 - b1, a2 - b2, a3 - b3)
-            for ai, (a0, a1, a2, a3) in enumerate(values) for b0, b1, b2, b3 in values[ai + 1:]
-        )
+        # max |a - b| over the pairs, as Quaternion.norm forms it; NaN if one is (sum shows it)
+        spreads = [math.hypot(a0 - b0, a1 - b1, a2 - b2, a3 - b3) for ai, (a0, a1, a2, a3)
+                   in enumerate(values) for b0, b1, b2, b3 in values[ai + 1:]]
+        spread = math.nan if math.isnan(sum(spreads)) else max(spreads)
         residuals.append((f"sphere x={x:.6g} y={y:.6g}", _relative(spread, m[1], m[0])))
-    return _report(name, spheres, residuals)
+    return _report(name, residuals)
 
 
 def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
@@ -177,14 +184,17 @@ def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
     The right reciprocal identity is measured and reported as well.  Each
     residual is relative to the majorants of the values it compares; a
     point on the zero set of f^s has no reciprocal and is skipped.
+    Polynomials are read at unit scale (_normalized), so 2^i f, 2^j g report
+    as f, g do even where f*g is no double; other nodes keep _eval's majorants.
     """
+    f, g = _normalized(f), _normalized(g)
     rng = SplitMix64(seed)
     antihom, compose, multiplicative, commute = [], [], [], []
     left_recip, right_recip, slice_pres = [], [], []
     fg = Star(f, g)
-    recip_f = Recip(f)
     conj_fg, star_conj = Conj(fg), Star(Conj(g), Conj(f))
-    left, right = Star(recip_f, f), Star(f, recip_f)
+    symms = Symm(fg), Symm(f), Symm(g)
+    left, right = Star(Recip(f), f), Star(f, Recip(f))
     for _ in range(points):
         q = rng.point()
         tag = f"q=({q.x0:.4g},{q.x1:.4g},{q.x2:.4g},{q.x3:.4g})"
@@ -198,59 +208,46 @@ def check_identity_suite(f: SliceExpr, g: SliceExpr, points: int = 200,
             compose.append((tag, _relative((star_via_composition(f, g, q) - star).norm(),
                                            m_star, k_star)))
 
-        # (fg)^s, f^s and g^s scaled by 2^-2e_f-2e_g, 2^-2e_f and 2^-2e_g, with
-        # m_f 2^-e_f and m_g 2^-e_g near 1: f^s g^s stays a double at any scale.
-        # Where f*g is not a double (k_star != 0) its pair is read off
-        # (2^-e_f f)*(2^-e_g g), which is.
-        pf, pg = _scaled_pair(f, q, s), _scaled_pair(g, q, s)
-        pfg = (_scaled_pair(Star(_scaled(f, pf[4]), _scaled(g, pg[4])), q, s, 0) if k_star
-               else _scaled_pair(fg, q, s, pf[4] + pg[4]))
-        (sfg, m_fg), (sf, m_sf), (sg, m_sg) = ((_symm(i, b, c), m * m) for i, b, c, m, _ in
-                                               (pfg, pf, pg))
-        multiplicative.append((tag, _relative((sfg - sf * sg).norm(), m_fg + m_sf * m_sg)))
-        commute.append((tag, _relative((sf * sg - sg * sf).norm(), m_sf * m_sg)))
+        (sfg, m_fg, k_fg), (sf, m_sf, k_sf), (sg, m_sg, k_sg) = (_eval(t, q, s) for t in symms)
+        m_prod = pow2_product(m_sf, k_sf, m_sg, k_sg)
+        m_sum = pow2_sum(m_fg, k_fg, *m_prod)
+        multiplicative.append((tag, _relative((sfg - sf * sg).norm(), *m_sum)))
+        commute.append((tag, _relative((sf * sg - sg * sf).norm(), *m_prod)))
 
         sp = s[0]
         if not sp.unit_is_arbitrary:
             j = orthogonal_unit(sp.unit)
-            slice_pres.append((tag, _relative(abs(split(sf, sp.unit, j).g), m_sf)))
+            slice_pres.append((tag, _relative(abs(split(sf, sp.unit, j).g), m_sf, k_sf)))
 
-        # below the normal range f^{-*} is not a double, (2^-e f)^{-*} (pf's e) is
-        h = _scaled(f, pf[4]) if k_f < 0 else None
-        lr = (left, right) if h is None else (Star(Recip(h), h), Star(h, Recip(h)))
         try:
-            (vl, ml, kl), (vr, mr, kr) = (_eval(t, q, s) for t in lr)
+            (vl, ml, kl), (vr, mr, kr) = _eval(left, q, s), _eval(right, q, s)
         except SingularPoint:
             continue
         left_recip.append((tag, _relative((vl - Quaternion(1.0)).norm(), ml, kl)))
         right_recip.append((tag, _relative((vr - Quaternion(1.0)).norm(), mr, kr)))
 
     return [
-        _report("conjugate_antihomomorphism", len(antihom), antihom),
-        _report("star_composition_form", len(compose), compose),
-        _report("symmetrization_multiplicative", len(multiplicative), multiplicative),
-        _report("symmetrization_factors_commute", len(commute), commute),
-        _report("symmetrization_slice_preservation", len(slice_pres), slice_pres),
-        _report("reciprocal_left_identity", len(left_recip), left_recip),
-        _report("reciprocal_right_identity", len(right_recip), right_recip),
+        _report("conjugate_antihomomorphism", antihom),
+        _report("star_composition_form", compose),
+        _report("symmetrization_multiplicative", multiplicative),
+        _report("symmetrization_factors_commute", commute),
+        _report("symmetrization_slice_preservation", slice_pres),
+        _report("reciprocal_left_identity", left_recip),
+        _report("reciprocal_right_identity", right_recip),
     ]
-
-
-def _scaled(f: SliceExpr, e: int) -> RightScalar:
-    """2^-e f, e a scale_exponent (at least -1021), so 2^-e is a double."""
-    return RightScalar(f, Quaternion(math.ldexp(1.0, -e)))
 
 
 def check_extension_roundtrip(f: SlicePolynomial, unit: ImaginaryUnit,
                               points: int = 100, seed: int = 7) -> CheckReport:
     """Extension of the slice restriction of a polynomial reproduces it, to
-    a residual relative to f's majorant."""
+    a residual relative to f's majorant, f read at unit scale (_normalized)."""
+    f = _normalized(Poly(f))
     rng = SplitMix64(seed)
-    ext = ext_from_holomorphic(restriction_stem(Poly(f), unit))
+    ext = ext_from_holomorphic(restriction_stem(f, unit))
     residuals = []
     for _ in range(points):
         q = rng.point()
         tag = f"q=({q.x0:.4g},{q.x1:.4g},{q.x2:.4g},{q.x3:.4g})"
-        v, m, k = f.evaluate_with_majorant(q)
+        v, m, k = f.poly.evaluate_with_majorant(q)
         residuals.append((tag, _relative((evaluate(ext, q) - v).norm(), m, k)))
-    return _report("extension_roundtrip", points, residuals)
+    return _report("extension_roundtrip", residuals)

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from sliceregular import Quaternion
+from sliceregular import Quaternion, RawMap
 from sliceregular.cli import build_parser, main
 from sliceregular.serialize import MAX_DEGREE, MAX_EXPR_DEPTH, DecodeError, expr_from_json
 from sliceregular.verify import SplitMix64
@@ -498,6 +498,15 @@ def test_check_with_control_fails(run):
     assert all(r["passed"] for name, r in reports.items() if name != "grf_nonregular_control")
 
 
+def test_check_with_a_nan_value_after_the_first_sphere_is_not_finite(run, monkeypatch):
+    # a NaN residual is a report's worst case wherever it comes, so its
+    # max_residual is NaN and no JSON document is written
+    monkeypatch.setattr("sliceregular.cli.Poly", lambda p: RawMap(
+        lambda q: q if q.x0 < 1.0 else Quaternion(math.nan)))
+    code, out, err = run(["check", "--suite", "grf", "--seed", "1", "--samples", "100"])
+    assert code == 3 and "result is not finite" in err
+
+
 def test_check_is_deterministic(run):
     _, out_a, _ = run(["check", "--suite", "identities", "--seed", "3", "--samples", "40"])
     _, out_b, _ = run(["check", "--suite", "identities", "--seed", "3", "--samples", "40"])
@@ -796,7 +805,7 @@ def test_cli_answers_are_exactly_covariant_under_powers_of_two(run, monkeypatch)
     # same values and singular spheres 2^k times; roots of such polynomials
     # give zeros 2^k times, with the same kinds, units and residuals; kernel
     # at (s, q) 2^k gives 2^-k times the value; check suites over 2^k f give
-    # the same reports.
+    # the same reports, to 2^+-600: each suite normalizes its polynomials.
     class Scaled(SplitMix64):
         scale = 1.0
 
@@ -806,7 +815,7 @@ def test_cli_answers_are_exactly_covariant_under_powers_of_two(run, monkeypatch)
     monkeypatch.setattr("sliceregular.cli.SplitMix64", Scaled)
 
     def answers(k, whole=True):
-        # the eval and kernel answers, then, if whole, those of roots and check
+        # the eval and kernel answers, then, if whole, those of roots
         rng, out = SplitMix64(1601), []
         for depth in (1, 2, 3, 3):
             points = [[math.ldexp(v, k) for v in rng.quaternion().components()]
@@ -827,9 +836,11 @@ def test_cli_answers_are_exactly_covariant_under_powers_of_two(run, monkeypatch)
                                         "q": [math.ldexp(v, k) for v in q.components()]}))
         if whole:
             out += [run(["roots"], payload) for payload in roots]
-            Scaled.scale = math.ldexp(1.0, k)
-            out.append(run(["check", "--suite", "all", "--samples", "10", "--seed", "3"]))
         return out
+
+    def check(k):
+        Scaled.scale = math.ldexp(1.0, k)
+        return run(["check", "--suite", "all", "--samples", "10", "--seed", "3"])
 
     def unscaled(answer, k):
         code, out, err = answer
@@ -844,8 +855,8 @@ def test_cli_answers_are_exactly_covariant_under_powers_of_two(run, monkeypatch)
                 line["value"] = [v * 2.0 ** k for v in line["value"]]
         return code, data, _unscaled_spheres(err, k)
 
-    base = [unscaled(answer, 0) for answer in answers(0)]
-    assert {code for code, _, _ in base} == {0, 3}
+    base, base_check = [unscaled(answer, 0) for answer in answers(0)], check(0)
+    assert {code for code, _, _ in base} | {base_check[0]} == {0, 3}
     for k in (1, -1, 7, -7, 60, -60):
         assert [unscaled(answer, k) for answer in answers(k)] == base, k
     # eval and kernel to 2^+-300: the leaves have degree <= 3, so a_n 2^(-kn)
@@ -853,3 +864,6 @@ def test_cli_answers_are_exactly_covariant_under_powers_of_two(run, monkeypatch)
     for k in (300, -300):
         got = [unscaled(answer, k) for answer in answers(k, whole=False)]
         assert got == base[:len(got)], k
+    # check, whose coefficients are the a_n 2^k, to 2^+-600
+    for k in (1, -1, 7, -7, 60, -60, 300, -300, 600, -600):
+        assert check(k) == base_check, k

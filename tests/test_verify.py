@@ -104,20 +104,22 @@ def _nine_reports(scale):
 
 
 def test_reports_do_not_depend_on_the_scale_of_f():
-    # every residual is divided by the majorant of the values it compares:
-    # a power-of-two scale changes no bit, any other scale no verdict
+    # each suite brings its polynomials to unit scale by a power of two, and
+    # every residual is divided by the majorant of the values it compares: a
+    # power-of-two scale changes no bit, at the ends of the double range too,
+    # and any other scale no verdict
     base = _nine_reports(1.0)
     assert all(r.passed and r.samples > 0 for r in base)
-    for j in (20, -20, 60, -60, 100, -100):
+    for j in (20, -20, 60, -60, 100, -100, 300, -300, 600, -600, 1000, -1000):
         assert _nine_reports(2.0 ** j) == base, j
     for scale in (1e12, 1e-12):
         assert [r.passed for r in _nine_reports(scale)] == [r.passed for r in base], scale
 
 
 def test_reports_keep_their_verdicts_at_the_ends_of_the_double_range():
-    # f^s g^s and its majorant grow as the fourth power of the scale: formed
-    # from pairs scaled by powers of two, they stay doubles from 2^-300 to
-    # 2^300, and every report gives the verdict it gives at scale 1
+    # f^s g^s and its majorant grow as the fourth power of the scale: read
+    # off f and g normalized to unit scale, they stay doubles at every scale
+    # from 2^-300 to 2^300, and every report gives the verdict of scale 1
     base = [r.passed for r in _nine_reports(1.0)]
     for j in range(-300, 301, 50):
         reports = _nine_reports(2.0 ** j)
@@ -139,10 +141,9 @@ def test_reports_below_the_normal_range():
 
 @pytest.mark.parametrize("j", [-600, -1000, -1040, 600])
 def test_symmetrization_is_multiplicative_where_the_product_is_no_double(j):
-    # f*g of 2^j (1 + q) and 2^j (1 + q^2) is near 2^2j, no double: its pair
-    # is read off the product of f and g each scaled by a power of two to its
-    # majorant, so the report is the one at scale 1 wherever f's values are
-    # normal doubles (2^-1040 f's are not: it passes)
+    # f*g of 2^j (1 + q) and 2^j (1 + q^2) is near 2^2j, no double, and
+    # (f*g)^s near 2^4j: the suite reads them off f and g normalized to unit
+    # scale, so the report is the one at scale 1, below the normal doubles too
     def report(t):
         reports = check_identity_suite(Poly(polynomial([t, t])), Poly(polynomial([t, 0.0, t])),
                                        points=3)
@@ -150,8 +151,21 @@ def test_symmetrization_is_multiplicative_where_the_product_is_no_double(j):
 
     scaled = report(2.0 ** j)
     assert scaled.passed and scaled.samples == 3, scaled
-    if j > -1022:
-        assert scaled == report(1.0)
+    assert scaled == report(1.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_a_nan_residual_is_the_worst_case_and_fails(seed):
+    # NaN compares false with every number, so a max over the residuals (or
+    # over a sphere's spreads) keeps a NaN only where it comes first; it must
+    # be the worst case wherever it comes
+    partly_nan = RawMap(lambda q: q if q.x0 < 1.0 else Quaternion(math.nan))
+    grf = check_grf_invariance(partly_nan, spheres=10, unit_pairs=3, seed=seed)
+    reports = [grf] + check_identity_suite(partly_nan, Poly(polynomial([1.0, 1.0])), points=20,
+                                           seed=seed)
+    for report in reports:
+        assert math.isnan(report.max_residual) and not report.passed, report
+        assert math.isnan(report.worst_case[1]), report
 
 
 def test_extension_roundtrip_check():
