@@ -8,11 +8,13 @@ the package imported from SRC, and counts the calls of the
 ``SlicePolynomial`` methods in PASSES that SRC has: each reads the
 coefficients at one point.  A call made inside another counted call is not
 counted again.  It also counts every call of ``expr._eval``, the recursion
-included, as expr and each module that imported it makes it: one per node
-visit.  A point is one of an eval request's points, or one of a check
-request's ``--samples``.  Prints per workload the passes, the points and the
-_eval calls.  With BASE_SRC it prints a Markdown table of both, per point.
-Unlike timings, the counts repeat exactly.  It reports and never fails.
+included: each sliceregular module's binding of it, under whatever name, is
+replaced by one counted wrapper, so a caller that imports it under another
+name, or wraps it, is counted too: one per node visit.  A point is one of
+an eval request's points, or one of a check request's ``--samples``.
+Prints per workload the passes, the points and the _eval calls.  With
+BASE_SRC it prints a Markdown table of both, per point.  Unlike timings,
+the counts repeat exactly.  It reports and never fails.
 """
 
 import json
@@ -56,8 +58,9 @@ def counts(src):
         return node_eval(*args)
 
     for module in list(sys.modules.values()):
-        if module.__name__.startswith("sliceregular") and getattr(module, "_eval", 0) is node_eval:
-            module._eval = counted_eval
+        if module.__name__.startswith("sliceregular"):
+            for name in [n for n, value in vars(module).items() if value is node_eval]:
+                setattr(module, name, counted_eval)
     for name in WORKLOADS:
         passes[0] = evals[0] = points = 0
         for request in workloads.request_set(name, 1):

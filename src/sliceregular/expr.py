@@ -23,8 +23,8 @@ import math
 from .errors import DomainError, NotASlicePoint, SingularPoint, ZeroBase
 from .polynomial import SlicePolynomial
 from .quaternion import (
-    ONE, ImaginaryUnit, Quaternion, SlicePoint, Value, dot, from_slice, negligible, pow2,
-    pow2_norm, pow2_product, pow2_scaled, pow2_sum, quat_inv, scale_exponent, slice_coords,
+    ONE, ZERO, ImaginaryUnit, Quaternion, SlicePoint, Value, dot, from_slice, pow2_norm,
+    pow2_scaled, quat_inv, scale_exponent, slice_coords,
 )
 from .representation import affine_coeffs, general_representation
 
@@ -138,66 +138,82 @@ class RawMap(SliceExpr):
 
 def evaluate(f: SliceExpr, q: Quaternion) -> Quaternion:
     """Pointwise value of an expression tree."""
-    return _eval(f, q)[0]
+    return _read(f, q)[0]
+
+
+def _read(f: SliceExpr, q: Quaternion, s=None) -> tuple[Quaternion, float, int]:
+    """(f(q), m, k): _eval's value v 2^k, scaled back once, and its majorant."""
+    v, m, k = _eval(f, q, s)
+    return pow2_scaled(v, k), m, k
+
+
+def _form(v: Quaternion, m: float | None = None, k: int = 0) -> tuple[Quaternion, float, int]:
+    """v 2^k with majorant m 2^k (|v| if None) in _eval's form: k = 0 where m 2^k
+    is 0 or in [2^-480, 2^480), else m in [1/2, 1) (frexp's; k unbounded)."""
+    if m is None:
+        m, k = pow2_norm(v)
+        v = pow2_scaled(v, -k)
+    if not k and (2.0 ** -480 <= m < 2.0 ** 480 or not m):
+        return v, m, 0
+    f, e = math.frexp(m)
+    e = e + k if f and not -480 < e + k <= 480 else 0
+    return pow2_scaled(v, k - e), math.ldexp(m, k - e), e
 
 
 def _eval(f: SliceExpr, q: Quaternion, s=None) -> tuple[Quaternion, float, int]:
-    """(f(q), m, k): the value and a majorant m 2^k of the terms that formed
-    it, so that its rounding error is a fixed fraction of it.  m 2^k is in
-    quaternion.pow2's form: k != 0 only where it is not a normal double.
+    """(v, m, k): f(q) = v 2^k and m 2^k, a majorant of the terms that formed
+    it, under one exponent, so that v's rounding error is a fixed fraction of m
+    at any scale: k = 0 where m 2^k is in [2^-480, 2^480), where m^2 and
+    1e10/m^2, the largest 1/|f^s|, are doubles, else m is in [1/2, 1) (_form).  Sums
+    add majorants on the larger exponent, products multiply them and add
+    exponents, Conj keeps both, Symm squares and doubles them, and Recip's is
+    m_f / |f^s(q)| 2^-k, f^s taken as exact, as are Ext's and RawMap's values.
 
-    Every node is read at q or conj(q), on one sphere x + y*S: its context
-    s = _sphere(q), the slice points of both and a table of leaf stems, is
-    made once, by the root unless that is a leaf, and passed down.  A
-    polynomial leaf makes one pass per point, for its stem at x + iy and its
-    majorant (_pair), and each read of it is f(q) = b + I*c, with -I at
-    conj(q).  A bare leaf is one Horner pass at q.  Sums add majorants,
-    products multiply them and conjugates keep those of their arguments.  A
-    reciprocal's is m_f / |f^s(q)|, its denominator taken as exact, as are
-    the values of Ext and RawMap nodes."""
+    Every node is read at q or conj(q), on one sphere x + y*S: its context s =
+    _sphere(q), the slice points of both and a table of leaf stems, is made
+    once, by the root unless that is a leaf, and passed down.  Each polynomial
+    leaf is one pass per point (_leaf), and each read of it is f(q) = b + I*c,
+    with -I at conj(q)."""
     if isinstance(f, Poly):
-        if s is None:
-            return f.poly.evaluate_with_majorant(q)
-        i, b, c, m, k = _pair(f, q, s)
+        if s is None and not (leaf := f.poly.evaluate_with_majorant(q))[2]:
+            return _form(*leaf[:2])  # a bare leaf whose majorant is a normal double
+        i, b, c, m, k = _pair(f, q, s or _sphere(q))
         return _affine(i, b.x0, b.x1, b.x2, b.x3, c.x0, c.x1, c.x2, c.x3), m, k
     if isinstance(f, RawMap):
-        v = f.func(q)
-        return (v, *pow2_norm(v))
+        return _form(f.func(q))
     if isinstance(f, Ext):
         p = s[0] if s else slice_coords(q)
-        v = general_representation(f.r(p.x, p.y), f.s(p.x, p.y), f.j, f.k, p)
-        return (v, *pow2_norm(v))
+        return _form(general_representation(f.r(p.x, p.y), f.s(p.x, p.y), f.j, f.k, p))
     s = s or _sphere(q)
     if isinstance(f, Sum):
         (u, mu, ku), (v, mv, kv) = _eval(f.f, q, s), _eval(f.g, q, s)
-        return (u + v, *pow2_sum(mu, ku, mv, kv))
+        k = max(ku, kv)
+        return _form(pow2_scaled(u, ku - k) + pow2_scaled(v, kv - k),
+                     math.ldexp(mu, ku - k) + math.ldexp(mv, kv - k), k)
     if isinstance(f, RightScalar):
-        v, m, k = _eval(f.f, q, s)
-        return (v * f.a, *pow2_product(m, k, *pow2_norm(f.a)))
+        (v, m, k), (a, ma, ka) = _eval(f.f, q, s), _form(f.a)
+        return _form(v * a, m * ma, k + ka)
     if isinstance(f, Star):
         # f*g(q) = f(q) g(f(q)^{-1} q f(q)) (Gentili-Stoppato) and
         # g(x + y*I') = b_g + I'*c_g:  f*g(q) = f(q) b_g + I f(q) c_g.
         fq, mf, kf = _eval(f.f, q, s)
         i, b, c, mg, kg = _pair(f.g, q, s)
-        return (fq * b + i * (fq * c), *pow2_product(mf, kf, mg, kg))
+        return _form(fq * b + i * (fq * c), mf * mg, kf + kg)
     if isinstance(f, Conj):
         i, b, c, m, k = _pair(f.f, q, s)
         return _conj(i, b, c), m, k
     if isinstance(f, Symm):
-        # f^s = (2^-e f)^s 2^2e (_scaled_pair): inf where it overflows
-        i, b, c, m, e = _scaled_pair(f.f, q, s)
-        return (pow2_scaled(_symm(i, b, c), 2 * e), *pow2(m * m, 2 * e))
+        i, b, c, m, k = _pair(f.f, q, s)
+        return _form(_symm(i, b, c), m * m, 2 * k)
     if isinstance(f, Recip):
-        # on a spherical zero of f, b and c are rounding noise of size eps * m.
-        # f^{-*} = (2^-e f)^{-*} 2^-e (_scaled_pair) is scaled back.
-        i, b, c, m, e = _scaled_pair(f.f, q, s)
+        i, b, c, m, k = _pair(f.f, q, s)  # on a zero sphere of f, b and c are noise ~ eps m
         fs = _symm(i, b, c)
         ns = fs.norm()
         if ns <= RECIP_SINGULAR_TOL * m * m:
             p = s[0]
             raise SingularPoint(f"symmetrization vanishes on the sphere x={p.x}, y={p.y}",
                                 x=p.x, y=p.y)
-        return (pow2_scaled(quat_inv(fs) * _conj(i, b, c), -e), *pow2(m / ns, -e))
+        return _form(quat_inv(fs) * _conj(i, b, c), m / ns, -k)
     raise TypeError(f"not a SliceExpr node: {f!r}")
 
 
@@ -216,38 +232,34 @@ def _sphere(q: Quaternion) -> tuple[SlicePoint, SlicePoint, dict]:
 
 
 def _pair(f: SliceExpr, q: Quaternion, s) -> tuple[Quaternion, Quaternion, Quaternion, float, int]:
-    """(I, b, c, m, k) with f = b + I*c at q = x + y*I (s = _sphere(q)) and
-    m 2^k a majorant of f there: a polynomial's from its stem at x + iy and
-    its majorant, one pass on the first read of the sphere (s's table), any
-    other node's from f(q) and f(conj(q)), m 2^k the larger of their two."""
+    """(I, b, c, m, k), f = (b + I*c) 2^k at q = x + y*I (s = _sphere(q)) and m
+    2^k its majorant, in _eval's form: a polynomial's from _leaf on the first
+    read of the sphere (s's table), any other node's from f(q) and f(conj(q))
+    on the larger exponent, m 2^k the larger of their two majorants."""
     p, pc, table = s
     if isinstance(f, Poly):
         e = table.get(id(f.poly))
         if e is None:
-            e = table[id(f.poly)] = f.poly.stem_with_majorant(complex(p.x, p.y), q)
+            e = table[id(f.poly)] = _leaf(f.poly, complex(p.x, p.y), q)
         return (p.unit.u, *e)
     (vp, mp, kp), (vm, mm, km) = _eval(f, q, s), _eval(f, q.conjugate(), (pc, p, table))
-    b, c = affine_coeffs(vp, vm, p.unit)
     k, m = max((kp, mp), (km, mm))
+    b, c = affine_coeffs(pow2_scaled(vp, kp - k), pow2_scaled(vm, km - k), p.unit)
     return p.unit.u, b, c, m, k
 
 
-def _scaled_pair(f: SliceExpr, q: Quaternion, s):
-    """(I, b, c, m, e): _pair's b, c and majorant times 2^-e, e the
-    scale_exponent of the majorant, so that m is near 1 and no square of b
-    or c leaves the double range where 2^-2e f^s does not; Symm and Recip scale back."""
-    i, b, c, m, k = _pair(f, q, s)
-    e = scale_exponent(m, k)
-    if k and isinstance(f, Poly):  # f's values may leave the doubles where those of 2^-e f do not:
-        # 2^-e f(q) = sum_n (2^-t w)^n a_n 2^(nt - e), w = q - center, as Horner rounds it
-        w = q - f.poly.center
-        t = scale_exponent(*pow2_norm(w))
-        p = slice_coords(pow2_scaled(w, -t))
-        g = SlicePolynomial(0.0, [pow2_scaled(a, n * t - e) for n, a in enumerate(f.poly.coeffs)])
-        b, c = _stem_pair(g, p.x, p.y)
-    else:
-        b, c = pow2_scaled(b, -e), pow2_scaled(c, -e)
-    return i, b, c, math.ldexp(m, k - e), e
+def _leaf(poly: SlicePolynomial, z: complex, q: Quaternion) -> tuple[Quaternion, Quaternion, float, int]:
+    """_pair's (b, c, m, k) of poly at z = x + iy: stem_with_majorant's, or
+    where m 2^k leaves [2^-480, 2^480) the stem of the coefficients a_n
+    2^(nt - k) at w = 2^-t (q - center) (offset), which rounds as poly's."""
+    b, c, m, k = poly.stem_with_majorant(z, q)
+    f, e = math.frexp(m)
+    if -480 < e + k <= 480 or not f:
+        return b, c, m, 0
+    w, t = poly.offset(q)
+    cs = poly.coeffs[:1] if w == ZERO else poly.coeffs  # f(center) = a_0
+    g = SlicePolynomial(0.0, [pow2_scaled(a, n * t - e - k) for n, a in enumerate(cs)])
+    return (*_stem_pair(g, w.x0, w.im_norm()), f, e + k)
 
 
 def _stem_pair(poly: SlicePolynomial, x: float, y: float) -> tuple[Quaternion, Quaternion]:
@@ -278,12 +290,12 @@ def _symm(i: Quaternion, b: Quaternion, c: Quaternion) -> Quaternion:
 
 def star_eval(f: SliceExpr, g: SliceExpr, q: Quaternion) -> Quaternion:
     """Regular product f*g at q, from f(q) and the (b, c) pair of g."""
-    return _eval(Star(f, g), q)[0]
+    return evaluate(Star(f, g), q)
 
 
 def conj_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
     """Regular conjugate f^c at q: conj(b) + I conj(c)."""
-    return _eval(Conj(f), q)[0]
+    return evaluate(Conj(f), q)
 
 
 def symm_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
@@ -291,7 +303,7 @@ def symm_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
 
     The value lies in L_{I_q} by construction.
     """
-    return _eval(Symm(f), q)[0]
+    return evaluate(Symm(f), q)
 
 
 def recip_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
@@ -301,17 +313,17 @@ def recip_eval(f: SliceExpr, q: Quaternion) -> Quaternion:
     |f^s(q)| <= RECIP_SINGULAR_TOL * m^2, with m the majorant of f at q
     (see _eval); both sides scale as lambda^2 under f -> lambda f.
     """
-    return _eval(Recip(f), q)[0]
+    return evaluate(Recip(f), q)
 
 
 def star_via_composition(f: SliceExpr, g: SliceExpr, q: Quaternion) -> Quaternion:
     """Cross-check form f*g(q) = f(q) g(u^{-1} q u), u = f(q) 2^-e near 1; needs
     f(q) != 0, taken to fail when |f(q)| <= COMPOSITION_ZERO_TOL times f's majorant."""
     fq, m, k = _eval(f, q)
-    if negligible(fq.norm(), COMPOSITION_ZERO_TOL, m, k):
+    if fq.norm() <= COMPOSITION_ZERO_TOL * m:  # under one exponent
         raise ZeroBase("composition form undefined where f(q) = 0")
     u = pow2_scaled(fq, -scale_exponent(*pow2_norm(fq)))
-    return fq * evaluate(g, quat_inv(u) * q * u)
+    return pow2_scaled(fq, k) * evaluate(g, quat_inv(u) * q * u)
 
 
 def _fd_step(x: float, y: float) -> float:

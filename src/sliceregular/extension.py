@@ -9,7 +9,7 @@ from .errors import (
     RealTraceMismatch,
 )
 from .expr import Ext, Poly, SliceExpr, StemFunction, _pair, _sphere, _stem_pair, evaluate
-from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, from_slice
+from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, from_slice, pow2_scaled
 from .representation import DEGENERATE_UNIT_TOL
 
 REAL_TRACE_TOL = 1e-9
@@ -27,7 +27,8 @@ def sphere_affine_coeffs(f: SliceExpr, x: float, y: float) -> tuple[Quaternion, 
     """
     if isinstance(f, Poly):
         return _stem_pair(f.poly, x, y)
-    return _pair(f, q := from_slice(x, y, UNIT_I), _sphere(q))[1:3]
+    _, b, c, _, k = _pair(f, q := from_slice(x, y, UNIT_I), _sphere(q))
+    return pow2_scaled(b, k), pow2_scaled(c, k)
 
 
 def _real_trace_points(r: StemFunction, s: StemFunction | None = None) -> list[float]:

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import CenterMismatch
 from .quaternion import (_NORMAL, ONE, Quaternion, Value, ZERO, _coerce, pow2_norm,
-                         pow2_product, pow2_sum)
+                         pow2_product, pow2_scaled, pow2_sum)
 
 
 def _as_quaternion(c) -> Quaternion:
@@ -66,14 +66,24 @@ class SlicePolynomial(Value):
         """backward_bound(|a_n|, |q - center|) as (m, k), m 2^k in
         quaternion.pow2's form: the rounding error of evaluate(q) is a fixed
         fraction of it.  Where it is not a normal double it is summed by
-        pow2_sum and pow2_product, from pow2_norm's |a_n| and r."""
+        pow2_sum and pow2_product, from pow2_norm's |a_n| and r = |w| 2^t (offset)."""
         m = backward_bound(self.abs_coeffs, math.hypot(q.x0 - self.center, q.x1, q.x2, q.x3))
         if _NORMAL <= m < math.inf:
             return m, 0
-        r, total = pow2_norm(q - self.center), (0.0, 0)
+        w, t = self.offset(q)
+        r, total = w.norm(), (0.0, 0)
         for c in reversed(self.coeffs):
-            total = pow2_sum(*pow2_product(*total, *r), *pow2_norm(c))
+            total = pow2_sum(*pow2_product(*total, r, t), *pow2_norm(c))
         return total
+
+    def offset(self, q: Quaternion) -> tuple[Quaternion, int]:
+        """(w, t): q - center = w 2^t, |w| in [1/2, 1) or 0, formed from q/2 -
+        center/2 where q - center overflows."""
+        h = 0.5 if abs(q.x0 - self.center) == math.inf else 1.0
+        w = Quaternion(h * q.x0 - h * self.center, h * q.x1, h * q.x2, h * q.x3)
+        m, k = pow2_norm(w)
+        t = math.frexp(m)[1] + k
+        return pow2_scaled(w, -t), t + (h < 1.0)
 
     def evaluate(self, q: Quaternion) -> Quaternion:
         """f(q), by Horner's rule (evaluate_with_majorant)."""

@@ -192,8 +192,8 @@ def dot(a: Quaternion, b: Quaternion) -> float:
 
 def scale_exponent(m: float, k: int = 0) -> int:
     """e with m 2^(k - e) in [1/2, 1) (k at m = 0), at least -1021: 2^-e, a
-    double, is the one power of two that brings a majorant m 2^k, or a
-    largest component, near 1.  Every rescaling of the package takes it."""
+    double, is the one power of two that brings a majorant m 2^k, or a largest
+    component, near 1 (expr._form's exponent, applied by pow2_scaled, is unbounded)."""
     return max(math.frexp(m)[1] + k, -1021)
 
 
@@ -232,17 +232,14 @@ def pow2_norm(q: Quaternion) -> tuple[float, int]:
 def pow2_scaled(q: Quaternion, n: int) -> Quaternion:
     """q 2^n at any n, each component rounded once: inf where it overflows,
     subnormal or 0 where it underflows."""
+    if not n:
+        return q
     while n > 1023:
         q, n = q * 2.0 ** 1023, n - 1023
     if n < -1022:
         return Quaternion(*(math.ldexp(x, n) for x in q.components()))
     t = 2.0 ** n  # q * t, without the dispatch of Quaternion.__mul__
     return Quaternion(q.x0 * t, q.x1 * t, q.x2 * t, q.x3 * t)
-
-
-def negligible(x: float, tol: float, m: float, k: int = 0) -> bool:
-    """x <= tol m 2^k: is x zero against its majorant m 2^k?"""
-    return math.ldexp(x, -k) <= tol * m if k >= 0 else x <= math.ldexp(tol * m, k)
 
 
 class ImaginaryUnit(Value):

@@ -19,7 +19,7 @@ from .expr import Poly, SliceExpr, Star, _eval, recip_eval
 from .extension import sphere_affine_coeffs
 from .polynomial import SlicePolynomial, backward_bound, monomial_minus
 from .quaternion import (
-    _NORMAL, UNIT_I, ZERO, ImaginaryUnit, Quaternion, Value, negligible, pow2_product,
+    _NORMAL, UNIT_I, ZERO, ImaginaryUnit, Quaternion, Value, pow2_product, pow2_scaled,
     quat_inv, scale_exponent,
 )
 
@@ -397,8 +397,8 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
         g = SlicePolynomial(f.center, f.coeffs[j:])
         zero = SphereZero(f.center, 0.0, ZeroKind.ISOLATED, UNIT_I, unit_is_arbitrary=True)
         return sorted([zero, *(poly_roots(g) if g.degree else [])], key=lambda z: (z.x, z.y))
-    t = math.ldexp(1.0, -min(scale_exponent(max(f.abs_coeffs)), 0))
-    w = SlicePolynomial(0.0, [c * t for c in f.coeffs] if t > 1 else f.coeffs)  # t f in q - center
+    lift = -min(scale_exponent(max(f.abs_coeffs)), 0)
+    w = SlicePolynomial(0.0, [pow2_scaled(c, lift) for c in f.coeffs])  # 2^lift f in q - center
     starts = [r * _cis(math.pi * (m + 0.5) / n + 0.4) for n, r in _newton_polygon_edges(w.abs_coeffs)
               for m in range(n)]
     converged = True
@@ -430,8 +430,8 @@ def poly_roots(f: SlicePolynomial) -> list[SphereZero]:
     expr = Poly(w)
     for z, tol in sorted(seen, key=lambda e: (e[0].real + f.center, e[0].imag)):
         zero = sphere_zero_classify(expr, z.real, z.imag, tol=tol)
-        out.append(SphereZero(z.real + f.center, z.imag, zero.kind, zero.unit, zero.residual / t,
-                              zero.unit_is_arbitrary, converged))
+        out.append(SphereZero(z.real + f.center, z.imag, zero.kind, zero.unit,
+                              math.ldexp(zero.residual, -lift), zero.unit_is_arbitrary, converged))
     if not converged:
         raise NonConvergence("root iteration did not converge", partial=out)
     return out
@@ -441,14 +441,14 @@ def star_zero_check(f: SliceExpr, g: SliceExpr, q: Quaternion) -> bool:
     """Does the zero theorem's predicate match a direct star evaluation?
 
     Predicate: f(q) = 0, or f(q) != 0 and g(f(q)^{-1} q f(q)) = 0.  A value
-    is zero when at most CLASSIFY_TOL times its majorant (expr._eval), which
-    for Ext and RawMap nodes is the value's own norm: only 0 is zero there.
+    is zero when at most CLASSIFY_TOL times its majorant, under one exponent
+    (expr._eval), which for Ext and RawMap nodes is the value's own norm.
     """
-    v, m, k = _eval(f, q)
-    if not negligible(v.norm(), CLASSIFY_TOL, m, k):  # f(q) != 0: the predicate reads g there
-        v, m, k = _eval(g, quat_inv(v) * q * v)
-    fg, m_fg, k_fg = _eval(Star(f, g), q)
-    return negligible(v.norm(), CLASSIFY_TOL, m, k) == negligible(fg.norm(), CLASSIFY_TOL, m_fg, k_fg)
+    v, m, _ = _eval(f, q)
+    if not v.norm() <= CLASSIFY_TOL * m:  # f(q) != 0: the predicate reads g there
+        v, m, _ = _eval(g, quat_inv(v) * q * v)
+    fg, m_fg, _ = _eval(Star(f, g), q)
+    return (v.norm() <= CLASSIFY_TOL * m) == (fg.norm() <= CLASSIFY_TOL * m_fg)
 
 
 def cauchy_kernel(s: Quaternion, q: Quaternion) -> Quaternion:

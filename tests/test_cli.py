@@ -247,6 +247,39 @@ def test_eval_where_the_power_of_two_that_scales_f_is_tiny(run, coeffs, point, r
     assert values[1] == pytest.approx([recip, 0.0, 0.0, 0.0], rel=1e-9, abs=0.0)
 
 
+def _constant_poly(*coeffs, center=0.0):
+    return {"op": "poly", "center": center, "coeffs": [[c, 0, 0, 0] for c in coeffs]}
+
+
+_RECIP_SQUARE = {"op": "recip", "f": {"op": "star", "f": _constant_poly(1, 0, 1),
+                                      "g": _constant_poly(1, 0, 1)}}
+
+
+@pytest.mark.parametrize("expr, point, value", [
+    ({"op": "rscale", "f": {"op": "symm", "f": _constant_poly(1e-200)}, "a": [1e300, 0, 0, 0]},
+     [0.5, 0, 0, 0], 1e-100),
+    ({"op": "star", "f": _constant_poly(1e-200), "g": _constant_poly(0, 0, 1e300)},
+     [1e10, 0, 0, 0], 1e120),
+    (_RECIP_SQUARE, [1e200, 0, 0, 0], 0.0),
+    (_RECIP_SQUARE, [1e100, 1e100, 0, 0], 0.0),
+    ({"op": "recip", "f": {"op": "sum", "f": _constant_poly(1, 0, 1), "g": _constant_poly(1)}},
+     [1e200, 0, 0, 0], 0.0),
+    ({"op": "recip", "f": {"op": "sum", "f": _constant_poly(1),
+                           "g": _constant_poly(0, 1, center=1e308)}},
+     [-1e308, 0, 0, 0], -5e-309),
+], ids=["symm-rscale", "star", "recip-square@1e200", "recip-square@1e100(1+i)",
+        "recip-sum@1e200", "recip-sum-q-1e308@-1e308"])
+def test_eval_where_the_values_a_result_is_formed_from_are_no_doubles(run, expr, point, value):
+    # each node carries its value and majorant under one power of two, so a
+    # result that is a double is printed where the values it is formed from
+    # are not: 1e-400 * 1e300, 1e-200 * 1e320, 1/1e800, 1/(1e400 + 2), and
+    # 1/(1 + (q - 1e308)) with q - 1e308 = -2e308
+    code, out, err = run(["eval"], {"expr": expr, "points": [point]})
+    assert (code, err) == (0, "")
+    [got] = _strict_json(out)["values"]
+    assert got == pytest.approx([value, 0.0, 0.0, 0.0], rel=1e-12, abs=0.0)
+
+
 def test_roots_output_is_strict_json(run):
     # f^s is in range but its monic form is not
     code, out, err = run(["roots"], {"coeffs": [[1e150, 0, 0, 0], [0, 0, 0, 0],

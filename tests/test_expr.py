@@ -191,6 +191,17 @@ def test_recip_scale_invariant():
             recip_eval(f, UNIT_K.u)
 
 
+@pytest.mark.parametrize("e", [-500, -482, -481, -480, -479, 479, 480, 481, 500])
+def test_recip_near_its_sphere_where_the_majorant_leaves_the_unscaled_band(e):
+    # c (1 + q^2) at y j, y = 1 + 1e-5: |f^s| / m^2 is about 1e-10, just above
+    # the singular test, so 1/|f^s| is about 1e10 / m^2, which passes 2^1024
+    # where m ~ 2 c is below 2^-495 and f is not read on its own exponent
+    c, y = 2.0 ** e, 1.0 + 1.01e-5
+    want = 1.0 / (c * (1.0 - y) * (1.0 + y))
+    got = recip_eval(Poly(polynomial([c, 0.0, c])), y * UNIT_J.u)
+    assert_close(got, Quaternion(want), tol=1e-9 * abs(want))
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 def test_recip_singular_where_pair_is_rounding_noise(scale):
     # 2 + q^2 vanishes on the sphere of radius sqrt(2), but at fl(sqrt(2))*j

@@ -1,5 +1,7 @@
 """Coefficient algebra of quaternionic polynomials."""
 
+import math
+
 import pytest
 
 from sliceregular import (
@@ -156,6 +158,17 @@ def test_majorant_is_covariant_beyond_the_normal_doubles(q, j):
     scaled = p.right_scaled(Quaternion(2.0 ** j))
     assert scaled.evaluate_with_majorant(q)[1:] == scaled.scaled_majorant(q) == pow2(m, k + j)
     assert pow2(m, k + j)[1] != 0
+
+
+def test_majorant_where_q_minus_the_center_is_no_double():
+    # at q = -1e308, q - 1e308 = -2e308 overflows; offset forms it from q/2 -
+    # 1e308/2, and the majorant 1 + 2e308 of 1 + (q - 1e308) rounds to 2e308
+    p = SlicePolynomial(1e308, (ONE, ONE))
+    q = Quaternion(-1e308, 1.0)
+    w, t = p.offset(q)
+    assert (w.x0, t) == (math.ldexp(-1e308, -1024), 1025)
+    assert SlicePolynomial(0.0, (ONE,)).offset(Quaternion(3.0, 4.0)) == (Quaternion(0.375, 0.5), 3)
+    assert p.scaled_majorant(q) == p.evaluate_with_majorant(q)[1:] == pow2(1e308, 1)
 
 
 def test_stem_gives_the_pair_of_evaluate():
